@@ -196,13 +196,17 @@ def cmd_quantize(args) -> int:
 
 
 def _rebuild_qmodel(net, ws, bits):
+    """The QuantizedModel a quantized container holds; None for a float-only container."""
+    if not any(name.endswith(".qw") for name in ws.entries):
+        return None
     qm = engine.QuantizedModel(net=net, bits=bits)
     for layer in net.layers:
         if layer.kind not in ("conv2d", "depthwise_conv2d", "dense"):
             continue
         qw_name, act_name = f"{layer.name}.qw", f"act/{layer.name}"
-        if qw_name not in ws or act_name not in ws:
-            return None
+        for name in (qw_name, act_name):
+            if name not in ws:
+                raise DataError(f"quantized container lacks {name!r} for {net.name} layer {layer.name!r}")
         qw = ws[qw_name]
         if qw.params.bits != bits:
             raise DataError(
@@ -287,13 +291,8 @@ def cmd_report(args) -> int:
     lines = text.strip().splitlines()
     if not lines or lines[0] != perf.CSV_HEADER:
         raise DataError("not a bench CSV (header mismatch)")
-    width = max((len(l.split(",")[0]) for l in lines[1:]), default=8) + 2
-    print(f"{'network':<{width}}{'bits':>5}{'fps':>16}{'frames/J':>16}")
-    for line in lines[1:]:
-        f = line.split(",")
-        print(f"{f[0]:<{width}}{f[1]:>5}{float(f[5]):>16.4f}{float(f[7]):>16.4f}")
-    for note in perf.PAPER_BASELINE_ANNOTATIONS:
-        print(f"ref: {note}")
+    fields = [line.split(",") for line in lines[1:]]
+    print(perf.compare_table([(f[0], int(f[1]), float(f[5]), float(f[7]), ()) for f in fields]), end="")
     return 0
 
 

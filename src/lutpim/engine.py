@@ -16,7 +16,7 @@ import numpy as np
 from .cluster import Cluster, mac8
 from .lut_core import OpTag, build_function_table
 from .nets import NetworkSpec
-from .perf import PASS_FACTOR, intra_transfer_events, weight_transfer_events
+from .perf import charge_layer
 from .quantizer import QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
 from .weights import WeightSet
@@ -72,7 +72,7 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
     x = np.asarray(x, dtype=np.float64)
     if x.shape != net.input_shape:
         raise ValueError(f"input shape {x.shape} != network input {net.input_shape}")
-    saved = {}
+    sources, saved = _residual_sources(net), {}
     for layer in net.layers:
         if layer.kind in ("conv2d", "depthwise_conv2d"):
             w, b = _conv_w(ws, layer.name)
@@ -113,8 +113,14 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
             if captures is not None:
                 captures["logits"] = x.copy()
             x = softmax(x)
-        saved[layer.name] = x
+        if layer.name in sources:
+            saved[layer.name] = x
     return x
+
+
+def _residual_sources(net: NetworkSpec) -> set[str]:
+    """Layers whose outputs a later residual_add reads; only these are kept."""
+    return {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +226,22 @@ def _weight_matrix(layer, ws: WeightSet):
     raise ValueError(layer.kind)
 
 
+def _refuse_projected_shortcuts(net: NetworkSpec) -> None:
+    """The LUT backend runs identity shortcuts only; say which layer it cannot run."""
+    for layer in net.layers:
+        if layer.kind == "residual_add" and layer.proj:
+            raise NotImplementedError(
+                f"{net.name}: layer {layer.name!r} has a projected shortcut; only the perf model runs those"
+            )
+
+
 def prepare_quantized(
     net: NetworkSpec, ws: WeightSet, cal_inputs, bits: int
 ) -> QuantizedModel:
     """Quantize weights (symmetric) and calibrate activations (asymmetric)."""
     if bits not in (4, 8, 16):
         raise ValueError("precision must be 4, 8, or 16 bits")
+    _refuse_projected_shortcuts(net)
     collected: dict[str, list] = {}
     for x in cal_inputs:
         captures: dict = {}
@@ -260,28 +276,31 @@ def infer_lut(
 
     Returns (probabilities, ledger). Integer accumulators per MAC layer land in
     captures["acc"] when a captures dict is supplied; the final dense layer's
-    accumulator row is the pre-softmax integer output.
+    accumulator row is the pre-softmax integer output. The ledger is charged
+    once per layer by perf.charge_layer, so each layer costs what
+    perf.layer_cost says and the totals match perf.estimate.
     """
-    cfg = cfg or SystemConfig(precision_bits=qm.bits if qm.bits in (4, 8, 16) else 8)
-    net = qm.net
-    ledger = EnergyLedger()
-    cluster = Cluster() if engine == "cluster" else None
     if engine not in ("vector", "cluster"):
         raise ValueError(f"unknown engine {engine!r}")
+    cfg = cfg or SystemConfig(precision_bits=qm.bits if qm.bits in (4, 8, 16) else 8)
+    net = qm.net
+    _refuse_projected_shortcuts(net)
+    ledger = EnergyLedger()
+    cluster = Cluster() if engine == "cluster" else None
     x = np.asarray(x, dtype=np.float64)
     if x.shape != net.input_shape:
         raise ValueError(f"input shape {x.shape} != network input {net.input_shape}")
-    saved = {}
+    sources, saved = _residual_sources(net), {}
 
     def raw_dot(qa, qw):
         if engine == "cluster":
             return _raw_dot_cluster(qa, qw, qm.bits, cluster)
         return _raw_dot_vector(qa, qw, qm.bits)
 
-    def mac_layer(qlayer, cols):
-        """Zero-point expansion: LUT computes unsigned sum(qa*qw), host corrects."""
+    def mac_layer(qlayer, cols, out=slice(None), key=None):
+        """Zero-point expansion for output columns `out`: LUT computes unsigned sum(qa*qw), host corrects."""
         qa = quantize(cols, qlayer.act_params)
-        qw = qlayer.qweight
+        qw = qlayer.qweight[:, out]
         za, zw = qlayer.act_params.zero_point, qlayer.wparams.zero_point
         k = qa.shape[1]
         raw = raw_dot(qa, qw)
@@ -292,13 +311,9 @@ def infer_lut(
             + k * za * zw
         )
         if captures is not None:
-            captures.setdefault("acc", {})[qlayer.name] = acc
-        macs = qa.shape[0] * k * qw.shape[1]
-        ledger.account_macs(cfg, macs * PASS_FACTOR[qm.bits])
-        for _ in range(weight_transfer_events(macs * PASS_FACTOR[qm.bits], cfg)):
-            ledger.account_transfer("inter", 1)
+            captures.setdefault("acc", {})[key or qlayer.name] = acc
         scale = qlayer.act_params.scale * qlayer.wparams.scale
-        return scale * acc + qlayer.bias
+        return scale * acc + qlayer.bias[out]
 
     for layer in net.layers:
         if layer.kind == "conv2d":
@@ -310,48 +325,27 @@ def infer_lut(
             chans = []
             for c in range(x.shape[0]):
                 cols, oh, ow = _im2col(x[c : c + 1], *layer.kernel, layer.stride, layer.padding)
-                qa = quantize(cols, ql.act_params)
-                qw = ql.qweight[:, c : c + 1]
-                za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-                raw = raw_dot(qa, qw)
-                acc = (
-                    raw
-                    - za * qw.sum(axis=0, dtype=np.int64)[None, :]
-                    - zw * qa.sum(axis=1, dtype=np.int64)[:, None]
-                    + qa.shape[1] * za * zw
-                )
-                if captures is not None:
-                    captures.setdefault("acc", {})[f"{ql.name}[{c}]"] = acc
-                macs = qa.shape[0] * qa.shape[1]
-                ledger.account_macs(cfg, macs * PASS_FACTOR[qm.bits])
-                scale = ql.act_params.scale * ql.wparams.scale
-                chans.append((scale * acc[:, 0] + ql.bias[c]).reshape(oh, ow))
+                y = mac_layer(ql, cols, slice(c, c + 1), f"{ql.name}[{c}]")
+                chans.append(y[:, 0].reshape(oh, ow))
             x = np.stack(chans)
         elif layer.kind == "dense":
             ql = qm.layers[layer.name]
             x = mac_layer(ql, x[None, :])[0]
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
-            for _ in range(intra_transfer_events(layer)):
-                ledger.account_transfer("intra")
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
-            for _ in range(intra_transfer_events(layer)):
-                ledger.account_transfer("intra")
         elif layer.kind == "flatten":
             x = x.reshape(-1)
         elif layer.kind == "residual_add":
-            res = saved[layer.residual_from]
-            if layer.proj:
-                raise NotImplementedError("projected shortcuts are perf-model only")
-            x = x + res
-            for _ in range(intra_transfer_events(layer)):
-                ledger.account_transfer("intra")
+            x = x + saved[layer.residual_from]
         elif layer.kind == "softmax":
             if captures is not None:
                 captures["logits"] = x.copy()
             x = softmax(x)
-        saved[layer.name] = x
+        charge_layer(ledger, layer, cfg, qm.bits)
+        if layer.name in sources:
+            saved[layer.name] = x
     return x, ledger
 
 

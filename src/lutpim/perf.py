@@ -3,24 +3,18 @@
 Conv/dense MACs run on the clusters (ceil-spread over cluster_count at 6.4 ns
 per wave); element-wise layers charge one intra-subarray transfer per 256
 output elements; each MAC layer charges one hop-1 inter-subarray transfer per
-16 clusters used for weight distribution.
+16 clusters used for weight distribution. `charge_layer` is the one place
+these costs are computed: `layer_cost` reads them back from a ledger, and
+`engine.infer_lut` charges its ledger through it once per layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cluster import MAC_DELAY_NS, MAC_ENERGY_NOMINAL_PJ
 from .nets import LayerSpec, NetworkSpec
-from .system import (
-    INTER_DELAY_NS,
-    INTER_ENERGY_UJ,
-    INTRA_DELAY_NS,
-    INTRA_ENERGY_UJ,
-    UJ_TO_PJ,
-    SystemConfig,
-)
+from .system import EnergyLedger, SystemConfig
 
 PASS_FACTOR = {4: 1, 8: 1, 16: 4}
 
@@ -119,32 +113,34 @@ def weight_transfer_events(macs_effective: int, cfg: SystemConfig) -> int:
     return math.ceil(clusters_used / CLUSTERS_PER_WEIGHT_TRANSFER)
 
 
-def layer_cost(layer: LayerSpec, cfg: SystemConfig, precision_bits: int) -> LayerCost:
+def charge_layer(
+    ledger: EnergyLedger, layer: LayerSpec, cfg: SystemConfig, precision_bits: int
+) -> EnergyLedger:
+    """Charge one layer's MAC, intra and inter events, each as one event carrying its count.
+
+    Multi-pass precisions run their passes sequentially inside each cluster,
+    so the pass factor multiplies whole wave sweeps: 16-bit is exactly 4x 8-bit.
+    """
     macs = mac_count(layer)
-    eff = macs * PASS_FACTOR[precision_bits]
-    intra = intra_transfer_events(layer)
-    inter = weight_transfer_events(eff, cfg)
-    # Multi-pass precisions run their passes sequentially inside each cluster,
-    # so the pass factor multiplies whole wave sweeps: 16-bit is exactly 4x 8-bit.
-    latency = (
-        math.ceil(macs / cfg.cluster_count) * PASS_FACTOR[precision_bits] * MAC_DELAY_NS
-        + intra * INTRA_DELAY_NS
-        + inter * INTER_DELAY_NS[1]
-    )
-    energy = (
-        eff * MAC_ENERGY_NOMINAL_PJ
-        + intra * INTRA_ENERGY_UJ * UJ_TO_PJ
-        + inter * INTER_ENERGY_UJ[1] * UJ_TO_PJ
-    )
+    passes = PASS_FACTOR[precision_bits]
+    ledger.account_macs(cfg, macs, passes)
+    ledger.account_transfer("intra", count=intra_transfer_events(layer))
+    ledger.account_transfer("inter", 1, count=weight_transfer_events(macs * passes, cfg))
+    return ledger
+
+
+def layer_cost(layer: LayerSpec, cfg: SystemConfig, precision_bits: int) -> LayerCost:
+    ledger = charge_layer(EnergyLedger(), layer, cfg, precision_bits)
+    counts = ledger.event_counts()
     return LayerCost(
         name=layer.name,
         kind=layer.kind,
-        mac_count=macs,
-        macs_effective=eff,
-        intra_transfers=intra,
-        inter_transfers=inter,
-        latency_ns=latency,
-        energy_pj=energy,
+        mac_count=mac_count(layer),
+        macs_effective=counts.get("mac", 0),
+        intra_transfers=counts.get("intra", 0),
+        inter_transfers=counts.get("inter[1]", 0),
+        latency_ns=ledger.total_ns,
+        energy_pj=ledger.total_pj,
     )
 
 
@@ -193,19 +189,22 @@ def layer_csv(report: PerfReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_report(reports, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
-    """Side-by-side fps / frames-per-joule table plus static reference annotations."""
-    if not reports:
-        raise ValueError("compare_report needs at least one report")
-    width = max(len(r.network) for r in reports) + 2
+def compare_table(rows, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
+    """fps / frames-per-joule table from (network, bits, fps, frames/J, notes) rows."""
+    width = max((len(row[0]) for row in rows), default=8) + 2
     lines = [f"{'network':<{width}}{'bits':>5}{'fps':>16}{'frames/J':>16}"]
-    for r in sorted(reports, key=lambda r: (r.network, r.precision_bits)):
-        lines.append(
-            f"{r.network:<{width}}{r.precision_bits:>5}"
-            f"{r.throughput_fps:>16.4f}{r.frames_per_joule:>16.4f}"
-        )
-        for note in r.notes:
+    for network, bits, fps, fpj, notes in sorted(rows, key=lambda row: (row[0], row[1])):
+        lines.append(f"{network:<{width}}{bits:>5}{fps:>16.4f}{fpj:>16.4f}")
+        for note in notes:
             lines.append(f"  note: {note}")
     for note in baselines:
         lines.append(f"ref: {note}")
     return "\n".join(lines) + "\n"
+
+
+def compare_report(reports, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
+    """Side-by-side fps / frames-per-joule table plus static reference annotations."""
+    if not reports:
+        raise ValueError("compare_report needs at least one report")
+    rows = [(r.network, r.precision_bits, r.throughput_fps, r.frames_per_joule, r.notes) for r in reports]
+    return compare_table(rows, baselines)

@@ -35,14 +35,6 @@ class SystemConfig:
             raise ValueError("precision_bits must be one of {4, 8, 16}")
 
 
-@dataclass(frozen=True)
-class CommProfile:
-    intra_delay_ns: float = INTRA_DELAY_NS
-    intra_energy_uj: float = INTRA_ENERGY_UJ
-    inter_delay_ns: dict = field(default_factory=lambda: dict(INTER_DELAY_NS))
-    inter_energy_uj: dict = field(default_factory=lambda: dict(INTER_ENERGY_UJ))
-
-
 def hop_class(hops: int) -> int:
     """Map a hop count UP to the next published class (no interpolation)."""
     if hops < 1:
@@ -55,41 +47,52 @@ def hop_class(hops: int) -> int:
 
 @dataclass
 class EnergyLedger:
-    """Event-sourced time/energy totals; totals always equal the event-log sums."""
+    """Event log of (category, count, ns, pJ); every total is a sum over it."""
 
-    compute_ns: float = 0.0
-    comm_ns: float = 0.0
-    compute_pj: float = 0.0
-    comm_pj: float = 0.0
     events: list[tuple[str, int, float, float]] = field(default_factory=list)
 
-    def account_macs(self, cfg: SystemConfig, mac_count: int) -> "EnergyLedger":
-        """Charge mac_count MACs spread evenly over all clusters (ceiling on stragglers)."""
+    def account_macs(self, cfg: SystemConfig, mac_count: int, passes: int = 1) -> "EnergyLedger":
+        """Charge mac_count MACs spread evenly over all clusters (ceiling on stragglers).
+
+        Multi-pass precisions repeat the whole wave sweep `passes` times, so the
+        event counts mac_count * passes effective MACs.
+        """
         if mac_count < 0:
             raise ValueError("mac_count must be nonnegative")
         if mac_count == 0:
             return self
-        ns = math.ceil(mac_count / cfg.cluster_count) * MAC_DELAY_NS
-        pj = mac_count * MAC_ENERGY_NOMINAL_PJ
-        self.compute_ns += ns
-        self.compute_pj += pj
-        self.events.append(("mac", mac_count, ns, pj))
+        ns = math.ceil(mac_count / cfg.cluster_count) * passes * MAC_DELAY_NS
+        pj = mac_count * passes * MAC_ENERGY_NOMINAL_PJ
+        self.events.append(("mac", mac_count * passes, ns, pj))
         return self
 
-    def account_transfer(self, kind: str, hops: int | None = None) -> "EnergyLedger":
+    def account_transfer(self, kind: str, hops: int | None = None, count: int = 1) -> "EnergyLedger":
+        """Charge `count` transfers of one kind as a single event."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         if kind == "intra":
-            ns, pj = INTRA_DELAY_NS, INTRA_ENERGY_UJ * UJ_TO_PJ
+            ns, pj = count * INTRA_DELAY_NS, count * INTRA_ENERGY_UJ * UJ_TO_PJ
             label = "intra"
         elif kind == "inter":
             cls = hop_class(1 if hops is None else hops)
-            ns, pj = INTER_DELAY_NS[cls], INTER_ENERGY_UJ[cls] * UJ_TO_PJ
+            ns, pj = count * INTER_DELAY_NS[cls], count * INTER_ENERGY_UJ[cls] * UJ_TO_PJ
             label = f"inter[{cls}]"
         else:
             raise ValueError(f"unknown transfer kind {kind!r}")
-        self.comm_ns += ns
-        self.comm_pj += pj
-        self.events.append((label, 1, ns, pj))
+        if count:
+            self.events.append((label, count, ns, pj))
         return self
+
+    def _sum(self, column: int, mac: bool | None = None) -> float:
+        """Sum ns (column 2) or pJ (column 3) over all events, or over MAC or transfer events only."""
+        return sum((e[column] for e in self.events if mac is None or (e[0] == "mac") == mac), 0.0)
+
+    total_ns = property(lambda self: self._sum(2))
+    total_pj = property(lambda self: self._sum(3))
+    compute_ns = property(lambda self: self._sum(2, mac=True))
+    compute_pj = property(lambda self: self._sum(3, mac=True))
+    comm_ns = property(lambda self: self._sum(2, mac=False))
+    comm_pj = property(lambda self: self._sum(3, mac=False))
 
     @property
     def mac_count(self) -> int:
@@ -110,8 +113,8 @@ class EnergyLedger:
             slot["ns"] += ns
             slot["pj"] += pj
         return {
-            "total_ns": self.compute_ns + self.comm_ns,
-            "total_pj": self.compute_pj + self.comm_pj,
+            "total_ns": self.total_ns,
+            "total_pj": self.total_pj,
             "compute_ns": self.compute_ns,
             "comm_ns": self.comm_ns,
             "compute_pj": self.compute_pj,
@@ -128,12 +131,5 @@ class EnergyLedger:
 
     def merge(self, other: "EnergyLedger") -> "EnergyLedger":
         """Fold another run's event log into this ledger."""
-        for cat, n, ns, pj in other.events:
-            self.events.append((cat, n, ns, pj))
-            if cat == "mac":
-                self.compute_ns += ns
-                self.compute_pj += pj
-            else:
-                self.comm_ns += ns
-                self.comm_pj += pj
+        self.events.extend(other.events)
         return self

@@ -147,5 +147,24 @@ def random_small_network(rng: np.random.Generator) -> NetworkSpec:
     return build_network(f"rand_{rng.integers(1 << 30)}", (1, side, side), layers)
 
 
+def depthwise_residual_network() -> NetworkSpec:
+    """Small net with a depthwise layer and an identity residual_add."""
+    return build_network(
+        "dw_res",
+        (2, 6, 6),
+        [
+            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=3),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), padding=1),
+            LayerSpec(name="add", kind="residual_add", residual_from="relu"),
+            LayerSpec(name="relu_add", kind="relu"),
+            LayerSpec(name="pool", kind="maxpool2d", kernel=(2, 2), stride=2),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
 def random_inputs(net: NetworkSpec, rng: np.random.Generator, n: int):
     return [rng.random(net.input_shape) for _ in range(n)]

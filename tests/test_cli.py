@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from lutpim.binviz import sample_to_input
 from lutpim.cli import main
+from lutpim.engine import init_random_weights, prepare_quantized
+from lutpim.nets import tinymalnet
+from lutpim.weights import save_weights
 
 
 def run(argv):
@@ -85,6 +89,28 @@ def test_simulate_unknown_network():
 
 def test_simulate_functional_requires_io():
     assert run(["simulate", "--mode", "functional"]) == 3
+
+
+def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
+    net = tinymalnet()
+    ws = init_random_weights(net, seed=2)
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    argv = ["simulate", "--input", str(blob), "--precision", "8", "--weights"]
+    # a container without quantized entries still runs the float backend
+    save_weights(ws, tmp_path / "float.pimw")
+    assert run(argv + [str(tmp_path / "float.pimw")]) == 0
+    assert "backend: float" in capsys.readouterr().out
+    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], 8)
+    for name, ql in qm.layers.items():
+        if name != "dense":
+            ws.add(f"{name}.qw", ql.qweight, ql.wparams)
+        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
+    save_weights(ws, tmp_path / "partial.pimw")
+    assert run(argv + [str(tmp_path / "partial.pimw")]) == 3
+    captured = capsys.readouterr()
+    assert "'dense.qw'" in captured.err
+    assert "backend" not in captured.out
 
 
 def test_bench_deterministic(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import lutpim.engine as engine_module
 from lutpim.engine import (
     REFERENCE_METRICS,
+    QuantizedModel,
     evaluate,
     infer_float,
     infer_lut,
@@ -11,7 +13,7 @@ from lutpim.engine import (
     prepare_quantized,
     softmax,
 )
-from lutpim.nets import LayerSpec, build_network, tinymalnet
+from lutpim.nets import LayerSpec, build_network, get_network, tinymalnet
 from lutpim.quantizer import QuantParams
 from lutpim.system import SystemConfig
 from lutpim.weights import (
@@ -21,6 +23,7 @@ from lutpim.weights import (
     save_weights,
 )
 from tests.helpers import (
+    depthwise_residual_network,
     naive_conv2d,
     oracle_quantized_forward,
     random_inputs,
@@ -102,8 +105,8 @@ def test_identity_conv_passthrough():
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_lut_backend_matches_integer_oracle(bits):
     rng = np.random.default_rng(100 + bits)
-    for _ in range(3):
-        net = random_small_network(rng)
+    for draw in range(4):
+        net = random_small_network(rng) if draw < 3 else depthwise_residual_network()
         ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
         cal = random_inputs(net, rng, 4)
         qm = prepare_quantized(net, ws, cal, bits)
@@ -148,6 +151,24 @@ def test_prepare_quantized_rejects_bad_bits():
     ws = init_random_weights(net, seed=1)
     with pytest.raises(ValueError):
         prepare_quantized(net, ws, random_inputs(net, np.random.default_rng(0), 2), 12)
+
+
+def test_infer_lut_checks_engine_before_building_a_cluster(monkeypatch):
+    net = tiny_conv_net()
+    rng = np.random.default_rng(4)
+    qm = prepare_quantized(net, init_random_weights(net, seed=4), random_inputs(net, rng, 2), 8)
+    monkeypatch.setattr(engine_module, "Cluster", lambda: pytest.fail("Cluster built for an unknown engine"))
+    with pytest.raises(ValueError, match="unknown engine 'warp'"):
+        infer_lut(qm, rng.random(net.input_shape), engine="warp")
+
+
+def test_projected_shortcut_refused_before_any_work(monkeypatch):
+    net = get_network("resnet18")
+    monkeypatch.setattr(engine_module, "infer_float", lambda *a, **k: pytest.fail("calibration pass ran"))
+    with pytest.raises(NotImplementedError, match="'s2b0_add'"):
+        prepare_quantized(net, WeightSet(), [np.zeros(net.input_shape)], 8)
+    with pytest.raises(NotImplementedError, match="'s2b0_add'"):
+        infer_lut(QuantizedModel(net=net, bits=8), np.zeros(net.input_shape))
 
 
 def test_ledger_counts_match_network_shape():

@@ -14,6 +14,8 @@ from lutpim.perf import (
 from lutpim.system import SystemConfig
 import numpy as np
 
+from tests.helpers import depthwise_residual_network, random_inputs, random_small_network
+
 
 def small_net():
     return build_network(
@@ -145,12 +147,28 @@ def test_compare_report_annotations():
 
 
 def test_ledger_agrees_with_perf_model():
-    # the simulator's energy ledger and the analytic mapper count the same MACs
-    net = tinymalnet()
-    ws = init_random_weights(net, seed=0)
+    # infer_lut's ledger prices every layer exactly as the analytic mapper does
     rng = np.random.default_rng(0)
-    cal = [rng.random((1, 32, 32)) for _ in range(4)]
-    qm = prepare_quantized(net, ws, cal, bits=8)
-    _, ledger = infer_lut(qm, cal[0], SystemConfig())
-    rep = estimate(net, SystemConfig(), 8)
-    assert ledger.mac_count == rep.total_macs == 260640
+    nets = [tinymalnet(), depthwise_residual_network()] + [random_small_network(rng) for _ in range(3)]
+    cfg = SystemConfig()
+    for net in nets:
+        ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
+        cal = random_inputs(net, rng, 2)
+        for bits in (4, 8, 16):
+            _, ledger = infer_lut(prepare_quantized(net, ws, cal, bits), cal[0], cfg)
+            rep = estimate(net, cfg, bits)
+            # each layer charges its nonzero mac / intra / inter counts, in that order
+            events = iter(ledger.events)
+            for lc in rep.layers:
+                want = {"mac": lc.macs_effective, "intra": lc.intra_transfers, "inter[1]": lc.inter_transfers}
+                got = [next(events) for count in want.values() if count]
+                where = (net.name, bits, lc.name)
+                assert {cat: n for cat, n, _, _ in got} == {c: n for c, n in want.items() if n}, where
+                assert sum(ns for _, _, ns, _ in got) == pytest.approx(lc.latency_ns, rel=1e-12, abs=0), where
+                assert sum(pj for _, _, _, pj in got) == pytest.approx(lc.energy_pj, rel=1e-12, abs=0), where
+            assert next(events, None) is None
+            assert ledger.mac_count == sum(lc.macs_effective for lc in rep.layers)
+            assert ledger.total_ns == pytest.approx(rep.latency_ns, rel=1e-12)
+            assert ledger.total_pj == pytest.approx(rep.energy_pj, rel=1e-12)
+            if net.name == "tinymalnet":
+                assert ledger.mac_count == {4: 260640, 8: 260640, 16: 1042560}[bits]
