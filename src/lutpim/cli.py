@@ -179,7 +179,10 @@ def cmd_quantize(args) -> int:
         raise DataError(str(e)) from e
     samples = _load_manifest(args.corpus)[: args.cal_count]
     X, _ = _inputs_labels(samples)
-    qm = engine.prepare_quantized(net, ws, X, args.precision)
+    try:
+        qm = engine.prepare_quantized(net, ws, X, args.precision)
+    except NotImplementedError as e:  # a layer the LUT backend cannot run
+        raise DataError(str(e)) from e
     out = WeightSet()
     for name, entry in ws.entries.items():
         out.add(name, entry.data, entry.params)

@@ -7,11 +7,13 @@ The MAC decomposes a*b into four 4x4-bit partial products computed in parallel
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lut_core import (
     CORE_DELAY_NS,
-    FunctionTable,
     LutCore,
     OpTag,
     UnprogrammedCoreError,
@@ -105,12 +107,19 @@ class CoreOp:
 
 @dataclass(frozen=True)
 class ClusterMicroprogram:
-    """Ordered schedule of parallel core lookups plus the output nibble list."""
+    """Ordered schedule of parallel core lookups plus the output nibble list.
+
+    A run's cost is fixed by the text, so it is counted here once, per lane:
+    (core, lookups, last table) per core used, (src, dst) per operand transfer.
+    """
 
     steps: tuple[tuple[CoreOp, ...], ...]
     outputs: tuple[Src, ...]
+    lookups: tuple = field(init=False, repr=False, compare=False)
+    transfers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        lookups, last_table, transfers = Counter(), {}, []
         for n, step in enumerate(self.steps):
             seen = set()
             for op in step:
@@ -119,6 +128,16 @@ class ClusterMicroprogram:
                 if op.core in seen:
                     raise MicroprogramError(f"step {n}: core {op.core} used twice")
                 seen.add(op.core)
+                lookups[op.core] += 1
+                last_table[op.core] = op.table
+                for src in (op.src_a, op.src_b):
+                    _fmt_src(src)  # rejects an unknown source kind
+                    if src[0] == "core" and src[1] != op.core:
+                        transfers.append((src[1], op.core))
+        for src in self.outputs:
+            _fmt_src(src)
+        object.__setattr__(self, "lookups", tuple((c, n, last_table[c]) for c, n in lookups.items()))
+        object.__setattr__(self, "transfers", tuple(transfers))
 
     def to_text(self) -> str:
         lines = []
@@ -154,39 +173,49 @@ class ClusterMicroprogram:
 
 @dataclass
 class RouterState:
-    """Any-to-any core interconnect; logs every routed operand byte."""
+    """Any-to-any core interconnect; counts routed operand bytes per (src, dst) core."""
 
-    transfer_log: list[tuple[int, int, int]] = field(default_factory=list)
+    transfer_log: Counter = field(default_factory=Counter)
 
-    def route(self, src_core: int, dst_core: int, byte: int) -> None:
-        self.transfer_log.append((src_core, dst_core, byte))
+
+def _any(flags) -> bool:
+    """Whether any lane's flag is set; flags is a bool or a numpy bool array."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 @dataclass
 class Cluster:
-    """Nine LUT cores, a router, and a 32-bit accumulator register."""
+    """Nine LUT cores, a router, and a 32-bit accumulator register.
+
+    Inputs and the accumulator are ints (one lane) or int64 arrays that
+    broadcast to one lane per cluster, every lane in the same step.
+    """
 
     cores: list[LutCore] = field(default_factory=lambda: [LutCore() for _ in range(CLUSTER_CORES)])
     router: RouterState = field(default_factory=RouterState)
-    accumulator: int = 0
+    accumulator: int | np.ndarray = 0
     step_counter: int = 0
-    timing: ClusterTimingProfile = field(default_factory=ClusterTimingProfile)
-    _tables: dict[OpTag, FunctionTable] = field(default_factory=dict)
+    # tag -> (table, its assembled bytes, the same as an int64 array)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    # each core's last output byte(s); None until the core's first lookup
+    _latched: list = field(default_factory=lambda: [None] * CLUSTER_CORES, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.cores) != CLUSTER_CORES:
             raise MicroprogramError(f"cluster requires exactly {CLUSTER_CORES} cores")
 
-    def _table(self, tag: OpTag) -> FunctionTable:
+    def _table(self, tag: OpTag):
         if tag not in self._tables:
-            self._tables[tag] = build_function_table(tag)
+            raw = (table := build_function_table(tag)).assembled_bytes()
+            self._tables[tag] = (table, raw, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
         return self._tables[tag]
 
     @property
     def busy_ns(self) -> float:
         return self.step_counter * CORE_DELAY_NS
 
-    def _resolve(self, src: Src, inputs: dict[str, int], op_core: int | None) -> int:
+    def _read(self, src: Src, inputs: dict):
+        """One operand nibble per lane."""
         kind = src[0]
         if kind == "in":
             try:
@@ -194,36 +223,43 @@ class Cluster:
             except KeyError:
                 raise MicroprogramError(f"undefined input operand {src[1]!r}") from None
         if kind == "core":
-            _, idx, nib = src
-            core = self.cores[idx]
-            if not core.programmed:
-                raise UnprogrammedCoreError(f"core {idx} read before any lookup")
-            out = core.table.assemble((core.reg_a << 4) | core.reg_b)
-            if op_core is not None and idx != op_core:
-                self.router.route(idx, op_core, out)
-            return (out >> 4) & 15 if nib == "hi" else out & 15
-        if kind == "imm":
-            return src[1] & 15
-        raise MicroprogramError(f"unknown operand source {src!r}")
+            out = self._latched[src[1]]
+            if out is None:
+                raise UnprogrammedCoreError(f"core {src[1]} read before any lookup")
+            return out >> 4 if src[2] == "hi" else out & 15
+        return src[1] & 15
 
-    def run_microprogram(
-        self, prog: ClusterMicroprogram, inputs: dict[str, int]
-    ) -> list[int]:
-        """Execute steps in order; within a step all lookups read pre-step state."""
+    def run_microprogram(self, prog: ClusterMicroprogram, inputs: dict) -> list:
+        """Execute steps in order on every lane; within a step all lookups read pre-step state.
+
+        A lookup is one gather from the core's table: bytes for one lane, int64 for many."""
+        for name, v in inputs.items():
+            if _any((v < 0) | (v > 15)):
+                raise ValueError(f"input operand {name!r} must be 4-bit")
+        arrays = [v for v in inputs.values() if not isinstance(v, int)]
+        lanes = np.broadcast(*arrays).size if arrays else 1
+        read, table, latched = self._read, self._table, self._latched
         for step in prog.steps:
-            # Resolve every operand before any core latches its new output.
-            resolved = [
-                (op, self._resolve(op.src_a, inputs, op.core),
-                 self._resolve(op.src_b, inputs, op.core))
-                for op in step
-            ]
-            for op, a, b in resolved:
-                core = self.cores[op.core]
-                if core.table is None or core.table.op_tag != op.table:
-                    core.program(self._table(op.table))
-                core.lookup(a, b)
-            self.step_counter += 1
-        return [self._resolve(src, inputs, None) for src in prog.outputs]
+            outs = []
+            for op in step:
+                _, raw, gather = table(op.table)
+                index = (read(op.src_a, inputs) << 4) | read(op.src_b, inputs)
+                outs.append(raw[index] if isinstance(index, int) else gather[index])
+            # Latch only after every lookup of the step has read its operands.
+            for op, out in zip(step, outs):
+                latched[op.core] = out
+        self.step_counter += len(prog.steps)
+        for idx, n, tag in prog.lookups:
+            core = self.cores[idx]
+            core.lookup_count += n * lanes
+            if core.table is not self._tables[tag][0]:
+                core.program(self._tables[tag][0])
+        log = self.router.transfer_log
+        if lanes == 1:
+            log.update(prog.transfers)  # counted in C: the scalar MAC's hot path
+        else:
+            log.update({route: n * lanes for route, n in Counter(prog.transfers).items()})
+        return [read(src, inputs) for src in prog.outputs]
 
 
 def mac_microprogram() -> ClusterMicroprogram:
@@ -276,19 +312,16 @@ def mac_microprogram() -> ClusterMicroprogram:
 _MAC_PROG = mac_microprogram()
 
 
-def mac8(cluster: Cluster, a: int, b: int) -> int:
-    """Accumulate a*b exactly in 8 core-steps; returns the new accumulator."""
-    if not (0 <= a <= 255 and 0 <= b <= 255):
+def mac8(cluster: Cluster, a, b):
+    """Accumulate a*b exactly in 8 core-steps on every lane; returns the new accumulator."""
+    if _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
         raise ValueError(f"mac8 operands must be 8-bit, got a={a}, b={b}")
-    nibbles = cluster.run_microprogram(
+    n0, n1, n2, n3 = cluster.run_microprogram(
         _MAC_PROG,
         {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15},
     )
-    product = nibbles[0] | (nibbles[1] << 4) | (nibbles[2] << 8) | (nibbles[3] << 12)
-    acc = cluster.accumulator + product
-    if acc >= _ACC_LIMIT:
-        raise AccumulatorOverflowError(
-            f"accumulator overflow: {acc} exceeds {ACCUMULATOR_BITS}-bit range"
-        )
+    acc = cluster.accumulator + (n0 | n1 << 4 | n2 << 8 | n3 << 12)
+    if _any(acc >= _ACC_LIMIT):
+        raise AccumulatorOverflowError(f"accumulator overflow: a lane exceeds {ACCUMULATOR_BITS} bits")
     cluster.accumulator = acc
     return acc

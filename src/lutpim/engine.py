@@ -1,20 +1,22 @@
 """CNN execution: float reference backend and LUT-backed integer backend.
 
 The integer backend computes every dot product's unsigned sum of products
-through the MUL4 function table (vectorized table gathers, or per-MAC cluster
-microprograms with engine="cluster"); zero-point corrections, bias addition,
-and softmax run host-side. Integer results are exact, so both engines and any
-direct integer oracle agree bit-for-bit.
+with the cluster's MAC microprogram: the vector engine gathers from its output
+over all byte pairs, and engine="cluster" runs it in lockstep with one lane
+per output accumulator. Zero-point corrections, bias addition, 16-bit byte
+pass recombination and softmax run host-side. Integer results are exact, so
+both engines and any direct integer oracle agree bit-for-bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import Cluster, mac8
-from .lut_core import OpTag, build_function_table
+from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
 from .nets import NetworkSpec
 from .perf import charge_layer
 from .quantizer import QuantParams, calibrate, quantize
@@ -127,75 +129,41 @@ def _residual_sources(net: NetworkSpec) -> set[str]:
 # LUT-backed integer backend
 
 
-class _LutMultiplier:
-    """Byte multiplier realized from the MUL4 function table contents."""
-
-    def __init__(self):
-        t = np.frombuffer(build_function_table(OpTag.MUL4).assembled_bytes(), dtype=np.uint8)
-        t = t.astype(np.uint32).reshape(16, 16)  # t[a, b] = a*b per the table
-        hi = np.arange(256, dtype=np.uint32) >> 4
-        lo = np.arange(256, dtype=np.uint32) & 15
-        self.mul8_table = (
-            (t[hi[:, None], hi[None, :]] << 8)
-            + ((t[hi[:, None], lo[None, :]] + t[lo[:, None], hi[None, :]]) << 4)
-            + t[lo[:, None], lo[None, :]]
-        ).astype(np.int64)
-
-    def products(self, a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
-        """Elementwise a*b (broadcast) via table gathers; int64 output."""
-        if bits <= 8:
-            return self.mul8_table[a, b]
-        ah, al = a >> 8, a & 0xFF
-        bh, bl = b >> 8, b & 0xFF
-        m = self.mul8_table
-        return (m[ah, bh] << 16) + ((m[ah, bl] + m[al, bh]) << 8) + m[al, bl]
+@functools.cache
+def _byte_products() -> np.ndarray:
+    """products[a, b]: the MAC microprogram's output for every byte pair, one lane each."""
+    byte = np.arange(256, dtype=np.int64)
+    return mac8(Cluster(), byte[:, None], byte[None, :])
 
 
-_MULTIPLIER = None
-
-
-def _multiplier() -> _LutMultiplier:
-    global _MULTIPLIER
-    if _MULTIPLIER is None:
-        _MULTIPLIER = _LutMultiplier()
-    return _MULTIPLIER
+def _byte_passes(qa: np.ndarray, qw: np.ndarray, bits: int):
+    """(shift, qa bytes, qw bytes) per byte pass; 16-bit operands take four, recombined host-side."""
+    if bits <= 8:
+        return ((0, qa, qw),)
+    ah, al, wh, wl = qa >> 8, qa & 0xFF, qw >> 8, qw & 0xFF
+    return ((16, ah, wh), (8, ah, wl), (8, al, wh), (0, al, wl))
 
 
 def _raw_dot_vector(qa: np.ndarray, qw: np.ndarray, bits: int) -> np.ndarray:
-    """Unsigned sum of products sum_k qa[p,k]*qw[k,o] through the LUT tables."""
-    mul = _multiplier()
+    """Unsigned sum of products sum_k qa[p,k]*qw[k,o], each product gathered from the byte table."""
+    products = _byte_products()
     out = np.zeros((qa.shape[0], qw.shape[1]), dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, qa.shape[1] * qw.shape[1]))
-    for start in range(0, qa.shape[0], chunk):
-        block = qa[start : start + chunk]
-        prods = mul.products(block[:, :, None], qw[None, :, :], bits)
-        out[start : start + chunk] = prods.sum(axis=1)
+    for shift, a, w in _byte_passes(qa, qw, bits):
+        for start in range(0, qa.shape[0], chunk):
+            block = products[a[start : start + chunk, :, None], w[None, :, :]]
+            out[start : start + chunk] += block.sum(axis=1) << shift
     return out
 
 
-# 16-bit operands run as four byte-level passes on the cluster; the shifted
-# recombination happens host-side.
-_PASSES_16 = ((8, 0xFF, 8, 0xFF, 16), (0, 0xFF, 8, 0xFF, 8), (8, 0xFF, 0, 0xFF, 8), (0, 0xFF, 0, 0xFF, 0))
-
-
 def _raw_dot_cluster(qa: np.ndarray, qw: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum, but every product executes the 8-step MAC microprogram."""
+    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output."""
     out = np.zeros((qa.shape[0], qw.shape[1]), dtype=np.int64)
-    for p in range(qa.shape[0]):
-        for o in range(qw.shape[1]):
-            if bits <= 8:
-                cluster.accumulator = 0
-                for k in range(qa.shape[1]):
-                    mac8(cluster, int(qa[p, k]), int(qw[k, o]))
-                out[p, o] = cluster.accumulator
-            else:
-                total = 0
-                for sa, ma, sb, mb, shift in _PASSES_16:
-                    cluster.accumulator = 0
-                    for k in range(qa.shape[1]):
-                        mac8(cluster, (int(qa[p, k]) >> sa) & ma, (int(qw[k, o]) >> sb) & mb)
-                    total += cluster.accumulator << shift
-                out[p, o] = total
+    for shift, a, w in _byte_passes(qa, qw, bits):
+        cluster.accumulator = 0
+        for k in range(qa.shape[1]):
+            mac8(cluster, a[:, k : k + 1], w[k : k + 1, :])
+        out += cluster.accumulator << shift
     return out
 
 

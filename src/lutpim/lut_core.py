@@ -110,15 +110,12 @@ def build_function_table(op_tag: OpTag) -> FunctionTable:
 
 @dataclass
 class LutCore:
-    """One LUT core: a function table plus the A/B operand registers.
+    """One LUT core: a programmable function table.
 
     lookup_count feeds the timing ledger: each lookup is one 0.8 ns core-step.
     """
 
     table: FunctionTable | None = None
-    reg_a: int = 0
-    reg_b: int = 0
-    programmed: bool = False
     lookup_count: int = 0
     timing: CoreTimingProfile = field(default_factory=CoreTimingProfile)
 
@@ -127,16 +124,13 @@ class LutCore:
         if not isinstance(table, FunctionTable):
             raise MalformedTableError("program() requires a FunctionTable")
         self.table = table
-        self.programmed = True
 
     def lookup(self, a: int, b: int) -> int:
         """Drive the select pins with (a, b) and read the 8-bit mux output."""
-        if not self.programmed or self.table is None:
+        if self.table is None:
             raise UnprogrammedCoreError("lookup on unprogrammed core")
         if not (0 <= a <= 15 and 0 <= b <= 15):
             raise ValueError(f"operands must be 4-bit, got a={a}, b={b}")
-        self.reg_a = a
-        self.reg_b = b
         self.lookup_count += 1
         return self.table.assemble((a << 4) | b)
 

@@ -113,6 +113,19 @@ def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
     assert "backend" not in captured.out
 
 
+def test_quantize_refuses_a_projected_shortcut(tmp_path, capsys):
+    corp = tmp_path / "corp"
+    assert run(["corpus", "--out", str(corp), "--benign", "2", "--malware", "2", "--seed", "1"]) == 0
+    save_weights(init_random_weights(tinymalnet(), seed=1), tmp_path / "w.pimw")
+    out = tmp_path / "q.pimw"
+    assert run([
+        "quantize", "--network", "resnet18", "--weights", str(tmp_path / "w.pimw"),
+        "--corpus", str(corp / "manifest.csv"), "--out", str(out),
+    ]) == 3
+    assert "'s2b0_add'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_deterministic(tmp_path):
     out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
     args = ["bench", "--networks", "alexnet,vgg16", "--precisions", "8,16"]

@@ -18,7 +18,7 @@ from lutpim.cluster import (
     mac_energy_pj,
     mac_microprogram,
 )
-from lutpim.lut_core import CORE_DELAY_NS, OpTag
+from lutpim.lut_core import CORE_DELAY_NS, OpTag, UnprogrammedCoreError
 
 
 def test_mac8_examples():
@@ -52,6 +52,10 @@ def test_mac8_operand_validation():
     for a, b in ((256, 0), (0, 256), (-1, 0)):
         with pytest.raises(ValueError):
             mac8(cl, a, b)
+    # one bad lane fails the whole lockstep call
+    for a, b in (([1, 256, 3], 7), (5, [0, -1]), ([[2]], [[4, 300]])):
+        with pytest.raises(ValueError):
+            mac8(cl, np.array(a), np.array(b))
 
 
 def test_accumulator_overflow():
@@ -59,6 +63,11 @@ def test_accumulator_overflow():
     cl.accumulator = (1 << ACCUMULATOR_BITS) - 1
     with pytest.raises(AccumulatorOverflowError):
         mac8(cl, 1, 1)
+    # one overflowing lane fails the call and leaves every lane unchanged
+    cl.accumulator = np.array([0, (1 << ACCUMULATOR_BITS) - 1, 7], dtype=np.int64)
+    with pytest.raises(AccumulatorOverflowError):
+        mac8(cl, np.array([1, 1, 1]), 1)
+    assert cl.accumulator.tolist() == [0, (1 << ACCUMULATOR_BITS) - 1, 7]
 
 
 def test_energy_band():
@@ -142,16 +151,20 @@ def test_microprogram_validation():
             ),
             outputs=(),
         )
+    with pytest.raises(MicroprogramError):
+        ClusterMicroprogram(steps=((CoreOp(0, OpTag.PASS, ("reg", 0), ("imm", 0)),),), outputs=())
 
 
 def test_router_logs_cross_core_reads_only():
     cl = Cluster()
-    mac8(cl, 77, 140)
-    # every logged transfer stays inside the 9-core cluster
-    assert cl.router.transfer_log
-    for src, dst, byte in cl.router.transfer_log:
+    for a, b in np.random.default_rng(8).integers(0, 256, size=(2000, 2)):
+        mac8(cl, int(a), int(b))
+    # one counter per (src, dst) route, each inside the 9-core cluster
+    log = cl.router.transfer_log
+    assert 0 < len(log) <= 9 * 8
+    for src, dst in log:
         assert 0 <= src < 9 and 0 <= dst < 9 and src != dst
-        assert 0 <= byte <= 255
+    assert sum(log.values()) == 2000 * 16
     # a program with purely local operands routes nothing
     cl2 = Cluster()
     prog = ClusterMicroprogram(
@@ -159,7 +172,38 @@ def test_router_logs_cross_core_reads_only():
         outputs=(("core", 0, "lo"),),
     )
     cl2.run_microprogram(prog, {"a": 3})
-    assert cl2.router.transfer_log == []
+    assert not cl2.router.transfer_log
+
+
+def _assert_charged_per_lane(cl, lanes):
+    """cl ran one MAC over `lanes` lanes: 8 steps, and a scalar MAC's lookups and routes per lane."""
+    one = Cluster()
+    mac8(one, 201, 199)
+    assert cl.step_counter == MAC_STEPS
+    assert [core.lookup_count for core in cl.cores] == [lanes * core.lookup_count for core in one.cores]
+    assert cl.router.transfer_log == {route: lanes * n for route, n in one.router.transfer_log.items()}
+
+
+def test_lockstep_mac8_over_all_byte_pairs():
+    cl = Cluster()
+    a, b = np.divmod(np.arange(65536, dtype=np.int64), 256)
+    assert (mac8(cl, a, b) == a * b).all()
+    _assert_charged_per_lane(cl, 65536)
+
+
+def test_broadcast_lanes_count_as_their_product():
+    cl = Cluster()
+    a = np.array([[3], [250], [17]], dtype=np.int64)
+    b = np.array([[0, 9, 255, 128]], dtype=np.int64)
+    acc = mac8(cl, a, b)
+    assert acc.shape == (3, 4) and (acc == a * b).all()
+    _assert_charged_per_lane(cl, 12)
+
+
+def test_cores_hold_the_tables_of_their_last_lookup():
+    cl = Cluster()
+    mac8(cl, 99, 3)
+    assert [core.table.op_tag for core in cl.cores] == [OpTag.MUL4] * 4 + [OpTag.ADD4] * 5
 
 
 def test_undefined_input_operand():
@@ -169,3 +213,17 @@ def test_undefined_input_operand():
     )
     with pytest.raises(MicroprogramError):
         cl.run_microprogram(prog, {})
+
+
+def test_unprogrammed_core_and_wide_input_refused():
+    read = ClusterMicroprogram(
+        steps=((CoreOp(1, OpTag.PASS, ("core", 0, "lo"), ("imm", 0)),),), outputs=()
+    )
+    with pytest.raises(UnprogrammedCoreError):
+        Cluster().run_microprogram(read, {})
+    prog = ClusterMicroprogram(
+        steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=()
+    )
+    for x in (16, -1, np.array([3, 16])):
+        with pytest.raises(ValueError):
+            Cluster().run_microprogram(prog, {"x": x})

@@ -136,14 +136,29 @@ def test_cluster_engine_matches_vector_engine():
     cal = random_inputs(net, rng, 3)
     for bits in (4, 8, 16):
         qm = prepare_quantized(net, ws, cal, bits)
-        x = rng.random(net.input_shape)
-        cv, cc = {}, {}
-        pv, lv = infer_lut(qm, x, SystemConfig(), engine="vector", captures=cv)
-        pc, lc = infer_lut(qm, x, SystemConfig(), engine="cluster", captures=cc)
-        for name in cv["acc"]:
-            assert (cv["acc"][name] == cc["acc"][name]).all(), (bits, name)
-        assert pv == pytest.approx(pc, abs=0)
-        assert lv.mac_count == lc.mac_count
+        _assert_cluster_matches_vector(qm, rng.random(net.input_shape))
+    # network scale (tinymalnet), depthwise and residual layers
+    rng = np.random.default_rng(56)
+    for net, precisions in ((tinymalnet(), (8,)), (depthwise_residual_network(), (4, 8, 16))):
+        ws = init_random_weights(net, seed=6)
+        cal = random_inputs(net, rng, 3)
+        for bits in precisions:
+            qm = prepare_quantized(net, ws, cal, bits)
+            _assert_cluster_matches_vector(qm, rng.random(net.input_shape))
+
+
+def _assert_cluster_matches_vector(qm, x):
+    """Both engines and the integer oracle agree on every accumulator; the ledgers on MACs."""
+    cv, cc = {}, {}
+    pv, lv = infer_lut(qm, x, SystemConfig(), engine="vector", captures=cv)
+    pc, lc = infer_lut(qm, x, SystemConfig(), engine="cluster", captures=cc)
+    _, oaccs = oracle_quantized_forward(qm, x)
+    assert cv["acc"].keys() == cc["acc"].keys() == oaccs.keys()
+    for name in cv["acc"]:
+        assert (cv["acc"][name] == cc["acc"][name]).all(), (qm.net.name, qm.bits, name)
+        assert (cc["acc"][name] == oaccs[name]).all(), (qm.net.name, qm.bits, name)
+    assert pv == pytest.approx(pc, abs=0)
+    assert lv.mac_count == lc.mac_count
 
 
 def test_prepare_quantized_rejects_bad_bits():
