@@ -1,16 +1,26 @@
 """CNN execution: float reference backend and LUT-backed integer backend.
 
-The integer backend computes every dot product's unsigned sum of products
-with the cluster's MAC microprogram: the vector engine gathers from its output
-over all byte pairs, and engine="cluster" runs it in lockstep with one lane
-per output accumulator. Zero-point corrections, bias addition, 16-bit byte
-pass recombination and softmax run host-side. Integer results are exact, so
-both engines and any direct integer oracle agree bit-for-bit.
+The integer backend's products come from the cluster's MAC microprogram.
+Tables are certified once, then multiplies use the certified products: the
+vector engine's first run checks `mac8` over all 65,536 byte pairs against
+a*b and raises naming any pair that differs; after that each byte pass is one
+float64 BLAS matmul, exact while K*255^2 < 2^53 (checked per call).
+engine="cluster" runs every product through `mac8` in lockstep, one lane per
+output accumulator, with the 32-bit overflow check per lane.
+
+Every MAC layer is one unsigned dot product (P, K) @ (K, O) over an optional
+leading group axis: a depthwise layer of C channels is the grouped product
+(C, P, k) @ (C, k, 1). A layer's input is quantized once, before windowing,
+and padded with the activation zero point. Zero-point corrections, bias
+addition, 16-bit byte pass recombination and softmax run host-side. Integer
+results are exact, so both engines and any direct integer oracle agree
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +29,7 @@ from .cluster import Cluster, mac8
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
 from .nets import NetworkSpec
 from .perf import charge_layer
-from .quantizer import QuantParams, calibrate, quantize
+from .quantizer import CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
 from .weights import WeightSet
 
@@ -28,18 +38,26 @@ from .weights import WeightSet
 # float reference backend
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(C,H,W) -> (patches, C*kh*kw) with columns ordered (c, ki, kj)."""
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, fill=0):
+    """(C,H,W) -> (C, kh*kw, P) windows with rows ordered (ki, kj); padding holds `fill`.
+
+    A depthwise layer reads it as (C, P, k) through a transposed view, a
+    conv2d as the (P, C*kh*kw) patch matrix through _patch_matrix."""
     c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=fill)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     cols = np.empty((c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, oh * ow).T, oh, ow
+    return cols.reshape(c, kh * kw, oh * ow), oh, ow
+
+
+def _patch_matrix(win: np.ndarray) -> np.ndarray:
+    """(C, k, P) windows -> (P, C*k) patches with columns ordered (c, ki, kj), a view."""
+    return win.reshape(-1, win.shape[-1]).T
 
 
 def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -81,16 +99,13 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
             kh, kw = layer.kernel
             if captures is not None:
                 captures.setdefault("layer_inputs", {})[layer.name] = x.copy()
+            win, oh, ow = _windows(x, kh, kw, layer.stride, layer.padding)
             if layer.kind == "conv2d":
-                cols, oh, ow = _im2col(x, kh, kw, layer.stride, layer.padding)
-                out = cols @ w.reshape(layer.out_channels, -1).T + b
+                out = _patch_matrix(win) @ w.reshape(layer.out_channels, -1).T + b
                 x = out.T.reshape(layer.out_channels, oh, ow)
-            else:
-                chans = []
-                for c in range(x.shape[0]):
-                    cols, oh, ow = _im2col(x[c : c + 1], kh, kw, layer.stride, layer.padding)
-                    chans.append((cols @ w[c].reshape(-1) + b[c]).reshape(oh, ow))
-                x = np.stack(chans)
+            else:  # one group per channel: (C, P, k) @ (C, k, 1)
+                out = win.transpose(0, 2, 1) @ w.reshape(w.shape[0], -1, 1)
+                x = (out[..., 0] + b[:, None]).reshape(-1, oh, ow)
         elif layer.kind == "dense":
             w, b = _conv_w(ws, layer.name)
             if captures is not None:
@@ -106,8 +121,8 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
             res = saved[layer.residual_from]
             if layer.proj:
                 w, b = _conv_w(ws, f"{layer.name}.proj")
-                cols, oh, ow = _im2col(res, 1, 1, layer.stride, 0)
-                res = (cols @ w.reshape(layer.out_channels, -1).T + b).T.reshape(
+                win, oh, ow = _windows(res, 1, 1, layer.stride, 0)
+                res = (_patch_matrix(win) @ w.reshape(layer.out_channels, -1).T + b).T.reshape(
                     layer.out_channels, oh, ow
                 )
             x = x + res
@@ -129,11 +144,33 @@ def _residual_sources(net: NetworkSpec) -> set[str]:
 # LUT-backed integer backend
 
 
-@functools.cache
+class CertificationError(RuntimeError):
+    """The MAC microprogram's product of a byte pair differs from a*b."""
+
+
 def _byte_products() -> np.ndarray:
     """products[a, b]: the MAC microprogram's output for every byte pair, one lane each."""
     byte = np.arange(256, dtype=np.int64)
     return mac8(Cluster(), byte[:, None], byte[None, :])
+
+
+@functools.cache
+def _certify_byte_products() -> None:
+    """Check the MAC microprogram against a*b on all 65,536 byte pairs, once per process."""
+    products, byte = _byte_products(), np.arange(256, dtype=np.int64)
+    wrong = np.argwhere(products != byte[:, None] * byte[None, :])
+    if len(wrong):
+        a, b = (int(v) for v in wrong[0])
+        raise CertificationError(
+            f"mac8 byte table is wrong at ({a}, {b}): {int(products[a, b])}, not {a * b}"
+            f" ({len(wrong)} of 65536 pairs differ)"
+        )
+
+
+def _check_float64_exact(k: int) -> None:
+    """A byte pass sums k products of at most 255*255; float64 holds such sums exactly below 2**53."""
+    if k * 255 * 255 >= 1 << 53:
+        raise ValueError(f"dot length {k}: a byte-pass sum may reach 2**53, past float64's exact integers")
 
 
 def _byte_passes(qa: np.ndarray, qw: np.ndarray, bits: int):
@@ -145,25 +182,28 @@ def _byte_passes(qa: np.ndarray, qw: np.ndarray, bits: int):
 
 
 def _raw_dot_vector(qa: np.ndarray, qw: np.ndarray, bits: int) -> np.ndarray:
-    """Unsigned sum of products sum_k qa[p,k]*qw[k,o], each product gathered from the byte table."""
-    products = _byte_products()
-    out = np.zeros((qa.shape[0], qw.shape[1]), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, qa.shape[1] * qw.shape[1]))
-    for shift, a, w in _byte_passes(qa, qw, bits):
-        for start in range(0, qa.shape[0], chunk):
-            block = products[a[start : start + chunk, :, None], w[None, :, :]]
-            out[start : start + chunk] += block.sum(axis=1) << shift
-    return out
+    """Unsigned sum of products sum_k qa[..., p, k] * qw[..., k, o] over an optional leading group axis.
+
+    Tables are certified once, then multiplies use the certified products: once
+    mac8 has matched a*b on every byte pair, each byte pass is one float64 BLAS
+    matmul cast back to int64, exact while K*255^2 < 2^53.
+    """
+    _certify_byte_products()
+    _check_float64_exact(qa.shape[-1])
+    return sum(
+        (a.astype(np.float64) @ w.astype(np.float64)).astype(np.int64) << shift
+        for shift, a, w in _byte_passes(qa, qw, bits)
+    )
 
 
 def _raw_dot_cluster(qa: np.ndarray, qw: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output."""
-    out = np.zeros((qa.shape[0], qw.shape[1]), dtype=np.int64)
+    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output (and group)."""
+    out = 0
     for shift, a, w in _byte_passes(qa, qw, bits):
         cluster.accumulator = 0
-        for k in range(qa.shape[1]):
-            mac8(cluster, a[:, k : k + 1], w[k : k + 1, :])
-        out += cluster.accumulator << shift
+        for k in range(qa.shape[-1]):
+            mac8(cluster, a[..., :, k : k + 1], w[..., k : k + 1, :])
+        out = out + (cluster.accumulator << shift)
     return out
 
 
@@ -210,19 +250,23 @@ def prepare_quantized(
     if bits not in (4, 8, 16):
         raise ValueError("precision must be 4, 8, or 16 bits")
     _refuse_projected_shortcuts(net)
-    collected: dict[str, list] = {}
+    extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
     for x in cal_inputs:
         captures: dict = {}
         infer_float(net, ws, x, captures=captures)
         for name, arr in captures["layer_inputs"].items():
-            collected.setdefault(name, []).append(arr.ravel())
+            mn, mx = float(arr.min()), float(arr.max())
+            if not (math.isfinite(mn) and math.isfinite(mx)):  # min/max below would drop a NaN
+                raise CalibrationError(f"calibration input to layer {name!r} is not finite")
+            lo, hi = extremes.get(name, (mn, mx))
+            extremes[name] = (min(lo, mn), max(hi, mx))
     qm = QuantizedModel(net=net, bits=bits)
     for layer in net.layers:
         if layer.kind not in ("conv2d", "depthwise_conv2d", "dense"):
             continue
         wmat, b = _weight_matrix(layer, ws)
         wp = calibrate(wmat, bits, symmetric=True)
-        act = calibrate(np.concatenate(collected[layer.name]), bits, symmetric=False)
+        act = calibrate(np.array(extremes.get(layer.name, ())), bits, symmetric=False)
         qm.layers[layer.name] = QuantizedLayer(
             name=layer.name,
             qweight=quantize(wmat, wp),
@@ -265,40 +309,42 @@ def infer_lut(
             return _raw_dot_cluster(qa, qw, qm.bits, cluster)
         return _raw_dot_vector(qa, qw, qm.bits)
 
-    def mac_layer(qlayer, cols, out=slice(None), key=None):
-        """Zero-point expansion for output columns `out`: LUT computes unsigned sum(qa*qw), host corrects."""
-        qa = quantize(cols, qlayer.act_params)
-        qw = qlayer.qweight[:, out]
-        za, zw = qlayer.act_params.zero_point, qlayer.wparams.zero_point
-        k = qa.shape[1]
-        raw = raw_dot(qa, qw)
+    def mac_layer(layer, x):
+        """Quantize x once, window it and run one (grouped) unsigned dot product.
+
+        The host corrects the zero points, so acc = sum((qa - za) * (qw - zw)).
+        """
+        ql = qm.layers[layer.name]
+        za, zw = ql.act_params.zero_point, ql.wparams.zero_point
+        q = quantize(x, ql.act_params)
+        if layer.kind == "dense":
+            qa, qw = q[None, :], ql.qweight
+        else:  # padding with za is padding x with 0, since quantize(0) == za
+            win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
+            if layer.kind == "conv2d":
+                qa, qw = _patch_matrix(win), ql.qweight
+            else:  # depthwise: one group per channel, (C, P, k) @ (C, k, 1)
+                qa, qw = win.transpose(0, 2, 1), ql.qweight.T[:, :, None]
         acc = (
-            raw
-            - za * qw.sum(axis=0, dtype=np.int64)[None, :]
-            - zw * qa.sum(axis=1, dtype=np.int64)[:, None]
-            + k * za * zw
+            raw_dot(qa, qw)
+            - za * qw.sum(axis=-2, dtype=np.int64)[..., None, :]
+            - zw * qa.sum(axis=-1, dtype=np.int64)[..., :, None]
+            + qa.shape[-1] * za * zw
         )
-        if captures is not None:
-            captures.setdefault("acc", {})[key or qlayer.name] = acc
-        scale = qlayer.act_params.scale * qlayer.wparams.scale
-        return scale * acc + qlayer.bias[out]
+        scale = ql.act_params.scale * ql.wparams.scale
+        accs = captures.setdefault("acc", {}) if captures is not None else {}
+        if layer.kind == "dense":
+            accs[layer.name] = acc
+            return (scale * acc + ql.bias)[0]
+        if layer.kind == "conv2d":
+            accs[layer.name] = acc
+            return (scale * acc + ql.bias).T.reshape(layer.out_channels, oh, ow)
+        accs.update((f"{layer.name}[{c}]", acc_c) for c, acc_c in enumerate(acc))
+        return (scale * acc[..., 0] + ql.bias[:, None]).reshape(-1, oh, ow)
 
     for layer in net.layers:
-        if layer.kind == "conv2d":
-            ql = qm.layers[layer.name]
-            cols, oh, ow = _im2col(x, *layer.kernel, layer.stride, layer.padding)
-            x = mac_layer(ql, cols).T.reshape(layer.out_channels, oh, ow)
-        elif layer.kind == "depthwise_conv2d":
-            ql = qm.layers[layer.name]
-            chans = []
-            for c in range(x.shape[0]):
-                cols, oh, ow = _im2col(x[c : c + 1], *layer.kernel, layer.stride, layer.padding)
-                y = mac_layer(ql, cols, slice(c, c + 1), f"{ql.name}[{c}]")
-                chans.append(y[:, 0].reshape(oh, ow))
-            x = np.stack(chans)
-        elif layer.kind == "dense":
-            ql = qm.layers[layer.name]
-            x = mac_layer(ql, x[None, :])[0]
+        if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
+            x = mac_layer(layer, x)
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
         elif layer.kind == "relu":

@@ -166,5 +166,26 @@ def depthwise_residual_network() -> NetworkSpec:
     )
 
 
+def strided_depthwise_network() -> NetworkSpec:
+    """Small net with a stride-2, unpadded depthwise layer, the shape of mobilenet's downsampling blocks.
+
+    No relu precedes the depthwise layer or the padded conv after it, so
+    their inputs go negative and their activation zero points are nonzero.
+    """
+    return build_network(
+        "dw_s2",
+        (2, 9, 11),
+        [
+            LayerSpec(name="conv", kind="conv2d", kernel=(1, 1), out_channels=3),
+            LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), stride=2, padding=0),
+            LayerSpec(name="conv_pad", kind="conv2d", kernel=(3, 3), padding=1, out_channels=2),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
 def random_inputs(net: NetworkSpec, rng: np.random.Generator, n: int):
     return [rng.random(net.input_shape) for _ in range(n)]

@@ -14,7 +14,7 @@ from lutpim.engine import (
     softmax,
 )
 from lutpim.nets import LayerSpec, build_network, get_network, tinymalnet
-from lutpim.quantizer import QuantParams
+from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
 from lutpim.weights import (
     WeightFormatError,
@@ -28,6 +28,7 @@ from tests.helpers import (
     oracle_quantized_forward,
     random_inputs,
     random_small_network,
+    strided_depthwise_network,
 )
 
 
@@ -80,6 +81,23 @@ def test_infer_float_matches_naive_conv_oracle():
     assert probs == pytest.approx(softmax(logits), abs=1e-6)
 
 
+def test_infer_float_depthwise_matches_naive_conv_oracle():
+    # stride 2, no padding, non-square input: the grouped product against a per-channel direct sum
+    net = strided_depthwise_network()
+    ws = init_random_weights(net, seed=31)
+    captures = {}
+    infer_float(net, ws, np.random.default_rng(31).random(net.input_shape), captures=captures)
+    x = captures["layer_inputs"]["dw"]
+    w = ws["dw.w"].data.astype(np.float64)
+    b = ws["dw.b"].data.astype(np.float64)
+    expect = np.concatenate(
+        [naive_conv2d(x[c : c + 1], w[c : c + 1], b[c : c + 1], stride=2, pad=0) for c in range(3)]
+    )
+    assert expect.shape == (3, 4, 5)
+    got = captures["layer_inputs"]["conv_pad"]
+    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
 def test_identity_conv_passthrough():
     net = build_network(
         "ident",
@@ -105,8 +123,9 @@ def test_identity_conv_passthrough():
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_lut_backend_matches_integer_oracle(bits):
     rng = np.random.default_rng(100 + bits)
-    for draw in range(4):
-        net = random_small_network(rng) if draw < 3 else depthwise_residual_network()
+    nets = [random_small_network(rng) for _ in range(3)]
+    nets += [depthwise_residual_network(), strided_depthwise_network()]
+    for net in nets:
         ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
         cal = random_inputs(net, rng, 4)
         qm = prepare_quantized(net, ws, cal, bits)
@@ -139,7 +158,11 @@ def test_cluster_engine_matches_vector_engine():
         _assert_cluster_matches_vector(qm, rng.random(net.input_shape))
     # network scale (tinymalnet), depthwise and residual layers
     rng = np.random.default_rng(56)
-    for net, precisions in ((tinymalnet(), (8,)), (depthwise_residual_network(), (4, 8, 16))):
+    for net, precisions in (
+        (tinymalnet(), (8,)),
+        (depthwise_residual_network(), (4, 8, 16)),
+        (strided_depthwise_network(), (4, 8, 16)),
+    ):
         ws = init_random_weights(net, seed=6)
         cal = random_inputs(net, rng, 3)
         for bits in precisions:
@@ -159,6 +182,78 @@ def _assert_cluster_matches_vector(qm, x):
         assert (cc["acc"][name] == oaccs[name]).all(), (qm.net.name, qm.bits, name)
     assert pv == pytest.approx(pc, abs=0)
     assert lv.mac_count == lc.mac_count
+
+
+def test_vector_engine_refuses_an_uncertified_byte_table(monkeypatch):
+    net = tiny_conv_net()
+    rng = np.random.default_rng(12)
+    qm = prepare_quantized(net, init_random_weights(net, seed=12), random_inputs(net, rng, 2), 8)
+    real_mac8 = engine_module.mac8
+
+    def mac8_with_one_wrong_product(cluster, a, b):
+        acc = real_mac8(cluster, a, b)
+        if np.shape(acc) == (256, 256):  # the byte table: one lane per (a, b)
+            acc = acc.copy()
+            acc[200, 3] += 1
+        return acc
+
+    monkeypatch.setattr(engine_module, "mac8", mac8_with_one_wrong_product)
+    engine_module._certify_byte_products.cache_clear()
+    try:
+        with pytest.raises(engine_module.CertificationError, match=r"\(200, 3\): 601, not 600"):
+            infer_lut(qm, rng.random(net.input_shape))
+    finally:
+        engine_module._certify_byte_products.cache_clear()
+
+
+def test_float64_exactness_bound_at_the_boundary():
+    # K*255^2 < 2^53: the largest K whose byte-pass sums float64 holds exactly
+    k_max = (2**53 - 1) // (255 * 255)
+    assert k_max * 255 * 255 < 2**53 <= (k_max + 1) * 255 * 255
+    engine_module._check_float64_exact(k_max)
+    with pytest.raises(ValueError, match=f"dot length {k_max + 1}"):
+        engine_module._check_float64_exact(k_max + 1)
+
+
+def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
+    net = strided_depthwise_network()
+    rng = np.random.default_rng(13)
+    qm = prepare_quantized(net, init_random_weights(net, seed=13), random_inputs(net, rng, 2), 8)
+    calls = []
+    real_quantize = engine_module.quantize
+    monkeypatch.setattr(
+        engine_module, "quantize", lambda r, p: calls.append(np.shape(r)) or real_quantize(r, p)
+    )
+    infer_lut(qm, rng.random(net.input_shape))
+    assert calls == [(2, 9, 11), (3, 9, 11), (3, 4, 5), (2 * 4 * 5,)]  # the MAC layers' inputs
+
+
+def test_calibration_from_running_extremes_matches_concatenated_inputs():
+    net = tinymalnet()
+    ws = init_random_weights(net, seed=21)
+    cal = random_inputs(net, np.random.default_rng(21), 3)
+    collected = {}
+    for x in cal:
+        captures = {}
+        infer_float(net, ws, x, captures=captures)
+        for name, arr in captures["layer_inputs"].items():
+            collected.setdefault(name, []).append(arr.ravel())
+    for bits in (4, 8, 16):
+        qm = prepare_quantized(net, ws, cal, bits)
+        assert qm.layers.keys() == collected.keys()
+        for name, ql in qm.layers.items():
+            want = calibrate(np.concatenate(collected[name]), bits, symmetric=False)
+            assert ql.act_params == want, (bits, name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_calibration_rejects_a_non_finite_layer_input(bad):
+    net = tiny_conv_net()
+    ws = init_random_weights(net, seed=22)
+    cal = random_inputs(net, np.random.default_rng(22), 3)
+    cal[1][0, 2, 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(CalibrationError, match="layer 'conv'"):
+        prepare_quantized(net, ws, cal, 8)
 
 
 def test_prepare_quantized_rejects_bad_bits():

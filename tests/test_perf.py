@@ -14,7 +14,12 @@ from lutpim.perf import (
 from lutpim.system import SystemConfig
 import numpy as np
 
-from tests.helpers import depthwise_residual_network, random_inputs, random_small_network
+from tests.helpers import (
+    depthwise_residual_network,
+    random_inputs,
+    random_small_network,
+    strided_depthwise_network,
+)
 
 
 def small_net():
@@ -150,6 +155,7 @@ def test_ledger_agrees_with_perf_model():
     # infer_lut's ledger prices every layer exactly as the analytic mapper does
     rng = np.random.default_rng(0)
     nets = [tinymalnet(), depthwise_residual_network()] + [random_small_network(rng) for _ in range(3)]
+    nets.append(strided_depthwise_network())
     cfg = SystemConfig()
     for net in nets:
         ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
