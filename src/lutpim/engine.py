@@ -1,5 +1,12 @@
 """CNN execution: float reference backend and LUT-backed integer backend.
 
+Both backends take one (C, H, W) sample or an (N, C, H, W) stack whose
+trailing shape is the network's input. One sample returns what it always
+has: class probabilities of shape (classes,) and per-sample captures. A
+stack returns (N, classes) probabilities and adds a leading N axis to every
+captured value. `evaluate`, `prepare_quantized` and `fit_last_layer` run
+their inputs in stacked chunks of at most BATCH_ELEMENTS input elements.
+
 The integer backend's products come from the cluster's MAC microprogram.
 Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
@@ -8,18 +15,22 @@ float64 BLAS matmul, exact while K*255^2 < 2^53 (checked per call).
 engine="cluster" runs every product through `mac8` in lockstep, one lane per
 output accumulator, with the 32-bit overflow check per lane.
 
-Every MAC layer is one unsigned dot product (P, K) @ (K, O) over an optional
-leading group axis: a depthwise layer of C channels is the grouped product
-(C, P, k) @ (C, k, 1). A layer's input is quantized once, before windowing,
-and padded with the activation zero point. Zero-point corrections, bias
-addition, 16-bit byte pass recombination and softmax run host-side. Integer
-results are exact, so both engines and any direct integer oracle agree
+Every MAC layer is channel-major: one unsigned dot product of the layer's
+weight rows with its input windows, over the batch axis. A conv is
+(O, K) @ (N, K, P) -> (N, O, P), a depthwise layer of C channels the grouped
+product (C, 1, k) @ (N, C, k, P), and a dense layer (N, 1, K) @ (K, O). Outputs
+come out NCHW along the long P axis, so the next layer reads them without a
+transpose. A layer's input is quantized once, before windowing, and padded
+with the activation zero point. Zero-point corrections, bias addition,
+16-bit byte pass recombination and softmax run host-side. Integer results
+are exact, so both engines, any batch and any direct integer oracle agree
 bit-for-bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,49 +44,87 @@ from .quantizer import CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
 from .weights import WeightSet
 
+# Input elements per stacked chunk in evaluate, prepare_quantized and
+# fit_last_layer: 8 tinymalnet samples, or one mobilenet_v2 sample. On a
+# 2-core Xeon VM with 2 MB of L2 per core, 8-bit tinymalnet evaluation ran
+# fastest at 8-16 samples per chunk; at 64 it took 1.6x as long, its conv1
+# windows alone (4 MB) far past the L2 cache.
+BATCH_ELEMENTS = 8192
+
+
+def _as_batch(net: NetworkSpec, x) -> tuple[np.ndarray, bool]:
+    """x as an (N, C, H, W) float64 stack, and whether it was one (C, H, W) sample."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4) or x.shape[-3:] != net.input_shape:
+        raise ValueError(
+            f"input shape {x.shape} is neither the network input {net.input_shape}"
+            f" nor a stack (N, *{net.input_shape})"
+        )
+    return (x[None], True) if x.ndim == 3 else (x, False)
+
+
+def _chunks(net: NetworkSpec, inputs):
+    """Consecutive samples of `inputs` stacked (N, C, H, W), at most BATCH_ELEMENTS elements per stack."""
+    per = max(1, BATCH_ELEMENTS // math.prod(net.input_shape))
+    it = iter(inputs)
+    while chunk := list(itertools.islice(it, per)):
+        yield np.stack(chunk)
+
 
 # ---------------------------------------------------------------------------
 # float reference backend
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, fill=0):
-    """(C,H,W) -> (C, kh*kw, P) windows with rows ordered (ki, kj); padding holds `fill`.
+    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); padding holds `fill`.
 
-    A depthwise layer reads it as (C, P, k) through a transposed view, a
-    conv2d as the (P, C*kh*kw) patch matrix through _patch_matrix."""
-    c, h, w = x.shape
+    One copy through a strided view of x (numpy checks that the view stays inside x's
+    buffer); a 1x1, stride-1 window needs no copy and stays a view of x.
+    """
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    cols = np.empty((c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c, kh * kw, oh * ow), oh, ow
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
+    x = np.ascontiguousarray(x)
+    n, c, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    view = np.ndarray((n, c, kh, kw, oh, ow), x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride))
+    return view.reshape(n, c, kh * kw, oh * ow), oh, ow
 
 
-def _patch_matrix(win: np.ndarray) -> np.ndarray:
-    """(C, k, P) windows -> (P, C*k) patches with columns ordered (c, ki, kj), a view."""
-    return win.reshape(-1, win.shape[-1]).T
+def _channel_major(kind: str, wmat: np.ndarray, win: np.ndarray):
+    """Operands of a windowed MAC layer's product lhs @ rhs -> (N, O, P), or (N, C, 1, P) depthwise.
+
+    wmat is the layer's (K, O) weight matrix, (k, C) for a depthwise layer.
+    """
+    if kind == "conv2d":  # (O, K) @ (N, K, P); K ordered (c, ki, kj), a free reshape of the windows
+        return wmat.T, win.reshape(len(win), -1, win.shape[-1])
+    return wmat.T[:, None, :], win  # depthwise: (C, 1, k) @ (N, C, k, P)
+
+
+def _nchw(out: np.ndarray, bias: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """(N, O, P) or (N, O, 1, P) layer outputs plus a per-channel bias, as (N, O, OH, OW)."""
+    return (out.reshape(len(out), -1, oh * ow) + bias[:, None]).reshape(len(out), -1, oh, ow)
 
 
 def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    c, h, w = x.shape
+    """Max pooling over the last two axes of (N, C, H, W)."""
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    out = np.full((c, oh, ow), -np.inf, dtype=np.float64)
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    oh = (x.shape[-2] - k) // stride + 1
+    ow = (x.shape[-1] - k) // stride + 1
+    out = None
     for i in range(k):
         for j in range(k):
-            out = np.maximum(out, x[:, i : i + stride * oh : stride, j : j + stride * ow : stride])
+            tap = x[..., i : i + stride * oh : stride, j : j + stride * ow : stride]
+            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
     return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax along the last axis: one logit vector, or one row per sample."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _conv_w(ws: WeightSet, name: str):
@@ -88,51 +137,46 @@ def _conv_w(ws: WeightSet, name: str):
 
 
 def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
-    """Forward pass in real arithmetic; returns the class probability vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != net.input_shape:
-        raise ValueError(f"input shape {x.shape} != network input {net.input_shape}")
+    """Forward pass in real arithmetic; returns the class probabilities.
+
+    x is one (C, H, W) sample, which returns a (classes,) vector, or an
+    (N, C, H, W) stack, which returns (N, classes). captures["layer_inputs"]
+    holds each MAC layer's input, with the leading N axis for a stack.
+    """
+    x, single = _as_batch(net, x)
     sources, saved = _residual_sources(net), {}
     for layer in net.layers:
-        if layer.kind in ("conv2d", "depthwise_conv2d"):
-            w, b = _conv_w(ws, layer.name)
-            kh, kw = layer.kernel
+        if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
+            wmat, b = _weight_matrix(layer, ws)
             if captures is not None:
-                captures.setdefault("layer_inputs", {})[layer.name] = x.copy()
-            win, oh, ow = _windows(x, kh, kw, layer.stride, layer.padding)
-            if layer.kind == "conv2d":
-                out = _patch_matrix(win) @ w.reshape(layer.out_channels, -1).T + b
-                x = out.T.reshape(layer.out_channels, oh, ow)
-            else:  # one group per channel: (C, P, k) @ (C, k, 1)
-                out = win.transpose(0, 2, 1) @ w.reshape(w.shape[0], -1, 1)
-                x = (out[..., 0] + b[:, None]).reshape(-1, oh, ow)
-        elif layer.kind == "dense":
-            w, b = _conv_w(ws, layer.name)
-            if captures is not None:
-                captures.setdefault("layer_inputs", {})[layer.name] = x.copy()
-            x = x @ w + b
+                captures.setdefault("layer_inputs", {})[layer.name] = (x[0] if single else x).copy()
+            if layer.kind == "dense":  # one (1, K) @ (K, O) per sample: a stack's rows equal single calls
+                x = (x[:, None, :] @ wmat)[:, 0] + b
+            else:
+                win, oh, ow = _windows(x, *layer.kernel, layer.stride, layer.padding)
+                lhs, rhs = _channel_major(layer.kind, wmat, win)
+                x = _nchw(lhs @ rhs, b, oh, ow)
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
-            x = x.reshape(-1)
+            x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
             res = saved[layer.residual_from]
-            if layer.proj:
+            if layer.proj:  # a 1x1 strided conv
                 w, b = _conv_w(ws, f"{layer.name}.proj")
                 win, oh, ow = _windows(res, 1, 1, layer.stride, 0)
-                res = (_patch_matrix(win) @ w.reshape(layer.out_channels, -1).T + b).T.reshape(
-                    layer.out_channels, oh, ow
-                )
+                lhs, rhs = _channel_major("conv2d", w.reshape(layer.out_channels, -1).T, win)
+                res = _nchw(lhs @ rhs, b, oh, ow)
             x = x + res
         elif layer.kind == "softmax":
             if captures is not None:
-                captures["logits"] = x.copy()
+                captures["logits"] = (x[0] if single else x).copy()
             x = softmax(x)
         if layer.name in sources:
             saved[layer.name] = x
-    return x
+    return x[0] if single else x
 
 
 def _residual_sources(net: NetworkSpec) -> set[str]:
@@ -173,36 +217,36 @@ def _check_float64_exact(k: int) -> None:
         raise ValueError(f"dot length {k}: a byte-pass sum may reach 2**53, past float64's exact integers")
 
 
-def _byte_passes(qa: np.ndarray, qw: np.ndarray, bits: int):
-    """(shift, qa bytes, qw bytes) per byte pass; 16-bit operands take four, recombined host-side."""
+def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
+    """(shift, lhs bytes, rhs bytes) per byte pass; 16-bit operands take four, recombined host-side."""
     if bits <= 8:
-        return ((0, qa, qw),)
-    ah, al, wh, wl = qa >> 8, qa & 0xFF, qw >> 8, qw & 0xFF
-    return ((16, ah, wh), (8, ah, wl), (8, al, wh), (0, al, wl))
+        return ((0, lhs, rhs),)
+    lh, ll, rh, rl = lhs >> 8, lhs & 0xFF, rhs >> 8, rhs & 0xFF
+    return ((16, lh, rh), (8, lh, rl), (8, ll, rh), (0, ll, rl))
 
 
-def _raw_dot_vector(qa: np.ndarray, qw: np.ndarray, bits: int) -> np.ndarray:
-    """Unsigned sum of products sum_k qa[..., p, k] * qw[..., k, o] over an optional leading group axis.
+def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
+    """Unsigned sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes.
 
     Tables are certified once, then multiplies use the certified products: once
     mac8 has matched a*b on every byte pair, each byte pass is one float64 BLAS
     matmul cast back to int64, exact while K*255^2 < 2^53.
     """
     _certify_byte_products()
-    _check_float64_exact(qa.shape[-1])
+    _check_float64_exact(lhs.shape[-1])
     return sum(
-        (a.astype(np.float64) @ w.astype(np.float64)).astype(np.int64) << shift
-        for shift, a, w in _byte_passes(qa, qw, bits)
+        (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) << shift
+        for shift, a, b in _byte_passes(lhs, rhs, bits)
     )
 
 
-def _raw_dot_cluster(qa: np.ndarray, qw: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output (and group)."""
+def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
+    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output."""
     out = 0
-    for shift, a, w in _byte_passes(qa, qw, bits):
+    for shift, a, b in _byte_passes(lhs, rhs, bits):
         cluster.accumulator = 0
-        for k in range(qa.shape[-1]):
-            mac8(cluster, a[..., :, k : k + 1], w[..., k : k + 1, :])
+        for k in range(lhs.shape[-1]):
+            mac8(cluster, a[..., :, k : k + 1], b[..., k : k + 1, :])
         out = out + (cluster.accumulator << shift)
     return out
 
@@ -210,7 +254,7 @@ def _raw_dot_cluster(qa: np.ndarray, qw: np.ndarray, bits: int, cluster: Cluster
 @dataclass
 class QuantizedLayer:
     name: str
-    qweight: np.ndarray  # (K, O) unsigned codes
+    qweight: np.ndarray  # (K, O) unsigned codes; (k, C) for a depthwise layer
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
@@ -251,9 +295,9 @@ def prepare_quantized(
         raise ValueError("precision must be 4, 8, or 16 bits")
     _refuse_projected_shortcuts(net)
     extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
-    for x in cal_inputs:
+    for xs in _chunks(net, cal_inputs):
         captures: dict = {}
-        infer_float(net, ws, x, captures=captures)
+        infer_float(net, ws, xs, captures=captures)
         for name, arr in captures["layer_inputs"].items():
             mn, mx = float(arr.min()), float(arr.max())
             if not (math.isfinite(mn) and math.isfinite(mx)):  # min/max below would drop a NaN
@@ -286,10 +330,14 @@ def infer_lut(
 ):
     """Quantized forward pass on the LUT backend.
 
-    Returns (probabilities, ledger). Integer accumulators per MAC layer land in
-    captures["acc"] when a captures dict is supplied; the final dense layer's
-    accumulator row is the pre-softmax integer output. The ledger is charged
-    once per layer by perf.charge_layer, so each layer costs what
+    x is one (C, H, W) sample or an (N, C, H, W) stack. Returns (probabilities,
+    ledger); a stack's probabilities are (N, classes). Integer accumulators per
+    MAC layer land in captures["acc"] when a captures dict is supplied: (P, O)
+    under a conv's name, (1, O) under a dense layer's (the pre-softmax integer
+    output when it is the last) and (P, 1) under "name[c]" for each channel c
+    of a depthwise layer, each with a leading N axis for a stack. The ledger
+    prices one sample, which is what each sample of a stack costs: it is
+    charged once per layer by perf.charge_layer, so each layer costs what
     perf.layer_cost says and the totals match perf.estimate.
     """
     if engine not in ("vector", "cluster"):
@@ -297,50 +345,49 @@ def infer_lut(
     cfg = cfg or SystemConfig(precision_bits=qm.bits if qm.bits in (4, 8, 16) else 8)
     net = qm.net
     _refuse_projected_shortcuts(net)
+    x, single = _as_batch(net, x)
     ledger = EnergyLedger()
     cluster = Cluster() if engine == "cluster" else None
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != net.input_shape:
-        raise ValueError(f"input shape {x.shape} != network input {net.input_shape}")
     sources, saved = _residual_sources(net), {}
+    accs = captures.setdefault("acc", {}) if captures is not None else {}
 
-    def raw_dot(qa, qw):
+    def raw_dot(lhs, rhs):
         if engine == "cluster":
-            return _raw_dot_cluster(qa, qw, qm.bits, cluster)
-        return _raw_dot_vector(qa, qw, qm.bits)
+            return _raw_dot_cluster(lhs, rhs, qm.bits, cluster)
+        return _raw_dot_vector(lhs, rhs, qm.bits)
+
+    def centered(lhs, zl, rhs, zr):
+        """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected host-side."""
+        return (
+            raw_dot(lhs, rhs)
+            - zr * lhs.sum(axis=-1, dtype=np.int64)[..., :, None]
+            - zl * rhs.sum(axis=-2, dtype=np.int64)[..., None, :]
+            + lhs.shape[-1] * zl * zr
+        )
+
+    def capture(key, acc):
+        accs[key] = acc[0] if single else acc
 
     def mac_layer(layer, x):
-        """Quantize x once, window it and run one (grouped) unsigned dot product.
-
-        The host corrects the zero points, so acc = sum((qa - za) * (qw - zw)).
-        """
+        """Quantize x once, window it and run one channel-major product; acc = sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
+        scale = ql.act_params.scale * ql.wparams.scale
         q = quantize(x, ql.act_params)
         if layer.kind == "dense":
-            qa, qw = q[None, :], ql.qweight
-        else:  # padding with za is padding x with 0, since quantize(0) == za
-            win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
-            if layer.kind == "conv2d":
-                qa, qw = _patch_matrix(win), ql.qweight
-            else:  # depthwise: one group per channel, (C, P, k) @ (C, k, 1)
-                qa, qw = win.transpose(0, 2, 1), ql.qweight.T[:, :, None]
-        acc = (
-            raw_dot(qa, qw)
-            - za * qw.sum(axis=-2, dtype=np.int64)[..., None, :]
-            - zw * qa.sum(axis=-1, dtype=np.int64)[..., :, None]
-            + qa.shape[-1] * za * zw
-        )
-        scale = ql.act_params.scale * ql.wparams.scale
-        accs = captures.setdefault("acc", {}) if captures is not None else {}
-        if layer.kind == "dense":
-            accs[layer.name] = acc
-            return (scale * acc + ql.bias)[0]
+            acc = centered(q[:, None, :], za, ql.qweight, zw)  # (N, 1, O)
+            capture(layer.name, acc)
+            return scale * acc[:, 0] + ql.bias
+        # padding with za is padding x with 0, since quantize(0) == za
+        win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
+        lhs, rhs = _channel_major(layer.kind, ql.qweight, win)
+        acc = centered(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)  # (N, O, P)
         if layer.kind == "conv2d":
-            accs[layer.name] = acc
-            return (scale * acc + ql.bias).T.reshape(layer.out_channels, oh, ow)
-        accs.update((f"{layer.name}[{c}]", acc_c) for c, acc_c in enumerate(acc))
-        return (scale * acc[..., 0] + ql.bias[:, None]).reshape(-1, oh, ow)
+            capture(layer.name, acc.transpose(0, 2, 1))
+        else:
+            for c in range(acc.shape[1]):
+                capture(f"{layer.name}[{c}]", acc[:, c, :, None])
+        return _nchw(scale * acc, ql.bias, oh, ow)
 
     for layer in net.layers:
         if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
@@ -350,17 +397,17 @@ def infer_lut(
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
-            x = x.reshape(-1)
+            x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
             x = x + saved[layer.residual_from]
         elif layer.kind == "softmax":
             if captures is not None:
-                captures["logits"] = x.copy()
+                captures["logits"] = (x[0] if single else x).copy()
             x = softmax(x)
         charge_layer(ledger, layer, cfg, qm.bits)
         if layer.name in sources:
             saved[layer.name] = x
-    return x, ledger
+    return (x[0] if single else x), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +445,11 @@ def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels, ridge: float
     """
     dense = [l for l in net.layers if l.kind == "dense"][-1]
     feats = []
-    for x in inputs:
+    for xs in _chunks(net, inputs):
         captures: dict = {}
-        infer_float(net, ws, x, captures=captures)
+        infer_float(net, ws, xs, captures=captures)
         feats.append(captures["layer_inputs"][dense.name])
-    X = np.stack(feats)
+    X = np.concatenate(feats)
     y = np.asarray(labels, dtype=int)
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -475,10 +522,18 @@ def evaluate(
     cfg: SystemConfig | None = None,
     cal_count: int = 32,
 ) -> MetricsReport:
-    """Corpus evaluation in the float backend or the LUT backend at a precision."""
+    """Corpus evaluation in the float backend or the LUT backend at a precision.
+
+    The LUT backend calibrates on the first cal_count inputs. Both backends
+    run the corpus in stacked chunks of at most BATCH_ELEMENTS input elements.
+    """
+    if len(inputs) == 0:
+        raise ValueError("cannot evaluate an empty corpus")
+    if len(inputs) != len(labels):
+        raise ValueError(f"{len(inputs)} inputs but {len(labels)} labels")
     if bits is None:
-        probs = np.stack([infer_float(net, ws, x) for x in inputs])
+        probs = np.concatenate([infer_float(net, ws, xs) for xs in _chunks(net, inputs)])
     else:
         qm = prepare_quantized(net, ws, inputs[:cal_count], bits)
-        probs = np.stack([infer_lut(qm, x, cfg)[0] for x in inputs])
+        probs = np.concatenate([infer_lut(qm, xs, cfg)[0] for xs in _chunks(net, inputs)])
     return metrics_from_predictions(labels, probs)

@@ -40,19 +40,6 @@ class QuantParams:
         return (1 << self.bits) - 1
 
 
-@dataclass(frozen=True)
-class QuantTensor:
-    data: np.ndarray
-    shape: tuple[int, ...]
-    params: QuantParams
-
-    def __post_init__(self):
-        if int(np.prod(self.shape)) != self.data.size:
-            raise ValueError("element count does not match shape")
-        if self.data.size and (self.data.min() < 0 or self.data.max() > self.params.qmax):
-            raise ValueError("quantized values outside the N-bit range")
-
-
 def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
     """Min-max affine calibration; degenerate ranges fall back to scale 1."""
     arr = np.asarray(values, dtype=np.float64).ravel()
@@ -92,9 +79,3 @@ def dequantize(q, p: QuantParams):
         raise ValueError(f"quantized value outside [0, {p.qmax}]")
     r = p.scale * (arr.astype(np.float64) - p.zero_point)
     return float(r) if np.isscalar(q) or arr.ndim == 0 else r
-
-
-def quantize_tensor(values: np.ndarray, bits: int, symmetric: bool = False) -> QuantTensor:
-    arr = np.asarray(values, dtype=np.float64)
-    params = calibrate(arr, bits, symmetric=symmetric)
-    return QuantTensor(data=quantize(arr, params), shape=tuple(arr.shape), params=params)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def test_softmax_basics():
     assert softmax(np.array([0.3, -2.0, 1.1])).sum() == pytest.approx(1.0)
 
 
+def test_softmax_of_a_batch_is_the_softmax_of_each_row():
+    z = np.random.default_rng(9).normal(scale=50.0, size=(4, 3))
+    p = softmax(z)
+    assert p.shape == (4, 3)
+    assert p.sum(axis=1) == pytest.approx(np.ones(4))
+    for row, logits in zip(p, z):
+        assert softmax(logits).shape == (3,)
+        assert np.array_equal(row, softmax(logits))
+
+
 def test_infer_float_zero_weights():
     net = tiny_conv_net()
     ws = WeightSet()
@@ -96,6 +108,74 @@ def test_infer_float_depthwise_matches_naive_conv_oracle():
     assert expect.shape == (3, 4, 5)
     got = captures["layer_inputs"]["conv_pad"]
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def _projected_shortcut_net():
+    """A strided conv beside a 1x1 strided projection of its input, and weights for both."""
+    net = build_network(
+        "proj",
+        (2, 7, 7),
+        [
+            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=3),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="conv_s2", kind="conv2d", kernel=(3, 3), stride=2, padding=1, out_channels=4),
+            LayerSpec(name="add", kind="residual_add", residual_from="relu", proj=True, stride=2, out_channels=4),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+    rng = np.random.default_rng(32)
+    ws = init_random_weights(net, seed=32)
+    ws.add("add.proj.w", rng.normal(size=(4, 3, 1, 1)).astype(np.float32))
+    ws.add("add.proj.b", rng.normal(size=4).astype(np.float32))
+    return net, ws
+
+
+def test_infer_float_projected_shortcut_matches_naive_conv_oracle():
+    net, ws = _projected_shortcut_net()
+    rng = np.random.default_rng(32)
+    captures = {}
+    infer_float(net, ws, rng.random(net.input_shape), captures=captures)
+    res = captures["layer_inputs"]["conv_s2"]  # relu's output, the shortcut's source
+
+    def conv(name, stride, pad):
+        w, b = (ws[f"{name}.{t}"].data.astype(np.float64) for t in "wb")
+        return naive_conv2d(res, w, b, stride=stride, pad=pad)
+
+    expect = (conv("conv_s2", 2, 1) + conv("add.proj", 2, 0)).reshape(-1)
+    assert captures["layer_inputs"]["dense"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_infer_float_on_a_stack_equals_single_calls():
+    rng = np.random.default_rng(33)
+    nets = [tinymalnet(), depthwise_residual_network(), strided_depthwise_network()]
+    cases = [(net, init_random_weights(net, seed=33)) for net in nets]
+    cases.append(_projected_shortcut_net())
+    for net, ws in cases:
+        xs = np.stack(random_inputs(net, rng, 3))
+        caps = {}
+        probs = infer_float(net, ws, xs, captures=caps)
+        assert probs.shape == (3, 2)
+        for i, x in enumerate(xs):
+            single = {}
+            assert np.array_equal(probs[i], infer_float(net, ws, x, captures=single)), net.name
+            assert np.array_equal(caps["logits"][i], single["logits"])
+            for name, arr in single["layer_inputs"].items():
+                assert np.array_equal(caps["layer_inputs"][name][i], arr), (net.name, name)
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 6), (6, 6), (3, 2, 6, 5), (1, 3, 2, 6, 6)])
+def test_an_input_of_the_wrong_shape_is_refused(shape):
+    net = tiny_conv_net()
+    rng = np.random.default_rng(14)
+    ws = init_random_weights(net, seed=14)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), 8)
+    names_both = re.escape(f"input shape {shape}") + ".*" + re.escape(str(net.input_shape))
+    with pytest.raises(ValueError, match=names_both):
+        infer_float(net, ws, np.zeros(shape))
+    with pytest.raises(ValueError, match=names_both):
+        infer_lut(qm, np.zeros(shape))
 
 
 def test_identity_conv_passthrough():
@@ -170,6 +250,30 @@ def test_cluster_engine_matches_vector_engine():
             _assert_cluster_matches_vector(qm, rng.random(net.input_shape))
 
 
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_infer_lut_on_a_stack_equals_single_calls(bits, engine):
+    rng = np.random.default_rng(200 + bits)
+    for net in (tinymalnet(), depthwise_residual_network(), strided_depthwise_network()):
+        ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
+        qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
+        xs = np.stack(random_inputs(net, rng, 3))
+        caps = {}
+        probs, ledger = infer_lut(qm, xs, SystemConfig(), engine=engine, captures=caps)
+        assert probs.shape == (3, 2)
+        for i, x in enumerate(xs):
+            single = {}
+            p, single_ledger = infer_lut(qm, x, SystemConfig(), engine=engine, captures=single)
+            _, oaccs = oracle_quantized_forward(qm, x)
+            assert np.array_equal(probs[i], p), (net.name, i)
+            assert np.array_equal(caps["logits"][i], single["logits"])
+            assert caps["acc"].keys() == single["acc"].keys() == oaccs.keys()
+            for name, acc in oaccs.items():
+                assert np.array_equal(single["acc"][name], acc), (net.name, name)
+                assert np.array_equal(caps["acc"][name][i], acc), (net.name, name)
+            assert ledger.events == single_ledger.events  # a stack's ledger prices one sample
+
+
 def _assert_cluster_matches_vector(qm, x):
     """Both engines and the integer oracle agree on every accumulator; the ledgers on MACs."""
     cv, cc = {}, {}
@@ -225,7 +329,11 @@ def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
         engine_module, "quantize", lambda r, p: calls.append(np.shape(r)) or real_quantize(r, p)
     )
     infer_lut(qm, rng.random(net.input_shape))
-    assert calls == [(2, 9, 11), (3, 9, 11), (3, 4, 5), (2 * 4 * 5,)]  # the MAC layers' inputs
+    # the MAC layers' inputs; one sample runs as a stack of one
+    assert calls == [(1, 2, 9, 11), (1, 3, 9, 11), (1, 3, 4, 5), (1, 2 * 4 * 5)]
+    calls.clear()
+    infer_lut(qm, np.stack(random_inputs(net, rng, 3)))
+    assert calls == [(3, 2, 9, 11), (3, 3, 9, 11), (3, 3, 4, 5), (3, 2 * 4 * 5)]  # once per batch
 
 
 def test_calibration_from_running_extremes_matches_concatenated_inputs():
@@ -376,6 +484,35 @@ def test_metrics_perfect_classifier():
 
 def test_reference_metrics_constants():
     assert REFERENCE_METRICS == (0.987, 0.987, 0.982)
+
+
+@pytest.mark.parametrize("bits", [None, 4, 8, 16])
+def test_evaluate_in_chunks_equals_a_per_sample_loop(bits):
+    net = tinymalnet()
+    ws = init_random_weights(net, seed=34)
+    rng = np.random.default_rng(34)
+    inputs = random_inputs(net, rng, 17)  # two full chunks and one sample
+    labels = rng.integers(0, 2, size=17)
+    if bits is None:
+        probs = [infer_float(net, ws, x) for x in inputs]
+    else:
+        qm = prepare_quantized(net, ws, inputs[:5], bits)
+        probs = [infer_lut(qm, x)[0] for x in inputs]
+    want = metrics_from_predictions(labels, np.stack(probs))
+    assert evaluate(net, ws, inputs, labels, bits=bits, cal_count=5) == want
+
+
+@pytest.mark.parametrize("bits", [None, 8])
+def test_evaluate_refuses_an_empty_or_mismatched_corpus(bits, monkeypatch):
+    net = tiny_conv_net()
+    ws = init_random_weights(net, seed=15)
+    inputs = random_inputs(net, np.random.default_rng(15), 3)
+    for name in ("infer_float", "infer_lut", "prepare_quantized"):
+        monkeypatch.setattr(engine_module, name, lambda *a, **k: pytest.fail("evaluate worked before checking"))
+    with pytest.raises(ValueError, match="cannot evaluate an empty corpus"):
+        evaluate(net, ws, [], [], bits=bits)
+    with pytest.raises(ValueError, match="3 inputs but 2 labels"):
+        evaluate(net, ws, inputs, [0, 1], bits=bits)
 
 
 def test_trained_model_separates_corpus(trained_model, eval_corpus):

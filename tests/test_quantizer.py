@@ -9,7 +9,6 @@ from lutpim.quantizer import (
     calibrate,
     dequantize,
     quantize,
-    quantize_tensor,
 )
 
 
@@ -93,15 +92,6 @@ def test_quantize_monotone(a, b, bits):
         assert quantize(a, p) <= quantize(b, p)
     else:
         assert quantize(a, p) >= quantize(b, p)
-
-
-def test_quantize_tensor_wrapper():
-    arr = np.array([[0.0, 1.0], [2.0, 3.0]])
-    qt = quantize_tensor(arr, bits=8)
-    assert qt.shape == (2, 2)
-    assert qt.data.min() >= 0 and qt.data.max() <= 255
-    back = dequantize(qt.data, qt.params)
-    assert np.abs(back - arr).max() <= qt.params.scale / 2 + 1e-12
 
 
 def test_errors():
