@@ -112,11 +112,6 @@ def resize_to(img: GrayImage, side: int = 32) -> GrayImage:
     return GrayImage(width=side, height=side, pixels=pixels)
 
 
-def image_to_bytes(img: GrayImage, original_length: int) -> bytes:
-    """Recover the payload from a pre-resize image given the original length."""
-    return img.pixels.tobytes()[:original_length]
-
-
 def write_pgm(img: GrayImage, path) -> None:
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (img.width, img.height))

@@ -72,13 +72,15 @@ def _parse_args(argv):
     p = sub.add_parser("report", help="render a comparison table from a bench CSV")
     p.add_argument("--input", required=True)
 
-    for p in ap._subparsers._group_actions[0].choices.values():
+    for p in sub.choices.values():
         p.add_argument("--config", help="key=value file; entries override flags")
 
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    return args, {a.dest: a for a in sub.choices[args.command]._actions}
 
 
-def _apply_config(args):
+def _apply_config(args, flags):
+    """Apply the --config file's entries; flags maps each dest to its argparse action."""
     if not getattr(args, "config", None):
         return args
     try:
@@ -90,13 +92,17 @@ def _apply_config(args):
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not hasattr(args, key):
+        key, value = key.strip().replace("-", "_"), value.strip()
+        action = flags.get(key)
+        if action is None or not hasattr(args, key):
             raise DataError(f"config key {key!r} is not a flag of {args.command}")
-        current = getattr(args, key)
-        if isinstance(current, int) and not isinstance(current, bool):
-            value = int(value)
-        setattr(args, key, value.strip() if isinstance(value, str) else value)
+        try:
+            value = action.type(value) if action.type else value
+        except ValueError:
+            raise DataError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise DataError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        setattr(args, key, value)
     return args
 
 
@@ -109,10 +115,15 @@ def _load_manifest(path):
         raise DataError("manifest header mismatch")
     base = Path(path).parent
     samples = []
-    for line in lines[1:]:
-        p, label, family, _, _ = line.split(",")
-        payload = (base / p).read_bytes() if not Path(p).is_absolute() else Path(p).read_bytes()
-        samples.append(binviz.CorpusSample(payload=payload, label=label, family=family))
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DataError(f"manifest line {n}: expected 5 fields, got {len(fields)}")
+        p, label, family, _, _ = fields
+        try:
+            samples.append(binviz.CorpusSample(payload=(base / p).read_bytes(), label=label, family=family))
+        except (OSError, ValueError) as e:  # an unreadable sample, or a bad label or family
+            raise DataError(f"manifest line {n}: {e}") from None
     return samples
 
 
@@ -120,6 +131,13 @@ def _inputs_labels(samples):
     X = [binviz.sample_to_input(s.payload) for s in samples]
     y = [int(s.label == "malware") for s in samples]
     return X, y
+
+
+def _system_config(**kwargs):
+    try:
+        return SystemConfig(**kwargs)
+    except ValueError as e:
+        raise DataError(f"invalid system configuration: {e}") from None
 
 
 def _get_network(name):
@@ -227,7 +245,7 @@ def _rebuild_qmodel(net, ws, bits):
 
 def cmd_simulate(args) -> int:
     net = _get_network(args.network)
-    cfg = SystemConfig(cluster_count=args.clusters, precision_bits=args.precision)
+    cfg = _system_config(cluster_count=args.clusters, precision_bits=args.precision)
     if args.mode == "perf":
         report = perf.estimate(net, cfg, args.precision)
         print(perf.report_csv([report]), end="")
@@ -275,7 +293,7 @@ def cmd_bench(args) -> int:
         raise DataError(
             f"unknown networks: {', '.join(unknown)}; valid names: {', '.join(sorted(nets.ZOO))}"
         )
-    cfg = SystemConfig(cluster_count=args.clusters)
+    cfg = _system_config(cluster_count=args.clusters)
     reports = [
         perf.estimate(nets.get_network(name), cfg, bits)
         for name in names
@@ -311,9 +329,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args, flags = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, flags)
         return COMMANDS[args.command](args)
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut_core import (
-    CORE_DELAY_NS,
-    LutCore,
-    OpTag,
-    UnprogrammedCoreError,
-    build_function_table,
-)
+from .lut_core import LutCore, OpTag, UnprogrammedCoreError, build_function_table
 
 CLUSTER_CORES = 9
 MAC_STEPS = 8
@@ -26,7 +20,6 @@ MAC_DELAY_NS = 6.4
 CLUSTER_POWER_MW_LOW = 8.2
 CLUSTER_POWER_MW_HIGH = 11.0
 CLUSTER_POWER_MW_NOMINAL = (CLUSTER_POWER_MW_LOW + CLUSTER_POWER_MW_HIGH) / 2
-CLUSTER_AREA_UM2 = 37769.81
 
 ACCUMULATOR_BITS = 32
 _ACC_LIMIT = 1 << ACCUMULATOR_BITS
@@ -41,28 +34,18 @@ class MicroprogramError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClusterTimingProfile:
-    mac_delay_ns: float = MAC_DELAY_NS
-    power_mw_range: tuple[float, float] = (CLUSTER_POWER_MW_LOW, CLUSTER_POWER_MW_HIGH)
-    power_mw_nominal: float = CLUSTER_POWER_MW_NOMINAL
-    area_um2: float = CLUSTER_AREA_UM2
-
-
-@dataclass(frozen=True)
 class MacEnergy:
     nominal_pj: float
     low_pj: float
     high_pj: float
 
 
-def mac_energy_pj(profile: ClusterTimingProfile | None = None) -> MacEnergy:
+def mac_energy_pj() -> MacEnergy:
     """Per-MAC energy from published power x delay (nominal = range midpoint)."""
-    p = profile or ClusterTimingProfile()
-    lo, hi = p.power_mw_range
     return MacEnergy(
-        nominal_pj=p.power_mw_nominal * p.mac_delay_ns,
-        low_pj=lo * p.mac_delay_ns,
-        high_pj=hi * p.mac_delay_ns,
+        nominal_pj=CLUSTER_POWER_MW_NOMINAL * MAC_DELAY_NS,
+        low_pj=CLUSTER_POWER_MW_LOW * MAC_DELAY_NS,
+        high_pj=CLUSTER_POWER_MW_HIGH * MAC_DELAY_NS,
     )
 
 
@@ -75,26 +58,9 @@ MAC_ENERGY_NOMINAL_PJ = mac_energy_pj().nominal_pj
 Src = tuple
 
 
-def _fmt_src(src: Src) -> str:
-    if src[0] == "in":
-        return f"in:{src[1]}"
-    if src[0] == "core":
-        return f"core:{src[1]}.{src[2]}"
-    if src[0] == "imm":
-        return f"imm:{src[1]}"
-    raise MicroprogramError(f"unknown source {src!r}")
-
-
-def _parse_src(text: str) -> Src:
-    kind, _, rest = text.partition(":")
-    if kind == "in":
-        return ("in", rest)
-    if kind == "core":
-        idx, _, nib = rest.partition(".")
-        return ("core", int(idx), nib)
-    if kind == "imm":
-        return ("imm", int(rest))
-    raise MicroprogramError(f"unparseable source {text!r}")
+def _check_src(src: Src) -> None:
+    if src[0] not in ("in", "core", "imm"):
+        raise MicroprogramError(f"unknown source {src!r}")
 
 
 @dataclass(frozen=True)
@@ -131,44 +97,13 @@ class ClusterMicroprogram:
                 lookups[op.core] += 1
                 last_table[op.core] = op.table
                 for src in (op.src_a, op.src_b):
-                    _fmt_src(src)  # rejects an unknown source kind
+                    _check_src(src)
                     if src[0] == "core" and src[1] != op.core:
                         transfers.append((src[1], op.core))
         for src in self.outputs:
-            _fmt_src(src)
+            _check_src(src)
         object.__setattr__(self, "lookups", tuple((c, n, last_table[c]) for c, n in lookups.items()))
         object.__setattr__(self, "transfers", tuple(transfers))
-
-    def to_text(self) -> str:
-        lines = []
-        for n, step in enumerate(self.steps):
-            for op in step:
-                lines.append(
-                    f"{n};{op.core};{op.table.value};"
-                    f"{_fmt_src(op.src_a)};{_fmt_src(op.src_b)}"
-                )
-        for src in self.outputs:
-            lines.append(f"out;{_fmt_src(src)}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ClusterMicroprogram":
-        by_step: dict[int, list[CoreOp]] = {}
-        outputs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(";")
-            if parts[0] == "out":
-                outputs.append(_parse_src(parts[1]))
-                continue
-            step, core, tag, a, b = parts
-            by_step.setdefault(int(step), []).append(
-                CoreOp(int(core), OpTag(tag), _parse_src(a), _parse_src(b))
-            )
-        steps = tuple(tuple(by_step[k]) for k in sorted(by_step))
-        return cls(steps=steps, outputs=tuple(outputs))
 
 
 @dataclass
@@ -209,10 +144,6 @@ class Cluster:
             raw = (table := build_function_table(tag)).assembled_bytes()
             self._tables[tag] = (table, raw, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
         return self._tables[tag]
-
-    @property
-    def busy_ns(self) -> float:
-        return self.step_counter * CORE_DELAY_NS
 
     def _read(self, src: Src, inputs: dict):
         """One operand nibble per lane."""

@@ -342,7 +342,7 @@ def infer_lut(
     """
     if engine not in ("vector", "cluster"):
         raise ValueError(f"unknown engine {engine!r}")
-    cfg = cfg or SystemConfig(precision_bits=qm.bits if qm.bits in (4, 8, 16) else 8)
+    cfg = cfg or SystemConfig()
     net = qm.net
     _refuse_projected_shortcuts(net)
     x, single = _as_batch(net, x)

@@ -7,32 +7,24 @@ is (a << 4) | b with a in the high nibble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 WORD_COUNT = 8
 WORD_BITS = 256
 
 CORE_DELAY_NS = 0.8
-CORE_POWER_MW = 2.7
-CORE_AREA_UM2 = 4196.64
 
 
 class OpTag(str, Enum):
     MUL4 = "MUL4"
     ADD4 = "ADD4"
-    ADD4C = "ADD4C"  # add with carry-in of 1, for multi-nibble accumulation
-    MAX4 = "MAX4"
-    CMP4 = "CMP4"
     PASS = "PASS"
 
 
 _SCALAR = {
     OpTag.MUL4: lambda a, b: a * b,
     OpTag.ADD4: lambda a, b: a + b,
-    OpTag.ADD4C: lambda a, b: a + b + 1,
-    OpTag.MAX4: lambda a, b: max(a, b),
-    OpTag.CMP4: lambda a, b: 1 if a > b else 0,
     OpTag.PASS: lambda a, b: a,
 }
 
@@ -47,15 +39,6 @@ class MalformedTableError(ValueError):
 
 class UnprogrammedCoreError(RuntimeError):
     """Lookup issued before any function table was programmed."""
-
-
-@dataclass(frozen=True)
-class CoreTimingProfile:
-    """Published per-core characteristics (28 nm)."""
-
-    core_delay_ns: float = CORE_DELAY_NS
-    core_power_mw: float = CORE_POWER_MW
-    core_area_um2: float = CORE_AREA_UM2
 
 
 @dataclass(frozen=True)
@@ -88,10 +71,6 @@ class FunctionTable:
     def assembled_bytes(self) -> bytes:
         return self._assembled
 
-    def dump(self) -> str:
-        """256-line text dump (index, assembled byte in hex) for cross-impl diffing."""
-        return "\n".join(f"{i:02x} {self.assemble(i):02x}" for i in range(WORD_BITS))
-
 
 def build_function_table(op_tag: OpTag) -> FunctionTable:
     """Pre-calculate the eight function words for one operation."""
@@ -117,7 +96,6 @@ class LutCore:
 
     table: FunctionTable | None = None
     lookup_count: int = 0
-    timing: CoreTimingProfile = field(default_factory=CoreTimingProfile)
 
     def program(self, table: FunctionTable) -> None:
         """Load new function words, discarding the previous table."""
@@ -133,7 +111,3 @@ class LutCore:
             raise ValueError(f"operands must be 4-bit, got a={a}, b={b}")
         self.lookup_count += 1
         return self.table.assemble((a << 4) | b)
-
-    @property
-    def busy_ns(self) -> float:
-        return self.lookup_count * self.timing.core_delay_ns

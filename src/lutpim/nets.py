@@ -1,4 +1,4 @@
-"""Layer/network descriptors, shape inference, the built-in model zoo, config I/O.
+"""Layer/network descriptors, shape inference, and the built-in model zoo.
 
 Shapes are (channels, height, width). Conv output spatial size follows
 floor((in + 2*pad - k) / stride) + 1.
@@ -6,8 +6,6 @@ floor((in + 2*pad - k) / stride) + 1.
 
 from __future__ import annotations
 
-import configparser
-import io
 from dataclasses import dataclass, field, replace
 
 LAYER_KINDS = (
@@ -337,61 +335,3 @@ def get_network(name: str) -> NetworkSpec:
         raise KeyError(
             f"unknown network {name!r}; valid names: {', '.join(sorted(ZOO))}"
         ) from None
-
-
-def to_config_text(net: NetworkSpec) -> str:
-    """Human-readable nested key-value form, one block per layer."""
-    cp = configparser.ConfigParser()
-    cp["network"] = {
-        "name": net.name,
-        "input_shape": "x".join(str(d) for d in net.input_shape),
-    }
-    for i, layer in enumerate(net.layers):
-        sec = f"layer.{i}"
-        cp[sec] = {"name": layer.name, "kind": layer.kind}
-        if layer.kind in ("conv2d", "depthwise_conv2d", "maxpool2d"):
-            cp[sec]["kernel"] = f"{layer.kernel[0]}x{layer.kernel[1]}"
-            cp[sec]["stride"] = str(layer.stride)
-            cp[sec]["padding"] = str(layer.padding)
-        if layer.kind == "conv2d":
-            cp[sec]["out_channels"] = str(layer.out_channels)
-        if layer.kind == "dense":
-            cp[sec]["out_features"] = str(layer.out_features)
-        if layer.kind == "residual_add":
-            cp[sec]["residual_from"] = layer.residual_from
-            if layer.proj:
-                cp[sec]["proj"] = "true"
-                cp[sec]["stride"] = str(layer.stride)
-                cp[sec]["out_channels"] = str(layer.out_channels)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def from_config_text(text: str) -> NetworkSpec:
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    name = cp["network"]["name"]
-    input_shape = tuple(int(d) for d in cp["network"]["input_shape"].split("x"))
-    layers = []
-    for i in range(len(cp.sections()) - 1):
-        sec = cp[f"layer.{i}"]
-        kind = sec["kind"]
-        kernel = (0, 0)
-        if "kernel" in sec:
-            kh, kw = sec["kernel"].split("x")
-            kernel = (int(kh), int(kw))
-        layers.append(
-            LayerSpec(
-                name=sec["name"],
-                kind=kind,
-                kernel=kernel,
-                stride=sec.getint("stride", 1),
-                padding=sec.getint("padding", 0),
-                out_channels=sec.getint("out_channels", 0),
-                out_features=sec.getint("out_features", 0),
-                residual_from=sec.get("residual_from", ""),
-                proj=sec.getboolean("proj", False),
-            )
-        )
-    return build_network(name, input_shape, layers)

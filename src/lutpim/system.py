@@ -121,15 +121,3 @@ class EnergyLedger:
             "comm_pj": self.comm_pj,
             "breakdown": breakdown,
         }
-
-    def to_csv(self) -> str:
-        """Per-category export: category, count, ns, pJ."""
-        lines = ["category,count,ns,pj"]
-        for cat, slot in sorted(self.summary()["breakdown"].items()):
-            lines.append(f"{cat},{slot['count']},{slot['ns']!r},{slot['pj']!r}")
-        return "\n".join(lines) + "\n"
-
-    def merge(self, other: "EnergyLedger") -> "EnergyLedger":
-        """Fold another run's event log into this ledger."""
-        self.events.extend(other.events)
-        return self

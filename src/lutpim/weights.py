@@ -95,7 +95,11 @@ def load_weights(path) -> WeightSet:
     ws = WeightSet()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "tensor name").decode()
+        raw_name = take(name_len, "tensor name")
+        try:
+            name = raw_name.decode()
+        except UnicodeDecodeError:
+            raise WeightFormatError(f"tensor name {raw_name!r} is not UTF-8") from None
         rank = take(1, f"{name}: rank")[0]
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name}: dims"))
         dtype = take(1, f"{name}: dtype")[0]
@@ -110,8 +114,11 @@ def load_weights(path) -> WeightSet:
             scale, zp, bits = struct.unpack("<diB", take(13, f"{name}: quant params"))
             if bits != _BITS_BY_DTYPE[dtype]:
                 raise WeightFormatError(f"{name}: dtype/bits mismatch")
-            params = QuantParams(scale=scale, zero_point=zp, bits=bits,
-                                 symmetric=zp == 1 << (bits - 1))
+            try:
+                params = QuantParams(scale=scale, zero_point=zp, bits=bits,
+                                     symmetric=zp == 1 << (bits - 1))
+            except ValueError as e:
+                raise WeightFormatError(f"{name}: bad quant params: {e}") from None
             width = 2 if dtype == 3 else 1
             raw = take(width * n, f"{name}: data")
             store = np.dtype(_STORAGE[dtype]).newbyteorder("<")

@@ -18,9 +18,6 @@ from lutpim.quantizer import quantize
 SCALAR_OPS = {
     "MUL4": lambda a, b: (a * b) & 0xFF,
     "ADD4": lambda a, b: (a + b) & 0xFF,
-    "ADD4C": lambda a, b: (a + b + 1) & 0xFF,
-    "MAX4": lambda a, b: a if a > b else b,
-    "CMP4": lambda a, b: int(a > b),
     "PASS": lambda a, b: a,
 }
 

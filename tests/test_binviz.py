@@ -7,7 +7,6 @@ from lutpim.binviz import (
     GrayImage,
     bytes_to_image,
     generate_corpus,
-    image_to_bytes,
     read_pgm,
     resize_to,
     sample_to_input,
@@ -65,7 +64,7 @@ def test_losslessness_before_resize():
     rng = np.random.default_rng(9)
     payload = rng.integers(0, 256, size=5000, dtype=np.uint8).tobytes()
     img = bytes_to_image(payload)
-    assert image_to_bytes(img, len(payload)) == payload
+    assert img.pixels.tobytes()[:len(payload)] == payload
 
 
 def test_resize_identity_and_constant():

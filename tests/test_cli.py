@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from lutpim.binviz import sample_to_input
 from lutpim.cli import main
 from lutpim.engine import init_random_weights, prepare_quantized
 from lutpim.nets import tinymalnet
-from lutpim.weights import save_weights
+from lutpim.quantizer import QuantParams
+from lutpim.weights import WeightSet, save_weights
 
 
 def run(argv):
@@ -166,7 +170,77 @@ def test_config_file_overrides(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("alexnet,8,")
 
 
-def test_config_unknown_key(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("warp_speed=9\n")
-    assert run(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 3
+@pytest.mark.parametrize(
+    "entry, argv, message",
+    [
+        ("warp_speed=9", ["bench", "--out", "b.csv"], "config key 'warp_speed' is not a flag of bench"),
+        ("clusters=abc", ["bench", "--out", "b.csv"], "config key 'clusters': invalid value 'abc'"),
+        ("precision=5", ["simulate", "--mode", "perf"], "config key 'precision': 5 is not one of [4, 8, 16]"),
+    ],
+    ids=["unknown-key", "not-an-int", "not-a-choice"],
+)
+def test_config_unknown_key(tmp_path, monkeypatch, capsys, entry, argv, message):
+    # a config entry gets the same type and choices checks as its flag
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.txt").write_text(entry + "\n")
+    assert run(argv + ["--config", "cfg.txt"]) == 3
+    assert message in capsys.readouterr().err
+    assert not Path("b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--mode", "perf"], ["bench", "--out", "b.csv"]], ids=["simulate", "bench"]
+)
+def test_invalid_system_config_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # 100 clusters do not fill whole 16-cluster subarrays
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--clusters", "100"]) == 3
+    assert "invalid system configuration: clusters_per_subarray must divide cluster_count" in capsys.readouterr().err
+    assert not Path("b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s.bin,benign,none", "manifest line 3: expected 5 fields, got 3"),
+        ("gone.bin,benign,none,4,0", "manifest line 3: [Errno 2] No such file or directory: '{tmp}/gone.bin'"),
+        ("s.bin,spam,none,4,0", "manifest line 3: bad label 'spam'"),
+    ],
+    ids=["short-line", "missing-sample", "bad-label"],
+)
+def test_fit_refuses_a_bad_manifest(tmp_path, capsys, row, message):
+    (tmp_path / "s.bin").write_bytes(b"\x01\x02\x03\x04")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label,family,length,seed\ns.bin,benign,none,4,0\n{row}\n")
+    out = tmp_path / "w.pimw"
+    assert run(["fit", "--corpus", str(manifest), "--out", str(out)]) == 3
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("name", "tensor name b'\\xff\\xfe' is not UTF-8"),
+        ("scale", "ab: bad quant params: scale must be positive and finite, got 0.0"),
+    ],
+    ids=["name", "scale"],
+)
+def test_simulate_refuses_a_corrupt_container(tmp_path, capsys, kind, message):
+    # a one-tensor q8 container, then its name made non-UTF-8 or its scale 0
+    ws = WeightSet()
+    ws.add("ab", np.array([1, 2], dtype=np.int64), QuantParams(scale=0.5, zero_point=128, bits=8, symmetric=True))
+    weights = tmp_path / "w.pimw"
+    save_weights(ws, weights)
+    buf = bytearray(weights.read_bytes())
+    name_at = 4 + 1 + 4 + 2  # magic, version, tensor count, name length
+    if kind == "name":
+        buf[name_at : name_at + 2] = b"\xff\xfe"
+    else:
+        scale_at = name_at + 2 + 1 + 4 + 1  # name, rank, one dim, dtype byte
+        buf[scale_at : scale_at + 8] = struct.pack("<d", 0.0)
+    weights.write_bytes(bytes(buf))
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    assert run(["simulate", "--weights", str(weights), "--input", str(blob)]) == 3
+    assert message in capsys.readouterr().err

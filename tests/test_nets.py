@@ -5,10 +5,8 @@ from lutpim.nets import (
     LayerSpec,
     ShapeError,
     build_network,
-    from_config_text,
     get_network,
     tinymalnet,
-    to_config_text,
 )
 
 
@@ -88,12 +86,3 @@ def test_unknown_residual_source():
 def test_unknown_network():
     with pytest.raises(KeyError):
         get_network("lenet")
-
-
-@pytest.mark.parametrize("name", ["tinymalnet", "alexnet", "resnet18", "mobilenet_v2"])
-def test_config_text_round_trip(name):
-    net = tinymalnet() if name == "tinymalnet" else get_network(name)
-    text = to_config_text(net)
-    again = from_config_text(text)
-    assert again == net
-    assert to_config_text(again) == text

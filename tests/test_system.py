@@ -102,21 +102,6 @@ def test_totals_equal_event_sums():
     assert led.compute_pj + led.comm_pj == pytest.approx(total_pj)
 
 
-def test_merge_is_additive():
-    cfg = SystemConfig()
-    a = EnergyLedger().account_macs(cfg, 500).account_transfer("intra")
-    b = EnergyLedger().account_macs(cfg, 300).account_transfer("inter", hops=7)
-    merged = EnergyLedger()
-    merged.merge(a).merge(b)
-    assert merged.mac_count == 800
-    assert merged.summary()["total_ns"] == pytest.approx(
-        a.summary()["total_ns"] + b.summary()["total_ns"]
-    )
-    assert merged.summary()["total_pj"] == pytest.approx(
-        a.summary()["total_pj"] + b.summary()["total_pj"]
-    )
-
-
 def test_cluster_scaling_halves_latency():
     n = 1 << 20  # divisible by both cluster counts: no ceiling slack
     t1 = EnergyLedger().account_macs(SystemConfig(cluster_count=256), n).compute_ns
@@ -126,15 +111,6 @@ def test_cluster_scaling_halves_latency():
     e1 = EnergyLedger().account_macs(SystemConfig(cluster_count=256), n).compute_pj
     e2 = EnergyLedger().account_macs(SystemConfig(cluster_count=512, clusters_per_subarray=16), n).compute_pj
     assert e1 == pytest.approx(e2)
-
-
-def test_csv_export():
-    led = EnergyLedger().account_macs(SystemConfig(), 10).account_transfer("intra")
-    lines = led.to_csv().strip().splitlines()
-    assert lines[0] == "category,count,ns,pj"
-    cats = [ln.split(",")[0] for ln in lines[1:]]
-    assert cats == sorted(cats)
-    assert "mac" in cats and "intra" in cats
 
 
 def test_config_validation():
