@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binviz, engine, nets, perf
-from .quantizer import QuantParams
+from .quantizer import SUPPORTED_BITS, QuantParams
 from .system import SystemConfig
 from .weights import WeightFormatError, WeightSet, load_weights, save_weights
 
@@ -148,6 +148,8 @@ def _get_network(name):
 
 
 def cmd_convert(args) -> int:
+    if args.resize < 0:
+        raise DataError(f"--resize {args.resize}: the side must be positive, or 0 for no resize")
     try:
         payload = Path(args.input).read_bytes()
     except OSError as e:
@@ -285,9 +287,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _precision(text: str) -> int:
+    """One entry of --precisions, which must name one of SUPPORTED_BITS."""
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = None
+    if bits not in SUPPORTED_BITS:
+        raise DataError(f"--precisions: {text!r} is not one of {', '.join(map(str, SUPPORTED_BITS))}")
+    return bits
+
+
 def cmd_bench(args) -> int:
     names = [n for n in args.networks.split(",") if n]
-    precisions = [int(p) for p in args.precisions.split(",") if p]
+    precisions = [_precision(p) for p in args.precisions.split(",") if p]
     unknown = [n for n in names if n not in nets.ZOO]
     if unknown:
         raise DataError(

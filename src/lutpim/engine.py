@@ -11,9 +11,21 @@ The integer backend's products come from the cluster's MAC microprogram.
 Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
 a*b and raises naming any pair that differs; after that each byte pass is one
-float64 BLAS matmul, exact while K*255^2 < 2^53 (checked per call).
-engine="cluster" runs every product through `mac8` in lockstep, one lane per
-output accumulator, with the 32-bit overflow check per lane.
+float64 BLAS matmul. engine="cluster" runs every product through `mac8` in
+lockstep, one lane per output accumulator, with the 32-bit overflow check per
+lane.
+
+Codes travel as float64 integers from a layer's one `quantize` call to its
+accumulator: the codes are cast once, windowed, multiplied and corrected for
+zero points in float64, with no cast back. That is exact while every integer
+on the way stays below 2^53. Each product term and each correction term of a
+K-long dot product of codes at most q is at most K*q^2 in magnitude, and so
+is every partial sum of the corrections, since each is a sum of K terms
+(l*r - l*zr - zl*r + zl*zr, say) that each lie in [-q^2, q^2]. So K*q^2 <
+2^53 is checked per call, with q = 255 up to 8 bits and q = 65535 at 16
+bits, where the four byte passes are also split, shifted and added in
+float64. int64 appears in two places only: captured accumulators, cast once
+per layer, and the cluster engine's operands to `mac8`.
 
 Every MAC layer is channel-major: one unsigned dot product of the layer's
 weight rows with its input windows, over the batch axis. A conv is
@@ -24,7 +36,7 @@ transpose. A layer's input is quantized once, before windowing, and padded
 with the activation zero point. Zero-point corrections, bias addition,
 16-bit byte pass recombination and softmax run host-side. Integer results
 are exact, so both engines, any batch and any direct integer oracle agree
-bit-for-bit.
+bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -211,44 +223,68 @@ def _certify_byte_products() -> None:
         )
 
 
-def _check_float64_exact(k: int) -> None:
-    """A byte pass sums k products of at most 255*255; float64 holds such sums exactly below 2**53."""
-    if k * 255 * 255 >= 1 << 53:
-        raise ValueError(f"dot length {k}: a byte-pass sum may reach 2**53, past float64's exact integers")
+def _check_float64_exact(k: int, bits: int = 8) -> None:
+    """A k-long dot product of `bits`-bit codes, and its zero-point corrections, stay below 2**53.
+
+    Up to 8 bits the bound is a byte pass's k*255*255; 16-bit passes recombine to k*65535*65535.
+    """
+    top = 255 if bits <= 8 else 65535
+    if k * top * top >= 1 << 53:
+        raise ValueError(
+            f"dot length {k}: a {bits}-bit dot product may reach 2**53, past float64's exact integers"
+        )
+
+
+def _split_bytes(codes: np.ndarray):
+    """(high byte, low byte) of float64 16-bit codes; scaling by 1/256 is exact, so floor drops the low byte."""
+    high = codes * (1 / 256)
+    np.floor(high, out=high)
+    low = high * -256
+    low += codes
+    return high, low
 
 
 def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
-    """(shift, lhs bytes, rhs bytes) per byte pass; 16-bit operands take four, recombined host-side."""
+    """(multiplier, lhs bytes, rhs bytes) per byte pass; 16-bit operands take four, recombined host-side."""
     if bits <= 8:
-        return ((0, lhs, rhs),)
-    lh, ll, rh, rl = lhs >> 8, lhs & 0xFF, rhs >> 8, rhs & 0xFF
-    return ((16, lh, rh), (8, lh, rl), (8, ll, rh), (0, ll, rl))
+        return ((1, lhs, rhs),)
+    (lh, ll), (rh, rl) = _split_bytes(lhs), _split_bytes(rhs)
+    return ((1 << 16, lh, rh), (1 << 8, lh, rl), (1 << 8, ll, rh), (1, ll, rl))
 
 
 def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
     """Unsigned sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes.
 
-    Tables are certified once, then multiplies use the certified products: once
-    mac8 has matched a*b on every byte pair, each byte pass is one float64 BLAS
-    matmul cast back to int64, exact while K*255^2 < 2^53.
+    lhs and rhs hold float64 integer codes and so does the result. Tables are
+    certified once, then multiplies use the certified products: once mac8 has
+    matched a*b on every byte pair, each byte pass is one float64 BLAS matmul,
+    with no cast. Its sums are exact while K*255^2 < 2^53, and 16-bit passes
+    recombine exactly while K*65535^2 < 2^53; infer_lut checks the bound for
+    its precision before each call (_check_float64_exact).
     """
     _certify_byte_products()
-    _check_float64_exact(lhs.shape[-1])
-    return sum(
-        (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) << shift
-        for shift, a, b in _byte_passes(lhs, rhs, bits)
-    )
+    out = None
+    for mul, a, b in _byte_passes(lhs, rhs, bits):
+        part = a @ b
+        if mul != 1:
+            part *= mul
+        out = part if out is None else np.add(out, part, out=out)
+    return out
 
 
 def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output."""
+    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output.
+
+    The float64 codes go to mac8 as int64; the accumulators come back as float64.
+    """
     out = 0
-    for shift, a, b in _byte_passes(lhs, rhs, bits):
+    for mul, a, b in _byte_passes(lhs, rhs, bits):
+        a, b = a.astype(np.int64), b.astype(np.int64)
         cluster.accumulator = 0
         for k in range(lhs.shape[-1]):
             mac8(cluster, a[..., :, k : k + 1], b[..., k : k + 1, :])
-        out = out + (cluster.accumulator << shift)
-    return out
+        out = out + cluster.accumulator * mul
+    return out.astype(np.float64)
 
 
 @dataclass
@@ -356,14 +392,24 @@ def infer_lut(
             return _raw_dot_cluster(lhs, rhs, qm.bits, cluster)
         return _raw_dot_vector(lhs, rhs, qm.bits)
 
-    def centered(lhs, zl, rhs, zr):
-        """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected host-side."""
-        return (
-            raw_dot(lhs, rhs)
-            - zr * lhs.sum(axis=-1, dtype=np.int64)[..., :, None]
-            - zl * rhs.sum(axis=-2, dtype=np.int64)[..., None, :]
-            + lhs.shape[-1] * zl * zr
-        )
+    def centered(lhs, zl, rhs, zr, fold=False):
+        """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected in place.
+
+        fold appends a row of ones to lhs, so the same product also returns rhs's
+        column sums. Each partial sum below is a sum of K terms in [-q^2, q^2],
+        so it stays exact in float64.
+        """
+        k = lhs.shape[-1]
+        _check_float64_exact(k, qm.bits)
+        if fold:
+            both = raw_dot(np.concatenate([lhs, np.ones_like(lhs[..., :1, :])], axis=-2), rhs)
+            acc, rsum = both[..., :-1, :], both[..., -1:, :]
+        else:
+            acc, rsum = raw_dot(lhs, rhs), rhs.sum(axis=-2)[..., None, :]
+        acc -= zr * lhs.sum(axis=-1)[..., :, None]
+        acc -= zl * rsum
+        acc += k * zl * zr
+        return acc
 
     def capture(key, acc):
         accs[key] = acc[0] if single else acc
@@ -373,21 +419,28 @@ def infer_lut(
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
         scale = ql.act_params.scale * ql.wparams.scale
-        q = quantize(x, ql.act_params)
+        q = quantize(x, ql.act_params).astype(np.float64)
+        qweight = ql.qweight.astype(np.float64)
         if layer.kind == "dense":
-            acc = centered(q[:, None, :], za, ql.qweight, zw)  # (N, 1, O)
-            capture(layer.name, acc)
+            acc = centered(q[:, None, :], za, qweight, zw)  # (N, 1, O)
+            if captures is not None:
+                capture(layer.name, acc.astype(np.int64))
             return scale * acc[:, 0] + ql.bias
         # padding with za is padding x with 0, since quantize(0) == za
         win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
-        lhs, rhs = _channel_major(layer.kind, ql.qweight, win)
-        acc = centered(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)  # (N, O, P)
-        if layer.kind == "conv2d":
-            capture(layer.name, acc.transpose(0, 2, 1))
-        else:
-            for c in range(acc.shape[1]):
-                capture(f"{layer.name}[{c}]", acc[:, c, :, None])
-        return _nchw(scale * acc, ql.bias, oh, ow)
+        lhs, rhs = _channel_major(layer.kind, qweight, win)
+        # A depthwise product has one weight row per channel, so a row of ones rides
+        # along in it; summing the (N, C, k, P) windows separately took longer than the product.
+        acc = centered(lhs, zw, rhs, za, fold=layer.kind == "depthwise_conv2d").reshape(len(q), -1, oh * ow)
+        if captures is not None:
+            codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
+            if layer.kind == "conv2d":
+                capture(layer.name, codes.transpose(0, 2, 1))
+            else:
+                for c in range(codes.shape[1]):
+                    capture(f"{layer.name}[{c}]", codes[:, c, :, None])
+        acc *= scale
+        return _nchw(acc, ql.bias, oh, ow)
 
     for layer in net.layers:
         if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):

@@ -45,6 +45,15 @@ def test_convert_no_resize(tmp_path):
     assert out.read_bytes().startswith(b"P5\n32 20\n255\n")
 
 
+def test_convert_refuses_a_negative_resize(tmp_path, capsys):
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(bytes(range(64)) * 10)
+    out = tmp_path / "o.pgm"
+    assert run(["convert", "--input", str(blob), "--out", str(out), "--resize", "-3"]) == 3
+    assert "--resize -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_missing_input(tmp_path):
     assert run(["convert", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o.pgm")]) == 3
 
@@ -143,6 +152,15 @@ def test_bench_deterministic(tmp_path):
 
 def test_bench_unknown_network(tmp_path):
     assert run(["bench", "--networks", "alexnet,nope", "--out", str(tmp_path / "b.csv")]) == 3
+
+
+@pytest.mark.parametrize("precisions", ["5", "8,x"])
+def test_bench_refuses_a_bad_precision(tmp_path, capsys, precisions):
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--networks", "alexnet", "--precisions", precisions, "--out", str(out)]) == 3
+    bad = precisions.split(",")[-1]
+    assert f"--precisions: '{bad}' is not one of 4, 8, 16" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_round_trip(tmp_path, capsys):

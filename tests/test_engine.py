@@ -15,7 +15,7 @@ from lutpim.engine import (
     prepare_quantized,
     softmax,
 )
-from lutpim.nets import LayerSpec, build_network, get_network, tinymalnet
+from lutpim.nets import LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
 from lutpim.weights import (
@@ -274,6 +274,72 @@ def test_infer_lut_on_a_stack_equals_single_calls(bits, engine):
             assert ledger.events == single_ledger.events  # a stack's ledger prices one sample
 
 
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_infer_lut_without_captures_equals_with_captures(bits, engine):
+    rng = np.random.default_rng(300 + bits)
+    for net in (tinymalnet(), depthwise_residual_network(), strided_depthwise_network()):
+        ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
+        qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
+        for x in (rng.random(net.input_shape), np.stack(random_inputs(net, rng, 2))):
+            caps = {}
+            probs, ledger = infer_lut(qm, x, SystemConfig(), engine=engine, captures=caps)
+            bare_probs, bare_ledger = infer_lut(qm, x, SystemConfig(), engine=engine)
+            assert np.array_equal(probs, bare_probs), (net.name, x.shape)
+            assert ledger.events == bare_ledger.events
+            assert caps["acc"] and all(acc.dtype == np.int64 for acc in caps["acc"].values())
+
+
+def saturating_network() -> NetworkSpec:
+    """Conv, padded strided depthwise, conv and dense with no relu, so every layer's input takes both signs.
+
+    The dense layer's K = 13 * 5 * 5 = 325 is odd and past 2**24 / 255**2, so its
+    sums at 8 and 16 bits are integers float32 would round.
+    """
+    return build_network(
+        "saturating",
+        (2, 9, 9),
+        [
+            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=6),
+            LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), stride=2, padding=1),
+            LayerSpec(name="conv2", kind="conv2d", kernel=(3, 3), padding=1, out_channels=13),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypatch):
+    """Activation codes at 0 and qmax, weight codes at 0 and qmax: the largest terms every correction sees."""
+    net = saturating_network()
+    rng = np.random.default_rng(400 + bits)
+    qm = prepare_quantized(net, init_random_weights(net, seed=40), random_inputs(net, rng, 2), bits)
+    qmax = (1 << bits) - 1
+    for i, ql in enumerate(qm.layers.values()):
+        ql.qweight = rng.choice([0, qmax], size=ql.qweight.shape)
+        ql.wparams = QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
+        # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
+        ql.act_params = QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits)
+    codes = []
+    real_quantize = engine_module.quantize
+    monkeypatch.setattr(engine_module, "quantize", lambda r, p: codes.append(real_quantize(r, p)) or codes[-1])
+    x = rng.choice([-1.0, 1.0], size=net.input_shape) * (0.5 + rng.random(net.input_shape))
+    captures = {}
+    probs, _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
+    assert len(codes) == len(qm.layers)
+    for q in codes:
+        assert q.min() == 0 and q.max() == qmax
+    oprobs, oaccs = oracle_quantized_forward(qm, x)
+    assert captures["acc"].keys() == oaccs.keys()
+    for name, acc in oaccs.items():
+        assert captures["acc"][name].dtype == np.int64
+        assert np.array_equal(captures["acc"][name], acc), (bits, name)
+    assert probs == pytest.approx(oprobs, abs=1e-12)
+
+
 def _assert_cluster_matches_vector(qm, x):
     """Both engines and the integer oracle agree on every accumulator; the ledgers on MACs."""
     cv, cc = {}, {}
@@ -317,6 +383,16 @@ def test_float64_exactness_bound_at_the_boundary():
     engine_module._check_float64_exact(k_max)
     with pytest.raises(ValueError, match=f"dot length {k_max + 1}"):
         engine_module._check_float64_exact(k_max + 1)
+
+
+def test_float64_exactness_bound_at_16_bits():
+    # four byte passes recombined, and the corrections, reach K*65535^2 at 16 bits
+    k_max = (2**53 - 1) // (65535 * 65535)
+    assert k_max * 65535 * 65535 < 2**53 <= (k_max + 1) * 65535 * 65535
+    engine_module._check_float64_exact(k_max, 16)
+    engine_module._check_float64_exact(k_max + 1, 8)
+    with pytest.raises(ValueError, match=f"dot length {k_max + 1}: a 16-bit"):
+        engine_module._check_float64_exact(k_max + 1, 16)
 
 
 def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
