@@ -223,7 +223,7 @@ def _certify_byte_products() -> None:
         )
 
 
-def _check_float64_exact(k: int, bits: int = 8) -> None:
+def _check_float64_exact(k: int, bits: int) -> None:
     """A k-long dot product of `bits`-bit codes, and its zero-point corrections, stay below 2**53.
 
     Up to 8 bits the bound is a byte pass's k*255*255; 16-bit passes recombine to k*65535*65535.
@@ -392,22 +392,17 @@ def infer_lut(
             return _raw_dot_cluster(lhs, rhs, qm.bits, cluster)
         return _raw_dot_vector(lhs, rhs, qm.bits)
 
-    def centered(lhs, zl, rhs, zr, fold=False):
+    def centered(lhs, zl, rhs, zr):
         """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected in place.
 
-        fold appends a row of ones to lhs, so the same product also returns rhs's
-        column sums. Each partial sum below is a sum of K terms in [-q^2, q^2],
-        so it stays exact in float64.
+        Each partial sum below is a sum of K terms in [-q^2, q^2], so it stays
+        exact in float64.
         """
         k = lhs.shape[-1]
         _check_float64_exact(k, qm.bits)
-        if fold:
-            both = raw_dot(np.concatenate([lhs, np.ones_like(lhs[..., :1, :])], axis=-2), rhs)
-            acc, rsum = both[..., :-1, :], both[..., -1:, :]
-        else:
-            acc, rsum = raw_dot(lhs, rhs), rhs.sum(axis=-2)[..., None, :]
+        acc = raw_dot(lhs, rhs)
         acc -= zr * lhs.sum(axis=-1)[..., :, None]
-        acc -= zl * rsum
+        acc -= zl * rhs.sum(axis=-2)[..., None, :]
         acc += k * zl * zr
         return acc
 
@@ -429,9 +424,7 @@ def infer_lut(
         # padding with za is padding x with 0, since quantize(0) == za
         win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
         lhs, rhs = _channel_major(layer.kind, qweight, win)
-        # A depthwise product has one weight row per channel, so a row of ones rides
-        # along in it; summing the (N, C, k, P) windows separately took longer than the product.
-        acc = centered(lhs, zw, rhs, za, fold=layer.kind == "depthwise_conv2d").reshape(len(q), -1, oh * ow)
+        acc = centered(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)
         if captures is not None:
             codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
             if layer.kind == "conv2d":

@@ -380,9 +380,9 @@ def test_float64_exactness_bound_at_the_boundary():
     # K*255^2 < 2^53: the largest K whose byte-pass sums float64 holds exactly
     k_max = (2**53 - 1) // (255 * 255)
     assert k_max * 255 * 255 < 2**53 <= (k_max + 1) * 255 * 255
-    engine_module._check_float64_exact(k_max)
+    engine_module._check_float64_exact(k_max, 8)
     with pytest.raises(ValueError, match=f"dot length {k_max + 1}"):
-        engine_module._check_float64_exact(k_max + 1)
+        engine_module._check_float64_exact(k_max + 1, 8)
 
 
 def test_float64_exactness_bound_at_16_bits():
