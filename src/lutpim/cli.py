@@ -164,6 +164,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    for flag, count in (("--benign", args.benign), ("--malware", args.malware)):
+        if count < 0:
+            raise DataError(f"{flag} {count}: a sample count must be 0 or more")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples = binviz.generate_corpus(args.benign, args.malware, args.seed)
@@ -192,6 +195,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    if args.cal_count < 1:
+        raise DataError(f"--cal-count {args.cal_count}: calibration needs at least 1 sample")
     net = _get_network(args.network)
     try:
         ws = load_weights(args.weights)

@@ -7,6 +7,7 @@ The MAC decomposes a*b into four 4x4-bit partial products computed in parallel
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,6 +28,12 @@ _ACC_LIMIT = 1 << ACCUMULATOR_BITS
 
 class AccumulatorOverflowError(RuntimeError):
     """32-bit cluster accumulator exceeded; simulation must halt."""
+
+
+def check_accumulator(acc) -> None:
+    """Raise AccumulatorOverflowError if any lane of acc (an int or an int64 array) has reached 2**32."""
+    if _any(acc >= _ACC_LIMIT):
+        raise AccumulatorOverflowError(f"accumulator overflow: a lane exceeds {ACCUMULATOR_BITS} bits")
 
 
 class MicroprogramError(ValueError):
@@ -118,6 +125,15 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
+@functools.cache
+def _table(tag: OpTag):
+    """(table, its assembled bytes, the same as a read-only int64 array), built once per process."""
+    raw = (table := build_function_table(tag)).assembled_bytes()
+    gather = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    gather.flags.writeable = False
+    return table, raw, gather
+
+
 @dataclass
 class Cluster:
     """Nine LUT cores, a router, and a 32-bit accumulator register.
@@ -130,20 +146,12 @@ class Cluster:
     router: RouterState = field(default_factory=RouterState)
     accumulator: int | np.ndarray = 0
     step_counter: int = 0
-    # tag -> (table, its assembled bytes, the same as an int64 array)
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
     # each core's last output byte(s); None until the core's first lookup
     _latched: list = field(default_factory=lambda: [None] * CLUSTER_CORES, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.cores) != CLUSTER_CORES:
             raise MicroprogramError(f"cluster requires exactly {CLUSTER_CORES} cores")
-
-    def _table(self, tag: OpTag):
-        if tag not in self._tables:
-            raw = (table := build_function_table(tag)).assembled_bytes()
-            self._tables[tag] = (table, raw, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
-        return self._tables[tag]
 
     def _read(self, src: Src, inputs: dict):
         """One operand nibble per lane."""
@@ -169,7 +177,7 @@ class Cluster:
                 raise ValueError(f"input operand {name!r} must be 4-bit")
         arrays = [v for v in inputs.values() if not isinstance(v, int)]
         lanes = np.broadcast(*arrays).size if arrays else 1
-        read, table, latched = self._read, self._table, self._latched
+        read, table, latched = self._read, _table, self._latched
         for step in prog.steps:
             outs = []
             for op in step:
@@ -183,8 +191,8 @@ class Cluster:
         for idx, n, tag in prog.lookups:
             core = self.cores[idx]
             core.lookup_count += n * lanes
-            if core.table is not self._tables[tag][0]:
-                core.program(self._tables[tag][0])
+            if core.table is not (built := table(tag)[0]):
+                core.program(built)
         log = self.router.transfer_log
         if lanes == 1:
             log.update(prog.transfers)  # counted in C: the scalar MAC's hot path
@@ -252,7 +260,6 @@ def mac8(cluster: Cluster, a, b):
         {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15},
     )
     acc = cluster.accumulator + (n0 | n1 << 4 | n2 << 8 | n3 << 12)
-    if _any(acc >= _ACC_LIMIT):
-        raise AccumulatorOverflowError(f"accumulator overflow: a lane exceeds {ACCUMULATOR_BITS} bits")
+    check_accumulator(acc)
     cluster.accumulator = acc
     return acc

@@ -12,8 +12,12 @@ Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
 a*b and raises naming any pair that differs; after that each byte pass is one
 float64 BLAS matmul. engine="cluster" runs every product through `mac8` in
-lockstep, one lane per output accumulator, with the 32-bit overflow check per
-lane.
+lockstep: each byte pass is one call per block of k, with one lane per
+(output, k) pair and at most CLUSTER_LANES lanes unless a single k has more
+outputs. The host sums the products over k and checks the running sums
+against the 32-bit accumulator. Products are non-negative, so a sum below
+2^32 means every partial sum of a one-MAC-at-a-time accumulation was below it
+too: the check raises on exactly the inputs a per-MAC check does.
 
 Codes travel as float64 integers from a layer's one `quantize` call to its
 accumulator: the codes are cast once, windowed, multiplied and corrected for
@@ -25,7 +29,7 @@ is every partial sum of the corrections, since each is a sum of K terms
 2^53 is checked per call, with q = 255 up to 8 bits and q = 65535 at 16
 bits, where the four byte passes are also split, shifted and added in
 float64. int64 appears in two places only: captured accumulators, cast once
-per layer, and the cluster engine's operands to `mac8`.
+per layer, and the cluster engine's operands and sums around `mac8`.
 
 Every MAC layer is channel-major: one unsigned dot product of the layer's
 weight rows with its input windows, over the batch axis. A conv is
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Cluster, mac8
+from .cluster import Cluster, check_accumulator, mac8
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
 from .nets import NetworkSpec
 from .perf import charge_layer
@@ -62,6 +66,10 @@ from .weights import WeightSet
 # fastest at 8-16 samples per chunk; at 64 it took 1.6x as long, its conv1
 # windows alone (4 MB) far past the L2 cache.
 BATCH_ELEMENTS = 8192
+
+# Lanes per lockstep mac8 call on the cluster engine: as many as the
+# certification byte table holds, so no call holds more lanes than it does.
+CLUSTER_LANES = 65_536
 
 
 def _as_batch(net: NetworkSpec, x) -> tuple[np.ndarray, bool]:
@@ -273,17 +281,33 @@ def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum on the cluster: per byte pass, K lockstep mac8 calls with one lane per output.
+    """Same sum on the cluster: per byte pass, one lockstep mac8 call per block of k.
 
-    The float64 codes go to mac8 as int64; the accumulators come back as float64.
+    A call's lanes are a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each
+    from a zero accumulator, and the host sums the products over k. A block
+    holds as many k as fit in CLUSTER_LANES lanes, and one k when a single k
+    already has more outputs than that. The float64 codes go to mac8 as int64;
+    the accumulators come back as float64.
+
+    Each pass's running sums are checked against the 32-bit accumulator after
+    every block. Products are non-negative, so a lane's sum never decreases as
+    k grows: a sum below 2**32 means every partial sum of the one-MAC-at-a-time
+    accumulation was below it too. The check therefore raises
+    AccumulatorOverflowError on exactly the inputs a per-MAC check does.
     """
+    k_len = lhs.shape[-1]
+    per_k = math.prod(np.broadcast_shapes(lhs.shape[:-1] + (1,), rhs.shape[:-2] + (1, rhs.shape[-1])))
+    block = max(1, CLUSTER_LANES // per_k)
     out = 0
     for mul, a, b in _byte_passes(lhs, rhs, bits):
         a, b = a.astype(np.int64), b.astype(np.int64)
-        cluster.accumulator = 0
-        for k in range(lhs.shape[-1]):
-            mac8(cluster, a[..., :, k : k + 1], b[..., k : k + 1, :])
-        out = out + cluster.accumulator * mul
+        total = 0
+        for k0 in range(0, k_len, block):
+            cluster.accumulator = 0
+            products = mac8(cluster, a[..., :, k0 : k0 + block, None], b[..., None, k0 : k0 + block, :])
+            total = total + products.sum(axis=-2)
+            check_accumulator(total)
+        out = out + total * mul
     return out.astype(np.float64)
 
 

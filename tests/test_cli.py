@@ -139,6 +139,28 @@ def test_quantize_refuses_a_projected_shortcut(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cal_count", ["0", "-1"])
+def test_quantize_refuses_a_cal_count_below_one(tmp_path, capsys, cal_count):
+    corp = tmp_path / "corp"
+    assert run(["corpus", "--out", str(corp), "--benign", "2", "--malware", "2", "--seed", "1"]) == 0
+    save_weights(init_random_weights(tinymalnet(), seed=1), tmp_path / "w.pimw")
+    out = tmp_path / "q.pimw"
+    assert run([
+        "quantize", "--weights", str(tmp_path / "w.pimw"), "--corpus", str(corp / "manifest.csv"),
+        "--cal-count", cal_count, "--out", str(out),
+    ]) == 3
+    assert f"--cal-count {cal_count}: calibration needs at least 1 sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--benign", "--malware"])
+def test_corpus_refuses_a_negative_count(tmp_path, capsys, flag):
+    out = tmp_path / "corp"
+    assert run(["corpus", "--out", str(out), flag, "-1"]) == 3
+    assert f"{flag} -1: a sample count must be 0 or more" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_deterministic(tmp_path):
     out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
     args = ["bench", "--networks", "alexnet,vgg16", "--precisions", "8,16"]

@@ -1,10 +1,15 @@
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import lutpim.cluster as cluster_module
 import lutpim.engine as engine_module
+from lutpim.cluster import AccumulatorOverflowError, Cluster
 from lutpim.engine import (
+    CLUSTER_LANES,
     REFERENCE_METRICS,
     QuantizedModel,
     evaluate,
@@ -15,6 +20,7 @@ from lutpim.engine import (
     prepare_quantized,
     softmax,
 )
+from lutpim.lut_core import OpTag
 from lutpim.nets import LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
@@ -374,6 +380,85 @@ def test_vector_engine_refuses_an_uncertified_byte_table(monkeypatch):
             infer_lut(qm, rng.random(net.input_shape))
     finally:
         engine_module._certify_byte_products.cache_clear()
+
+
+def test_cluster_engine_32_bit_limit_at_the_boundary():
+    # a (1, K) @ (K, 1) byte pass over two mac8 calls: 66,051 * 255*255 + 4*255 == 2**32 - 1
+    k = 66_052
+    lhs, rhs = np.full((1, k), 255.0), np.full((k, 1), 255.0)
+    lhs[0, -1] = 4
+    assert engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster()).tolist() == [[2**32 - 1]]
+    lhs[0, -1], rhs[-1, 0] = 5, 205  # 2**32 + 4
+    with pytest.raises(AccumulatorOverflowError):
+        engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster())
+
+
+def _record_cluster_calls(monkeypatch):
+    """Per _raw_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
+    calls, real_dot, real_mac8 = [], engine_module._raw_dot_cluster, engine_module.mac8
+
+    def raw_dot(lhs, rhs, bits, cluster):
+        calls.append([lhs.shape, rhs.shape, []])
+        return real_dot(lhs, rhs, bits, cluster)
+
+    def mac8(cluster, a, b):
+        calls[-1][2].append(np.broadcast(a, b).size)
+        return real_mac8(cluster, a, b)
+
+    monkeypatch.setattr(engine_module, "_raw_dot_cluster", raw_dot)
+    monkeypatch.setattr(engine_module, "mac8", mac8)
+    return calls
+
+
+def _assert_blocks_of_k(calls, passes):
+    """Each call made passes * ceil(K / block) mac8 calls, none wider than the lane bound, covering every MAC once."""
+    for lhs_shape, rhs_shape, lanes in calls:
+        k = lhs_shape[-1]
+        per_k = math.prod(np.broadcast_shapes(lhs_shape[:-1] + (1,), rhs_shape[:-2] + (1, rhs_shape[-1])))
+        block = max(1, CLUSTER_LANES // per_k)
+        assert len(lanes) == passes * math.ceil(k / block), (lhs_shape, rhs_shape)
+        assert max(lanes) <= max(CLUSTER_LANES, per_k), (lhs_shape, rhs_shape)
+        assert sum(lanes) == passes * k * per_k, (lhs_shape, rhs_shape)
+
+
+@pytest.mark.parametrize("make_net, bits, n", [(tinymalnet, 8, 8), (saturating_network, 16, 1)])
+def test_cluster_engine_runs_blocks_of_k_within_the_lane_bound(make_net, bits, n, monkeypatch):
+    net = make_net()
+    rng = np.random.default_rng(500 + bits)
+    qm = prepare_quantized(net, init_random_weights(net, seed=50), random_inputs(net, rng, 2), bits)
+    xs = np.stack(random_inputs(net, rng, n))
+    calls = _record_cluster_calls(monkeypatch)
+    infer_lut(qm, xs, SystemConfig(), engine="cluster")
+    assert len(calls) == len(qm.layers)
+    _assert_blocks_of_k(calls, passes=1 if bits <= 8 else 4)
+
+
+def test_cluster_engine_runs_one_k_per_call_past_the_lane_bound(monkeypatch):
+    # one k of a (2, 3) @ (3, 40000) product already has 80,000 outputs
+    rng = np.random.default_rng(14)
+    lhs, rhs = rng.integers(0, 256, (2, 3)).astype(np.float64), rng.integers(0, 256, (3, 40_000)).astype(np.float64)
+    calls = _record_cluster_calls(monkeypatch)
+    assert np.array_equal(engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster()), lhs @ rhs)
+    assert calls[0][2] == [80_000] * 3
+    _assert_blocks_of_k(calls, passes=1)
+
+
+def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
+    built, real_build = Counter(), cluster_module.build_function_table
+    monkeypatch.setattr(cluster_module, "build_function_table", lambda tag: built.update([tag]) or real_build(tag))
+    cluster_module._table.cache_clear()
+    for a in range(5):
+        cluster_module.mac8(Cluster(), a, 7)
+    net = tiny_conv_net()
+    rng = np.random.default_rng(15)
+    qm = prepare_quantized(net, init_random_weights(net, seed=15), random_inputs(net, rng, 2), 8)
+    for _ in range(3):
+        infer_lut(qm, rng.random(net.input_shape), engine="cluster")
+    assert built == {OpTag.MUL4: 1, OpTag.ADD4: 1}
+    table, raw, gather = cluster_module._table(OpTag.MUL4)
+    assert gather.tolist() == list(raw) and raw == table.assembled_bytes()
+    with pytest.raises(ValueError):
+        gather[3] = 0
 
 
 def test_float64_exactness_bound_at_the_boundary():
