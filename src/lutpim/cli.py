@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -25,7 +26,13 @@ class DataError(Exception):
     """User-supplied file or value is unreadable or inconsistent."""
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser():
+    """The argparse parser, and each subcommand's {dest: action} flag table; built once per process.
+
+    Parsing leaves both untouched: every parse_args call fills a fresh namespace
+    from the actions' defaults, and --config entries are set on that namespace.
+    """
     ap = argparse.ArgumentParser(prog="lutpim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -75,8 +82,13 @@ def _parse_args(argv):
     for p in sub.choices.values():
         p.add_argument("--config", help="key=value file; entries override flags")
 
+    return ap, {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+
+
+def _parse_args(argv):
+    ap, flags = _parser()
     args = ap.parse_args(argv)
-    return args, {a.dest: a for a in sub.choices[args.command]._actions}
+    return args, flags[args.command]
 
 
 def _apply_config(args, flags):
@@ -127,8 +139,8 @@ def _load_manifest(path):
     return samples
 
 
-def _inputs_labels(samples):
-    X = [binviz.sample_to_input(s.payload) for s in samples]
+def _inputs_labels(samples, side):
+    X = [binviz.sample_to_input(s.payload, side) for s in samples]
     y = [int(s.label == "malware") for s in samples]
     return X, y
 
@@ -145,6 +157,16 @@ def _get_network(name):
         return nets.get_network(name)
     except KeyError as e:
         raise DataError(str(e.args[0])) from None
+
+
+def _binary_side(net):
+    """The side of the (1, side, side) image a binary becomes for `net`; DataError if `net` takes another shape."""
+    side = net.input_shape[-1]
+    if net.input_shape != (1, side, side):
+        raise DataError(
+            f"network {net.name} takes inputs of shape {net.input_shape}; a binary becomes a (1, side, side) image"
+        )
+    return side
 
 
 def cmd_convert(args) -> int:
@@ -168,24 +190,28 @@ def cmd_corpus(args) -> int:
         if count < 0:
             raise DataError(f"{flag} {count}: a sample count must be 0 or more")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    samples = binviz.generate_corpus(args.benign, args.malware, args.seed)
-    paths = []
-    for i, s in enumerate(samples):
-        name = f"sample_{i:05d}.bin"
-        (out / name).write_bytes(s.payload)
-        paths.append(name)
-    binviz.write_manifest(samples, paths, args.seed, out / "manifest.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        samples = binviz.generate_corpus(args.benign, args.malware, args.seed)
+        paths = []
+        for i, s in enumerate(samples):
+            name = f"sample_{i:05d}.bin"
+            (out / name).write_bytes(s.payload)
+            paths.append(name)
+        binviz.write_manifest(samples, paths, args.seed, out / "manifest.csv")
+    except OSError as e:
+        raise DataError(f"cannot write corpus: {e}") from e
     print(f"wrote {len(samples)} samples to {out}")
     return 0
 
 
 def cmd_fit(args) -> int:
     net = _get_network(args.network)
+    side = _binary_side(net)
     samples = _load_manifest(args.corpus)
     if not samples:
         raise DataError("corpus is empty")
-    X, y = _inputs_labels(samples)
+    X, y = _inputs_labels(samples, side)
     ws = engine.init_random_weights(net, seed=args.seed)
     ws = engine.fit_last_layer(net, ws, X, y)
     save_weights(ws, args.out)
@@ -199,15 +225,19 @@ def cmd_quantize(args) -> int:
         raise DataError(f"--cal-count {args.cal_count}: calibration needs at least 1 sample")
     net = _get_network(args.network)
     try:
+        engine.refuse_projected_shortcuts(net)
+    except NotImplementedError as e:  # a layer the LUT backend cannot run
+        raise DataError(str(e)) from e
+    side = _binary_side(net)
+    try:
         ws = load_weights(args.weights)
     except (OSError, WeightFormatError) as e:
         raise DataError(str(e)) from e
     samples = _load_manifest(args.corpus)[: args.cal_count]
-    X, _ = _inputs_labels(samples)
-    try:
-        qm = engine.prepare_quantized(net, ws, X, args.precision)
-    except NotImplementedError as e:  # a layer the LUT backend cannot run
-        raise DataError(str(e)) from e
+    if not samples:
+        raise DataError("corpus is empty")
+    X, _ = _inputs_labels(samples, side)
+    qm = engine.prepare_quantized(net, ws, X, args.precision)
     out = WeightSet()
     for name, entry in ws.entries.items():
         out.add(name, entry.data, entry.params)
@@ -261,6 +291,7 @@ def cmd_simulate(args) -> int:
         return 0
     if not args.weights or not args.input:
         raise DataError("functional mode requires --weights and --input")
+    side = _binary_side(net)
     try:
         ws = load_weights(args.weights)
     except (OSError, WeightFormatError) as e:
@@ -269,11 +300,11 @@ def cmd_simulate(args) -> int:
     try:
         if in_path.suffix == ".pgm":
             img = binviz.read_pgm(in_path)
-            if (img.height, img.width) != net.input_shape[1:]:
-                img = binviz.resize_to(img, net.input_shape[1])
+            if (img.height, img.width) != (side, side):
+                img = binviz.resize_to(img, side)
             x = (img.pixels.astype(np.float64) / 255.0)[None, :, :]
         else:
-            x = binviz.sample_to_input(in_path.read_bytes(), net.input_shape[1])
+            x = binviz.sample_to_input(in_path.read_bytes(), side)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read input: {e}") from e
     qm = _rebuild_qmodel(net, ws, args.precision)
@@ -330,8 +361,17 @@ def cmd_report(args) -> int:
     lines = text.strip().splitlines()
     if not lines or lines[0] != perf.CSV_HEADER:
         raise DataError("not a bench CSV (header mismatch)")
-    fields = [line.split(",") for line in lines[1:]]
-    print(perf.compare_table([(f[0], int(f[1]), float(f[5]), float(f[7]), ()) for f in fields]), end="")
+    width = perf.CSV_HEADER.count(",") + 1
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        f = line.split(",")
+        if len(f) != width:
+            raise DataError(f"bench CSV line {n}: expected {width} fields, got {len(f)}")
+        try:
+            rows.append((f[0], int(f[1]), float(f[5]), float(f[7]), ()))
+        except ValueError as e:
+            raise DataError(f"bench CSV line {n}: {e}") from None
+    print(perf.compare_table(rows), end="")
     return 0
 
 

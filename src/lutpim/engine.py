@@ -338,7 +338,7 @@ def _weight_matrix(layer, ws: WeightSet):
     raise ValueError(layer.kind)
 
 
-def _refuse_projected_shortcuts(net: NetworkSpec) -> None:
+def refuse_projected_shortcuts(net: NetworkSpec) -> None:
     """The LUT backend runs identity shortcuts only; say which layer it cannot run."""
     for layer in net.layers:
         if layer.kind == "residual_add" and layer.proj:
@@ -353,7 +353,7 @@ def prepare_quantized(
     """Quantize weights (symmetric) and calibrate activations (asymmetric)."""
     if bits not in (4, 8, 16):
         raise ValueError("precision must be 4, 8, or 16 bits")
-    _refuse_projected_shortcuts(net)
+    refuse_projected_shortcuts(net)
     extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
     for xs in _chunks(net, cal_inputs):
         captures: dict = {}
@@ -404,7 +404,7 @@ def infer_lut(
         raise ValueError(f"unknown engine {engine!r}")
     cfg = cfg or SystemConfig()
     net = qm.net
-    _refuse_projected_shortcuts(net)
+    refuse_projected_shortcuts(net)
     x, single = _as_batch(net, x)
     ledger = EnergyLedger()
     cluster = Cluster() if engine == "cluster" else None

@@ -6,6 +6,7 @@ floor((in + 2*pad - k) / stride) + 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 LAYER_KINDS = (
@@ -328,10 +329,13 @@ ZOO = {
 }
 
 
+@functools.cache
+def _built(name: str) -> NetworkSpec:
+    return ZOO[name]()
+
+
 def get_network(name: str) -> NetworkSpec:
-    try:
-        return ZOO[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown network {name!r}; valid names: {', '.join(sorted(ZOO))}"
-        ) from None
+    """The zoo network `name`, built once per process and then shared: its specs are frozen."""
+    if name not in ZOO:
+        raise KeyError(f"unknown network {name!r}; valid names: {', '.join(sorted(ZOO))}")
+    return _built(name)

@@ -1,13 +1,16 @@
+import argparse
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lutpim import cli, engine
 from lutpim.binviz import sample_to_input
 from lutpim.cli import main
 from lutpim.engine import init_random_weights, prepare_quantized
-from lutpim.nets import tinymalnet
+from lutpim.nets import ZOO, tinymalnet
+from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
 from lutpim.weights import WeightSet, save_weights
 
@@ -17,12 +20,17 @@ def run(argv):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as e:
-        run(["convert"])  # missing required args
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        run(["no-such-command"])
-    assert e.value.code == 2
+    for argv, usage in (
+        (["convert"], "usage: lutpim convert"),  # missing required args
+        (["simulate", "--precision", "5"], "usage: lutpim simulate"),
+        (["no-such-command"], "usage: lutpim"),
+    ):
+        assert run(["simulate", "--mode", "perf"]) == 0  # the cached parser is warm
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
+        assert usage in capsys.readouterr().err
 
 
 def test_convert_deterministic(tmp_path):
@@ -284,3 +292,113 @@ def test_simulate_refuses_a_corrupt_container(tmp_path, capsys, kind, message):
     blob.write_bytes(bytes(range(256)) * 8)
     assert run(["simulate", "--weights", str(weights), "--input", str(blob)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # the top-level parser and one subparser per command, counted across many calls
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    csvp = tmp_path / "b.csv"
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(bytes(range(64)) * 10)
+    for argv in (
+        ["simulate", "--mode", "perf", "--network", "alexnet"],
+        ["bench", "--networks", "alexnet", "--precisions", "8", "--out", str(csvp)],
+        ["report", "--input", str(csvp)],
+        ["convert", "--input", str(blob), "--out", str(tmp_path / "o.pgm")],
+        ["simulate", "--mode", "perf", "--network", "tinymalnet", "--precision", "4"],
+    ):
+        assert run(argv) == 0
+    assert len(built) == 1 + len(cli.COMMANDS)
+    assert built[0] == "lutpim"
+
+
+def _perf_row(capsys, argv):
+    """The (network, precision_bits, clusters) of the one CSV row `simulate --mode perf` prints."""
+    assert run(["simulate", "--mode", "perf", *argv]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    return row[0], int(row[1]), int(row[2])
+
+
+def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("network=alexnet\nclusters=512\n")
+    assert _perf_row(capsys, []) == ("tinymalnet", 8, 256)
+    assert _perf_row(capsys, ["--config", str(cfg), "--precision", "16"]) == ("alexnet", 16, 512)
+    assert _perf_row(capsys, []) == ("tinymalnet", 8, 256)
+    # a --config entry sets the parsed namespace, never the cached flag table's defaults
+    out = tmp_path / "b.csv"
+    cfg.write_text("networks=alexnet\nprecisions=8\n")
+    assert run(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run(["bench", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * (len(ZOO) - 1)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("alexnet,8,256,1,2.0,3.0,4.0", "bench CSV line 3: expected 8 fields, got 7"),
+        ("alexnet,8,256,1,2.0,fast,4.0,5.0", "bench CSV line 3: could not convert string to float: 'fast'"),
+    ],
+    ids=["short-row", "non-numeric"],
+)
+def test_report_refuses_a_bad_row(tmp_path, capsys, row, message):
+    csvp = tmp_path / "b.csv"
+    csvp.write_text(f"{CSV_HEADER}\nvgg16,8,256,1,2.0,3.0,4.0,5.0\n{row}\n")
+    assert run(["report", "--input", str(csvp)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_quantize_refuses_an_empty_corpus(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,family,length,seed\n")
+    save_weights(init_random_weights(tinymalnet(), seed=1), tmp_path / "w.pimw")
+    out = tmp_path / "q.pimw"
+    assert run([
+        "quantize", "--weights", str(tmp_path / "w.pimw"), "--corpus", str(manifest), "--out", str(out),
+    ]) == 3
+    assert "error: corpus is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corpus_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert run(["corpus", "--out", str(out), "--benign", "1", "--malware", "1"]) == 3
+    assert "error: cannot write corpus:" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize(
+    "argv, network",
+    [
+        (["fit", "--corpus", "{tmp}/manifest.csv", "--out", "{tmp}/out.pimw"], "alexnet"),
+        (["quantize", "--weights", "{tmp}/w.pimw", "--corpus", "{tmp}/manifest.csv", "--out", "{tmp}/out.pimw"],
+         "alexnet"),
+        (["simulate", "--weights", "{tmp}/w.pimw", "--input", "{tmp}/s.bin"], "mobilenet_v2"),
+    ],
+    ids=["fit", "quantize", "simulate"],
+)
+def test_binary_input_refuses_a_network_of_another_shape(tmp_path, monkeypatch, capsys, argv, network):
+    # binaries become (1, side, side) images; these networks take (3, 224, 224), refused before any inference
+    (tmp_path / "s.bin").write_bytes(bytes(range(256)) * 4)
+    (tmp_path / "manifest.csv").write_text("path,label,family,length,seed\ns.bin,benign,none,1024,0\n")
+    save_weights(init_random_weights(tinymalnet(), seed=1), tmp_path / "w.pimw")
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inference ran")
+
+    monkeypatch.setattr(engine, "infer_float", no_inference)
+    monkeypatch.setattr(engine, "infer_lut", no_inference)
+    assert run([a.format(tmp=tmp_path) for a in argv] + ["--network", network]) == 3
+    assert f"network {network} takes inputs of shape (3, 224, 224)" in capsys.readouterr().err
+    assert not (tmp_path / "out.pimw").exists()

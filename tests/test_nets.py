@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from lutpim import nets
 from lutpim.nets import (
     ZOO,
     LayerSpec,
@@ -84,5 +87,25 @@ def test_unknown_residual_source():
 
 
 def test_unknown_network():
-    with pytest.raises(KeyError):
-        get_network("lenet")
+    # refused with the valid names on every call, and never cached
+    valid = ", ".join(sorted(ZOO))
+    cached = nets._built.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(KeyError) as e:
+            get_network("lenet")
+        assert e.value.args[0] == f"unknown network 'lenet'; valid names: {valid}"
+    assert nets._built.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_zoo_networks_are_built_once(name):
+    assert get_network(name) is get_network(name)
+
+
+def test_shared_network_is_frozen():
+    net = get_network("tinymalnet")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.name = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].out_channels = 4
+    assert isinstance(net.layers, tuple)
