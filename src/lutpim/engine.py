@@ -20,16 +20,19 @@ against the 32-bit accumulator. Products are non-negative, so a sum below
 too: the check raises on exactly the inputs a per-MAC check does.
 
 Codes travel as float64 integers from a layer's one `quantize` call to its
-accumulator: the codes are cast once, windowed, multiplied and corrected for
-zero points in float64, with no cast back. That is exact while every integer
+accumulator: `quantize` returns them as float64, and they are windowed,
+multiplied and corrected for zero points in float64, with no cast. Each
+layer's weight codes are held as float64, with their per-output sums, from
+when its QuantizedLayer is built. That is exact while every integer
 on the way stays below 2^53. Each product term and each correction term of a
 K-long dot product of codes at most q is at most K*q^2 in magnitude, and so
 is every partial sum of the corrections, since each is a sum of K terms
 (l*r - l*zr - zl*r + zl*zr, say) that each lie in [-q^2, q^2]. So K*q^2 <
 2^53 is checked per call, with q = 255 up to 8 bits and q = 65535 at 16
 bits, where the four byte passes are also split, shifted and added in
-float64. int64 appears in two places only: captured accumulators, cast once
-per layer, and the cluster engine's operands and sums around `mac8`.
+float64. int64 appears in three places only: captured accumulators, cast
+once per layer, the cluster engine's operands and sums around `mac8`, and
+the codes a weight container loads.
 
 Every MAC layer is channel-major: one unsigned dot product of the layer's
 weight rows with its input windows, over the batch axis. A conv is
@@ -123,8 +126,10 @@ def _channel_major(kind: str, wmat: np.ndarray, win: np.ndarray):
 
 
 def _nchw(out: np.ndarray, bias: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """(N, O, P) or (N, O, 1, P) layer outputs plus a per-channel bias, as (N, O, OH, OW)."""
-    return (out.reshape(len(out), -1, oh * ow) + bias[:, None]).reshape(len(out), -1, oh, ow)
+    """(N, O, P) or (N, O, 1, P) layer outputs plus a per-channel bias, added in place, as (N, O, OH, OW)."""
+    out = out.reshape(len(out), -1, oh * ow)
+    out += bias[:, None]
+    return out.reshape(len(out), -1, oh, ow)
 
 
 def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -165,6 +170,7 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
     """
     x, single = _as_batch(net, x)
     sources, saved = _residual_sources(net), {}
+    owned = False  # whether x is a temporary of this pass, not the input or a saved residual source
     for layer in net.layers:
         if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
             wmat, b = _weight_matrix(layer, ws)
@@ -179,7 +185,7 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x if owned else None)
         elif layer.kind == "flatten":
             x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
@@ -196,6 +202,9 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
             x = softmax(x)
         if layer.name in sources:
             saved[layer.name] = x
+            owned = False
+        elif layer.kind != "flatten":  # a flattened x is a view of the x before it
+            owned = True
     return x[0] if single else x
 
 
@@ -286,8 +295,8 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     A call's lanes are a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each
     from a zero accumulator, and the host sums the products over k. A block
     holds as many k as fit in CLUSTER_LANES lanes, and one k when a single k
-    already has more outputs than that. The float64 codes go to mac8 as int64;
-    the accumulators come back as float64.
+    already has more outputs than that. The float64 codes go to mac8 as
+    C-ordered int64; the accumulators come back as float64.
 
     Each pass's running sums are checked against the 32-bit accumulator after
     every block. Products are non-negative, so a lane's sum never decreases as
@@ -300,7 +309,8 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     block = max(1, CLUSTER_LANES // per_k)
     out = 0
     for mul, a, b in _byte_passes(lhs, rhs, bits):
-        a, b = a.astype(np.int64), b.astype(np.int64)
+        # C order whatever the codes' layout: mac8's broadcast lanes ran about 1.15x slower on transposed conv weights
+        a, b = a.astype(np.int64, order="C"), b.astype(np.int64, order="C")
         total = 0
         for k0 in range(0, k_len, block):
             cluster.accumulator = 0
@@ -311,13 +321,29 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     return out.astype(np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedLayer:
+    """One MAC layer's weight codes and quantization parameters.
+
+    qweight is cast to float64 once, when the layer is built, and held
+    read-only with its per-output code sums; change a layer with
+    dataclasses.replace, which builds both again.
+    """
+
     name: str
     qweight: np.ndarray  # (K, O) unsigned codes; (k, C) for a depthwise layer
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
+    qweight_sums: np.ndarray = field(init=False, repr=False)  # (O,): qweight summed over K
+
+    def __post_init__(self):
+        qweight = np.asarray(self.qweight, dtype=np.float64).view()  # a view: the caller's array keeps its flags
+        qweight.flags.writeable = False
+        sums = qweight.sum(axis=0)
+        sums.flags.writeable = False
+        object.__setattr__(self, "qweight", qweight)
+        object.__setattr__(self, "qweight_sums", sums)
 
 
 @dataclass
@@ -409,6 +435,7 @@ def infer_lut(
     ledger = EnergyLedger()
     cluster = Cluster() if engine == "cluster" else None
     sources, saved = _residual_sources(net), {}
+    owned = False  # as in infer_float
     accs = captures.setdefault("acc", {}) if captures is not None else {}
 
     def raw_dot(lhs, rhs):
@@ -416,17 +443,18 @@ def infer_lut(
             return _raw_dot_cluster(lhs, rhs, qm.bits, cluster)
         return _raw_dot_vector(lhs, rhs, qm.bits)
 
-    def centered(lhs, zl, rhs, zr):
+    def centered(lhs, zl, lsum, rhs, zr, rsum):
         """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected in place.
 
-        Each partial sum below is a sum of K terms in [-q^2, q^2], so it stays
-        exact in float64.
+        lsum and rsum are lhs's and rhs's sums over k, shaped to broadcast
+        against the (..., i, j) result. Each partial sum below is a sum of K
+        terms in [-q^2, q^2], so it stays exact in float64.
         """
         k = lhs.shape[-1]
         _check_float64_exact(k, qm.bits)
         acc = raw_dot(lhs, rhs)
-        acc -= zr * lhs.sum(axis=-1)[..., :, None]
-        acc -= zl * rhs.sum(axis=-2)[..., None, :]
+        acc -= zr * lsum
+        acc -= zl * rsum
         acc += k * zl * zr
         return acc
 
@@ -438,17 +466,20 @@ def infer_lut(
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
         scale = ql.act_params.scale * ql.wparams.scale
-        q = quantize(x, ql.act_params).astype(np.float64)
-        qweight = ql.qweight.astype(np.float64)
+        q = quantize(x, ql.act_params)
         if layer.kind == "dense":
-            acc = centered(q[:, None, :], za, qweight, zw)  # (N, 1, O)
-            if captures is not None:
+            acc = centered(q[:, None, :], za, q.sum(axis=-1)[:, None, None], ql.qweight, zw, ql.qweight_sums)
+            if captures is not None:  # (N, 1, O)
                 capture(layer.name, acc.astype(np.int64))
-            return scale * acc[:, 0] + ql.bias
+            acc = acc[:, 0]
+            acc *= scale
+            acc += ql.bias
+            return acc
         # padding with za is padding x with 0, since quantize(0) == za
         win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
-        lhs, rhs = _channel_major(layer.kind, qweight, win)
-        acc = centered(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)
+        lhs, rhs = _channel_major(layer.kind, ql.qweight, win)
+        wsum = ql.qweight_sums.reshape(lhs.shape[:-1] + (1,))
+        acc = centered(lhs, zw, wsum, rhs, za, rhs.sum(axis=-2)[..., None, :]).reshape(len(q), -1, oh * ow)
         if captures is not None:
             codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
             if layer.kind == "conv2d":
@@ -465,7 +496,7 @@ def infer_lut(
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x if owned else None)
         elif layer.kind == "flatten":
             x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
@@ -477,6 +508,9 @@ def infer_lut(
         charge_layer(ledger, layer, cfg, qm.bits)
         if layer.name in sources:
             saved[layer.name] = x
+            owned = False
+        elif layer.kind != "flatten":  # a flattened x is a view of the x before it
+            owned = True
     return (x[0] if single else x), ledger
 
 

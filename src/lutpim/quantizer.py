@@ -63,19 +63,30 @@ def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
 
 
 def quantize(r, p: QuantParams):
-    """q = clamp(round_half_even(r/S) + Z, 0, 2^N - 1)."""
+    """q = clamp(round_half_even(r/S) + Z, 0, 2^N - 1).
+
+    A scalar returns an int. An array returns a fresh C-ordered float64
+    array of the same shape holding the integer codes, exact in float64 at
+    every supported width. r is left unchanged. NaN or +-inf anywhere in r raises ValueError;
+    a finite r whose r/S overflows clips like any other value past the range.
+    """
     arr = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, and are +-inf exactly when some value is
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError("cannot quantize non-finite values")
-    q = np.clip(np.rint(arr / p.scale) + p.zero_point, 0, p.qmax)
-    q = q.astype(np.int64)
-    return int(q) if np.isscalar(r) or arr.ndim == 0 else q
+    q = np.divide(arr, p.scale, out=np.empty(arr.shape))
+    np.rint(q, out=q)
+    q += p.zero_point
+    np.clip(q, 0, p.qmax, out=q)
+    return int(q) if arr.ndim == 0 else q
 
 
 def dequantize(q, p: QuantParams):
-    """D(q) = S * (q - Z)."""
-    arr = np.asarray(q, dtype=np.int64)
+    """D(q) = S * (q - Z); q holds integer codes, as integers or integral floats."""
+    arr = np.asarray(q)
+    if arr.dtype.kind == "f" and not np.array_equal(arr, np.rint(arr)):
+        raise ValueError("quantized values must be integers")
     if arr.size and (arr.min() < 0 or arr.max() > p.qmax):
         raise ValueError(f"quantized value outside [0, {p.qmax}]")
     r = p.scale * (arr.astype(np.float64) - p.zero_point)
-    return float(r) if np.isscalar(q) or arr.ndim == 0 else r
+    return float(r) if arr.ndim == 0 else r

@@ -68,8 +68,8 @@ def _patches(x, kh, kw, stride, pad):
 def oracle_quantized_forward(qm, x):
     """Direct integer-arithmetic replay of the quantized pipeline.
 
-    Signed accumulators come straight from sum((qa - Za) * (qw - Zw)) in int64;
-    no LUT machinery involved. Returns (probabilities, {layer: acc array}).
+    Signed accumulators come straight from sum((qa - Za) * (qw - Zw)) in int64,
+    with both kinds of codes cast to int64 first; no LUT machinery involved. Returns (probabilities, {layer: acc array}).
     """
     net = qm.net
     x = np.asarray(x, dtype=np.float64)
@@ -81,22 +81,22 @@ def oracle_quantized_forward(qm, x):
             za, zw = ql.act_params.zero_point, ql.wparams.zero_point
             scale = ql.act_params.scale * ql.wparams.scale
             if layer.kind == "dense":
-                qa = quantize(x[None, :], ql.act_params)
-                acc = (qa - za) @ (ql.qweight - zw)
+                qa = quantize(x[None, :], ql.act_params).astype(np.int64)
+                acc = (qa - za) @ (ql.qweight.astype(np.int64) - zw)
                 accs[layer.name] = acc
                 x = (scale * acc + ql.bias)[0]
             elif layer.kind == "conv2d":
                 cols, oh, ow = _patches(x, *layer.kernel, layer.stride, layer.padding)
-                qa = quantize(cols, ql.act_params)
-                acc = (qa - za) @ (ql.qweight - zw)
+                qa = quantize(cols, ql.act_params).astype(np.int64)
+                acc = (qa - za) @ (ql.qweight.astype(np.int64) - zw)
                 accs[layer.name] = acc
                 x = (scale * acc + ql.bias).T.reshape(layer.out_channels, oh, ow)
             else:
                 chans = []
                 for c in range(x.shape[0]):
                     cols, oh, ow = _patches(x[c : c + 1], *layer.kernel, layer.stride, layer.padding)
-                    qa = quantize(cols, ql.act_params)
-                    acc = (qa - za) @ (ql.qweight[:, c : c + 1] - zw)
+                    qa = quantize(cols, ql.act_params).astype(np.int64)
+                    acc = (qa - za) @ (ql.qweight[:, c : c + 1].astype(np.int64) - zw)
                     accs[f"{layer.name}[{c}]"] = acc
                     chans.append((scale * acc[:, 0] + ql.bias[c]).reshape(oh, ow))
                 x = np.stack(chans)
@@ -177,6 +177,29 @@ def strided_depthwise_network() -> NetworkSpec:
             LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), stride=2, padding=0),
             LayerSpec(name="conv_pad", kind="conv2d", kernel=(3, 3), padding=1, out_channels=2),
             LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
+def relu_hazard_network() -> NetworkSpec:
+    """A relu on the input and a relu after a saved residual source: two arrays no pass may overwrite.
+
+    Fed inputs of both signs, a relu that ran in place would change the
+    caller's input, or the shortcut that "add" reads from "conv".
+    """
+    return build_network(
+        "relu_hazards",
+        (2, 6, 6),
+        [
+            LayerSpec(name="relu_in", kind="relu"),
+            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=2),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="conv2", kind="conv2d", kernel=(3, 3), padding=1, out_channels=2),
+            LayerSpec(name="add", kind="residual_add", residual_from="conv"),
+            LayerSpec(name="relu_add", kind="relu"),
             LayerSpec(name="flatten", kind="flatten"),
             LayerSpec(name="dense", kind="dense", out_features=2),
             LayerSpec(name="softmax", kind="softmax"),

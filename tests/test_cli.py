@@ -12,7 +12,7 @@ from lutpim.engine import init_random_weights, prepare_quantized
 from lutpim.nets import ZOO, tinymalnet
 from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
-from lutpim.weights import WeightSet, save_weights
+from lutpim.weights import WeightSet, load_weights, save_weights
 
 
 def run(argv):
@@ -402,3 +402,23 @@ def test_binary_input_refuses_a_network_of_another_shape(tmp_path, monkeypatch, 
     assert run([a.format(tmp=tmp_path) for a in argv] + ["--network", network]) == 3
     assert f"network {network} takes inputs of shape (3, 224, 224)" in capsys.readouterr().err
     assert not (tmp_path / "out.pimw").exists()
+
+
+@pytest.mark.parametrize("bits", ["4", "8", "16"])
+def test_a_rebuilt_container_model_infers_like_the_in_memory_model(tmp_path, bits):
+    corp, w, q = tmp_path / "corp", tmp_path / "w.pimw", tmp_path / "q.pimw"
+    assert run(["corpus", "--out", str(corp), "--benign", "3", "--malware", "3", "--seed", "4"]) == 0
+    manifest = str(corp / "manifest.csv")
+    assert run(["fit", "--corpus", manifest, "--out", str(w), "--seed", "1"]) == 0
+    assert run(["quantize", "--weights", str(w), "--corpus", manifest, "--precision", bits, "--out", str(q)]) == 0
+    net = tinymalnet()
+    xs, _ = cli._inputs_labels(cli._load_manifest(manifest), 32)
+    in_memory = prepare_quantized(net, load_weights(w), xs, int(bits))  # the model `quantize` wrote
+    rebuilt = cli._rebuild_qmodel(net, load_weights(q), int(bits))
+    want, got = {}, {}
+    want_probs, _ = engine.infer_lut(in_memory, np.stack(xs), captures=want)
+    got_probs, _ = engine.infer_lut(rebuilt, np.stack(xs), captures=got)
+    assert np.array_equal(got_probs, want_probs)
+    assert got["acc"].keys() == want["acc"].keys()
+    for name, acc in want["acc"].items():
+        assert got["acc"][name].dtype == np.int64 and np.array_equal(got["acc"][name], acc), name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -36,6 +37,7 @@ from tests.helpers import (
     oracle_quantized_forward,
     random_inputs,
     random_small_network,
+    relu_hazard_network,
     strided_depthwise_network,
 )
 
@@ -155,7 +157,7 @@ def test_infer_float_projected_shortcut_matches_naive_conv_oracle():
 
 def test_infer_float_on_a_stack_equals_single_calls():
     rng = np.random.default_rng(33)
-    nets = [tinymalnet(), depthwise_residual_network(), strided_depthwise_network()]
+    nets = [tinymalnet(), depthwise_residual_network(), strided_depthwise_network(), relu_hazard_network()]
     cases = [(net, init_random_weights(net, seed=33)) for net in nets]
     cases.append(_projected_shortcut_net())
     for net, ws in cases:
@@ -260,7 +262,7 @@ def test_cluster_engine_matches_vector_engine():
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_infer_lut_on_a_stack_equals_single_calls(bits, engine):
     rng = np.random.default_rng(200 + bits)
-    for net in (tinymalnet(), depthwise_residual_network(), strided_depthwise_network()):
+    for net in (tinymalnet(), depthwise_residual_network(), strided_depthwise_network(), relu_hazard_network()):
         ws = init_random_weights(net, seed=int(rng.integers(1 << 20)))
         qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
         xs = np.stack(random_inputs(net, rng, 3))
@@ -324,11 +326,14 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
     rng = np.random.default_rng(400 + bits)
     qm = prepare_quantized(net, init_random_weights(net, seed=40), random_inputs(net, rng, 2), bits)
     qmax = (1 << bits) - 1
-    for i, ql in enumerate(qm.layers.values()):
-        ql.qweight = rng.choice([0, qmax], size=ql.qweight.shape)
-        ql.wparams = QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
-        # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
-        ql.act_params = QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits)
+    for i, (name, ql) in enumerate(list(qm.layers.items())):
+        qm.layers[name] = dataclasses.replace(
+            ql,
+            qweight=rng.choice([0, qmax], size=ql.qweight.shape),
+            wparams=QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True),
+            # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
+            act_params=QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits),
+        )
     codes = []
     real_quantize = engine_module.quantize
     monkeypatch.setattr(engine_module, "quantize", lambda r, p: codes.append(real_quantize(r, p)) or codes[-1])
@@ -344,6 +349,77 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
         assert captures["acc"][name].dtype == np.int64
         assert np.array_equal(captures["acc"][name], acc), (bits, name)
     assert probs == pytest.approx(oprobs, abs=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["float", "vector", "cluster"])
+def test_inference_leaves_the_callers_input_unchanged(backend):
+    net = relu_hazard_network()
+    rng = np.random.default_rng(71)
+    ws = init_random_weights(net, seed=71)
+    xs = rng.standard_normal((3, *net.input_shape))  # both signs, so the first relu has work to do
+    qm = prepare_quantized(net, ws, list(xs), 8)
+    for x in (xs[0], xs):
+        before = x.copy()
+        if backend == "float":
+            infer_float(net, ws, x)
+        else:
+            infer_lut(qm, x, SystemConfig(), engine=backend)
+        assert np.array_equal(x, before), x.shape
+
+
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_relu_after_a_saved_residual_source_matches_the_integer_oracle(bits, engine):
+    net = relu_hazard_network()
+    rng = np.random.default_rng(500 + bits)
+    ws = init_random_weights(net, seed=50)
+    qm = prepare_quantized(net, ws, list(rng.standard_normal((3, *net.input_shape))), bits)
+    x = rng.standard_normal(net.input_shape)
+    captures = {}
+    probs, _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
+    oprobs, oaccs = oracle_quantized_forward(qm, x)
+    assert captures["acc"].keys() == oaccs.keys()
+    for name, acc in oaccs.items():
+        assert np.array_equal(captures["acc"][name], acc), (bits, name)
+    assert probs == pytest.approx(oprobs, abs=1e-12)
+
+
+def test_infer_float_relu_after_a_saved_residual_source_matches_naive_conv_oracle():
+    net = relu_hazard_network()
+    rng = np.random.default_rng(72)
+    ws = init_random_weights(net, seed=72)
+    x = rng.standard_normal(net.input_shape)
+    captures = {}
+    infer_float(net, ws, x, captures=captures)
+
+    def conv(name, inp):
+        w, b = (ws[f"{name}.{t}"].data.astype(np.float64) for t in "wb")
+        return naive_conv2d(inp, w, b, stride=1, pad=1)
+
+    shortcut = conv("conv", np.maximum(x, 0.0))
+    expect = np.maximum(shortcut + conv("conv2", np.maximum(shortcut, 0.0)), 0.0).reshape(-1)
+    assert captures["layer_inputs"]["dense"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_a_quantized_layer_holds_read_only_float64_codes_and_their_sums():
+    net = tiny_conv_net()
+    rng = np.random.default_rng(15)
+    qm = prepare_quantized(net, init_random_weights(net, seed=15), random_inputs(net, rng, 2), 8)
+    for ql in qm.layers.values():
+        assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
+        assert not ql.qweight_sums.flags.writeable
+        assert np.array_equal(ql.qweight_sums, ql.qweight.astype(np.int64).sum(axis=0))
+        with pytest.raises(ValueError):
+            ql.qweight[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ql.qweight = ql.qweight.copy()
+    layer = next(iter(qm.layers.values()))
+    for codes in (rng.integers(0, 256, size=layer.qweight.shape), rng.integers(0, 256, size=(5, 3)) * 1.0):
+        ql = dataclasses.replace(layer, qweight=codes)  # builds the float64 codes and sums again
+        assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
+        assert np.array_equal(ql.qweight, codes)
+        assert np.array_equal(ql.qweight_sums, codes.sum(axis=0))
+        assert codes.flags.writeable  # the caller's array is left as it was
 
 
 def _assert_cluster_matches_vector(qm, x):
@@ -587,6 +663,20 @@ def test_weights_round_trip(tmp_path):
     p2 = tmp_path / "w2.pimw"
     save_weights(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_float64_and_int64_codes_save_to_the_same_bytes(bits, tmp_path):
+    rng = np.random.default_rng(bits)
+    codes = rng.integers(0, 1 << bits, size=(7, 5))
+    codes[0, :2] = 0, (1 << bits) - 1
+    params = QuantParams(scale=0.01, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
+    for dtype in (np.int64, np.float64):
+        ws = WeightSet()
+        ws.add("layer.qw", codes.astype(dtype), params)
+        save_weights(ws, tmp_path / f"{np.dtype(dtype).name}.pimw")
+    assert (tmp_path / "float64.pimw").read_bytes() == (tmp_path / "int64.pimw").read_bytes()
+    assert np.array_equal(load_weights(tmp_path / "float64.pimw")["layer.qw"].data, codes)
 
 
 def test_weights_header(tmp_path):

@@ -112,3 +112,61 @@ def test_errors():
         QuantParams(scale=1.0, zero_point=300, bits=8)
     with pytest.raises(ValueError):
         QuantParams(scale=1.0, zero_point=0, bits=8, symmetric=True)
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_array_codes_are_float64_integers_equal_to_the_integer_formula(bits):
+    rng = np.random.default_rng(bits)
+    p = QuantParams(scale=0.25, zero_point=(1 << bits) // 3, bits=bits)
+    ties = (np.arange(-40, 40) + 0.5) * p.scale  # r/S lands exactly halfway between two integers
+    spread = (1 << bits) * p.scale
+    vals = np.concatenate([ties, rng.uniform(-spread, spread, 500)]).reshape(20, -1)
+    q = quantize(vals, p)
+    # Python's round() is half-even; clamp in int
+    want = [min(max(round(v / p.scale) + p.zero_point, 0), p.qmax) for v in vals.ravel().tolist()]
+    assert q.dtype == np.float64 and q.shape == vals.shape
+    assert np.array_equal(q, np.rint(q))
+    assert np.array_equal(q.ravel().astype(np.int64), np.array(want, dtype=np.int64))
+    assert q.min() == 0 and q.max() == p.qmax
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_non_finite_values_anywhere_in_an_array_raise(bad, where):
+    p = QuantParams(scale=0.1, zero_point=3, bits=8)
+    vals = np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)
+    vals.flat[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize(vals, p)
+
+
+def test_an_overflowing_quotient_clips():
+    p = QuantParams(scale=1e-300, zero_point=9, bits=8)
+    with np.errstate(over="ignore"):
+        q = quantize(np.array([1e300, -1e300, 0.0]), p)
+    assert q.tolist() == [255.0, 0.0, 9.0]
+
+
+def test_quantize_leaves_its_input_unchanged():
+    p = QuantParams(scale=0.3, zero_point=5, bits=4)
+    vals = np.linspace(-9.0, 9.0, 50).reshape(5, 10)
+    before = vals.copy()
+    q = quantize(vals, p)
+    assert np.array_equal(vals, before) and not np.shares_memory(q, vals)
+
+
+def test_a_scalar_returns_an_int():
+    p = QuantParams(scale=1.0, zero_point=2, bits=8)
+    for r in (2.5, 3, np.float64(2.5), np.array(2.5)):
+        q = quantize(r, p)
+        assert type(q) is int and q == (4 if r != 3 else 5)
+
+
+def test_dequantize_refuses_non_integral_codes():
+    p = QuantParams(scale=0.5, zero_point=2, bits=8)
+    for bad in (1.5, np.array([1.0, 2.5]), np.array([np.nan])):
+        with pytest.raises(ValueError, match="integers"):
+            dequantize(bad, p)
+    codes = np.array([0, 2, 255])
+    assert np.array_equal(dequantize(codes.astype(np.float64), p), dequantize(codes, p))
+    assert dequantize(3.0, p) == 0.5
