@@ -88,7 +88,6 @@ def resize_to(img: GrayImage, side: int = 32) -> GrayImage:
     """Corner-aligned bilinear resize; output rounded half-even into [0, 255]."""
     if side < 1:
         raise ValueError("side must be positive")
-    src = img.pixels.astype(np.float64)
 
     def grid(n_src, n_dst):
         if n_dst == 1 or n_src == 1:
@@ -102,11 +101,15 @@ def resize_to(img: GrayImage, side: int = 32) -> GrayImage:
     x1 = np.minimum(x0 + 1, img.width - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
+
+    def corner(rows, cols):  # the (side, side) source pixels at rows x cols, as float64
+        return img.pixels[rows[:, None], cols].astype(np.float64)
+
     out = (
-        src[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + src[np.ix_(y0, x1)] * (1 - fy) * fx
-        + src[np.ix_(y1, x0)] * fy * (1 - fx)
-        + src[np.ix_(y1, x1)] * fy * fx
+        corner(y0, x0) * (1 - fy) * (1 - fx)
+        + corner(y0, x1) * (1 - fy) * fx
+        + corner(y1, x0) * fy * (1 - fx)
+        + corner(y1, x1) * fy * fx
     )
     pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return GrayImage(width=side, height=side, pixels=pixels)

@@ -15,7 +15,7 @@ import numpy as np
 from . import binviz, engine, nets, perf
 from .quantizer import SUPPORTED_BITS, QuantParams
 from .system import SystemConfig
-from .weights import WeightFormatError, WeightSet, load_weights, save_weights
+from .weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -265,19 +265,44 @@ def _rebuild_qmodel(net, ws, bits):
         for name in (qw_name, act_name):
             if name not in ws:
                 raise DataError(f"quantized container lacks {name!r} for {net.name} layer {layer.name!r}")
-        qw = ws[qw_name]
+            if ws[name].params is None:
+                raise DataError(f"quantized container entry {name!r} is stored unquantized")
+        qw, act_params = ws[qw_name], ws[act_name].params
         if qw.params.bits != bits:
             raise DataError(
                 f"weight container is {qw.params.bits}-bit; rerun quantize or pass --precision {qw.params.bits}"
+            )
+        if act_params.bits != bits:
+            raise DataError(
+                f"quantized container entry {act_name!r} is {act_params.bits}-bit, "
+                f"but its layer's weights are {bits}-bit"
             )
         qm.layers[layer.name] = engine.QuantizedLayer(
             name=layer.name,
             qweight=qw.data,
             wparams=qw.params,
             bias=np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64),
-            act_params=ws[act_name].params,
+            act_params=act_params,
         )
     return qm
+
+
+@functools.lru_cache(maxsize=1)
+def _loaded(data: bytes, network: str, bits: int):
+    """The (WeightSet, QuantizedModel or None) that container bytes `data` hold for `network` at `bits`.
+
+    Keyed by the bytes themselves, so a changed container is parsed again and
+    nothing goes stale; an error is raised on every call, never cached. One
+    entry bounds memory to one model. Every request shares the result, so its
+    weight arrays are read-only.
+    """
+    try:
+        ws = parse_weights(data)
+    except WeightFormatError as e:
+        raise DataError(str(e)) from e
+    for entry in ws.entries.values():
+        entry.data.flags.writeable = False
+    return ws, _rebuild_qmodel(nets.get_network(network), ws, bits)
 
 
 def cmd_simulate(args) -> int:
@@ -293,9 +318,11 @@ def cmd_simulate(args) -> int:
         raise DataError("functional mode requires --weights and --input")
     side = _binary_side(net)
     try:
-        ws = load_weights(args.weights)
-    except (OSError, WeightFormatError) as e:
+        with open(args.weights, "rb") as f:  # read on every request, so the answer follows the file
+            data = f.read()
+    except OSError as e:
         raise DataError(str(e)) from e
+    ws, qm = _loaded(data, net.name, args.precision)
     in_path = Path(args.input)
     try:
         if in_path.suffix == ".pgm":
@@ -307,7 +334,6 @@ def cmd_simulate(args) -> int:
             x = binviz.sample_to_input(in_path.read_bytes(), side)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read input: {e}") from e
-    qm = _rebuild_qmodel(net, ws, args.precision)
     if qm is None:
         probs = engine.infer_float(net, ws, x)
         print(f"backend: float  class: {'malware' if probs.argmax() else 'benign'}")

@@ -75,7 +75,11 @@ def save_weights(ws: WeightSet, path) -> None:
 
 def load_weights(path) -> WeightSet:
     with open(path, "rb") as f:
-        buf = f.read()
+        return parse_weights(f.read())
+
+
+def parse_weights(buf: bytes) -> WeightSet:
+    """The WeightSet a container's bytes hold; WeightFormatError if they are not one."""
     pos = 0
 
     def take(n, what):

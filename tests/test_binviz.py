@@ -76,17 +76,22 @@ def test_resize_identity_and_constant():
 
 
 def test_resize_matches_scalar_bilinear_oracle():
+    # every output pixel, on a 1 x w row, an h x 1 column, a side-1 output and a corpus-sized 128-wide image
     rng = np.random.default_rng(21)
-    pix = rng.integers(0, 256, size=(48, 80), dtype=np.uint8)
-    img = GrayImage(width=80, height=48, pixels=pix)
-    out = resize_to(img, 32)
-    src = pix.astype(np.float64)
-    for i in (0, 1, 7, 16, 30, 31):
-        for j in (0, 3, 15, 29, 31):
-            y = i * (48 - 1) / (32 - 1)
-            x = j * (80 - 1) / (32 - 1)
-            expect = int(np.clip(np.rint(bilinear_point(src, y, x)), 0, 255))
-            assert out.pixels[i, j] == expect, (i, j)
+    for h, w, side in ((48, 80, 32), (1, 80, 32), (48, 1, 32), (48, 80, 1), (1, 1, 5), (470, 128, 32)):
+        pix = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        out = resize_to(GrayImage(width=w, height=h, pixels=pix), side)
+        src = pix.astype(np.float64)
+
+        def coord(i, n_src):
+            return 0.0 if side == 1 or n_src == 1 else i * (n_src - 1) / (side - 1)
+
+        expect = np.array([
+            [np.clip(np.rint(bilinear_point(src, coord(i, h), coord(j, w))), 0, 255) for j in range(side)]
+            for i in range(side)
+        ])
+        assert out.pixels.shape == (side, side)
+        assert np.array_equal(out.pixels, expect), (h, w, side)
 
 
 def test_resize_corner_alignment():

@@ -12,7 +12,7 @@ from lutpim.engine import init_random_weights, prepare_quantized
 from lutpim.nets import ZOO, tinymalnet
 from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
-from lutpim.weights import WeightSet, load_weights, save_weights
+from lutpim.weights import WeightSet, load_weights, parse_weights, save_weights
 
 
 def run(argv):
@@ -132,6 +132,94 @@ def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'dense.qw'" in captured.err
     assert "backend" not in captured.out
+
+
+def _quantized_weights(seed, blob):
+    """The 8-bit tinymalnet container `quantize` would write for weights of `seed` calibrated on `blob`."""
+    net = tinymalnet()
+    ws = init_random_weights(net, seed=seed)
+    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], 8)
+    for name, ql in qm.layers.items():
+        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
+        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
+    return ws
+
+
+@pytest.mark.parametrize(
+    "entry, params, message",
+    [
+        # 16-bit activation codes, which the 8-bit byte pass cannot take
+        (
+            "act/conv1",
+            QuantParams(scale=0.5, zero_point=0, bits=16, symmetric=False),
+            "quantized container entry 'act/conv1' is 16-bit, but its layer's weights are 8-bit",
+        ),
+        ("act/conv1", None, "quantized container entry 'act/conv1' is stored unquantized"),
+        ("conv1.qw", None, "quantized container entry 'conv1.qw' is stored unquantized"),
+    ],
+    ids=["act-16-bit", "act-unquantized", "qw-unquantized"],
+)
+def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, params, message):
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    ws = _quantized_weights(2, blob)
+    data = ws[entry].data
+    ws.add(entry, data if params else data.astype(np.float32), params)
+    save_weights(ws, tmp_path / "q.pimw")
+    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "q.pimw")]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "backend" not in captured.out
+
+
+def _simulate_out(capsys, argv):
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_simulate_follows_a_container_overwritten_in_place(tmp_path, capsys):
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    argv = ["simulate", "--input", str(blob), "--weights", str(weights)]
+    save_weights(_quantized_weights(1, blob), weights)
+    first = _simulate_out(capsys, argv)
+    save_weights(_quantized_weights(2, blob), weights)
+    second = _simulate_out(capsys, argv)
+    assert "backend: lut-8bit" in second and second != first
+    cli._loaded.cache_clear()
+    assert _simulate_out(capsys, argv) == second
+
+
+def test_simulate_refuses_a_corrupt_container_on_every_request(tmp_path, capsys):
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    weights.write_bytes(b"PIMX" + bytes(8))
+    for _ in range(2):
+        assert run(["simulate", "--input", str(blob), "--weights", str(weights)]) == 3
+        assert "bad magic; not a PIMW weight container" in capsys.readouterr().err
+
+
+def test_warm_requests_parse_the_container_once(tmp_path, monkeypatch, capsys):
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    save_weights(_quantized_weights(3, blob), weights)
+    argv = ["simulate", "--input", str(blob), "--weights", str(weights)]
+    parsed = []
+
+    def counting_parse(data):
+        parsed.append(len(data))
+        return parse_weights(data)
+
+    monkeypatch.setattr(cli, "parse_weights", counting_parse)
+    cli._loaded.cache_clear()
+    warm = [_simulate_out(capsys, argv) for _ in range(20)]
+    assert len(parsed) == 1
+    cli._loaded.cache_clear()
+    assert set(warm) == {_simulate_out(capsys, argv)}
+    assert len(parsed) == 2
+    ws, qm = cli._loaded(weights.read_bytes(), "tinymalnet", 8)  # what every request shares is read-only
+    assert not any(entry.data.flags.writeable for entry in ws.entries.values())
+    assert len(parsed) == 2
 
 
 def test_quantize_refuses_a_projected_shortcut(tmp_path, capsys):
