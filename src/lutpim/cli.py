@@ -254,17 +254,23 @@ def cmd_quantize(args) -> int:
 
 
 def _rebuild_qmodel(net, ws, bits):
-    """The QuantizedModel a quantized container holds; None for a float-only container."""
-    if not any(name.endswith(".qw") for name in ws.entries):
-        return None
-    qm = engine.QuantizedModel(net=net, bits=bits)
+    """The QuantizedModel a quantized container holds; None for a float-only container.
+
+    DataError names the first entry a MAC layer needs that the container lacks.
+    """
+    quantized = any(name.endswith(".qw") for name in ws.entries)
+    kind = "quantized" if quantized else "float"
+    qm = engine.QuantizedModel(net=net, bits=bits) if quantized else None
     for layer in net.layers:
         if layer.kind not in ("conv2d", "depthwise_conv2d", "dense"):
             continue
-        qw_name, act_name = f"{layer.name}.qw", f"act/{layer.name}"
-        for name in (qw_name, act_name):
+        qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
+        for name in (qw_name, act_name, b_name) if quantized else (f"{layer.name}.w", b_name):
             if name not in ws:
-                raise DataError(f"quantized container lacks {name!r} for {net.name} layer {layer.name!r}")
+                raise DataError(f"{kind} container lacks {name!r} for {net.name} layer {layer.name!r}")
+        if qm is None:
+            continue
+        for name in (qw_name, act_name):
             if ws[name].params is None:
                 raise DataError(f"quantized container entry {name!r} is stored unquantized")
         qw, act_params = ws[qw_name], ws[act_name].params
@@ -281,7 +287,7 @@ def _rebuild_qmodel(net, ws, bits):
             name=layer.name,
             qweight=qw.data,
             wparams=qw.params,
-            bias=np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64),
+            bias=np.asarray(ws[b_name].data, dtype=np.float64),
             act_params=act_params,
         )
     return qm

@@ -10,40 +10,45 @@ their inputs in stacked chunks of at most BATCH_ELEMENTS input elements.
 The integer backend's products come from the cluster's MAC microprogram.
 Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
-a*b and raises naming any pair that differs; after that each byte pass is one
-float64 BLAS matmul. engine="cluster" runs every product through `mac8` in
-lockstep: each byte pass is one call per block of k, with one lane per
-(output, k) pair and at most CLUSTER_LANES lanes unless a single k has more
-outputs. The host sums the products over k and checks the running sums
-against the 32-bit accumulator. Products are non-negative, so a sum below
-2^32 means every partial sum of a one-MAC-at-a-time accumulation was below it
-too: the check raises on exactly the inputs a per-MAC check does.
+a*b and raises naming any pair that differs. Once every byte product is a*b,
+the cluster's byte passes, recombined and corrected for zero points, give
+the integer sum of products of zero-centred codes, so the vector engine
+takes that sum as one float64 BLAS matmul per MAC layer at 4, 8 and 16 bits.
+engine="cluster" runs every product through `mac8` in lockstep: it adds the
+zero points back, runs each byte pass (four at 16 bits) as one call per
+block of k, with one lane per (output, k) pair and at most CLUSTER_LANES
+lanes unless a single k has more outputs, and applies the zero-point
+corrections host-side. The host sums the products over k and checks the
+running sums against the 32-bit accumulator. Products are non-negative, so
+a sum below 2^32 means every partial sum of a one-MAC-at-a-time accumulation
+was below it too: the check raises on exactly the inputs a per-MAC check
+does.
 
 Codes travel as float64 integers from a layer's one `quantize` call to its
-accumulator: `quantize` returns them as float64, and they are windowed,
-multiplied and corrected for zero points in float64, with no cast. Each
-layer's weight codes are held as float64, with their per-output sums, from
-when its QuantizedLayer is built. That is exact while every integer
-on the way stays below 2^53. Each product term and each correction term of a
-K-long dot product of codes at most q is at most K*q^2 in magnitude, and so
-is every partial sum of the corrections, since each is a sum of K terms
-(l*r - l*zr - zl*r + zl*zr, say) that each lie in [-q^2, q^2]. So K*q^2 <
-2^53 is checked per call, with q = 255 up to 8 bits and q = 65535 at 16
-bits, where the four byte passes are also split, shifted and added in
-float64. int64 appears in three places only: captured accumulators, cast
-once per layer, the cluster engine's operands and sums around `mac8`, and
-the codes a weight container loads.
+accumulator: `quantize` returns them as float64, and they are centred on
+their zero point, windowed and multiplied in float64, with no cast. Each
+layer's unsigned weight codes are held as float64 from when its
+QuantizedLayer is built, and centred per call. That is exact while every
+integer on the way stays below 2^53. Centred codes are at most q in
+magnitude, so each product lies in [-q^2, q^2] and every partial sum of a
+K-long dot product is at most K*q^2 in magnitude; on the cluster engine
+so is each unsigned byte-pass sum and each partial sum of its corrections,
+a sum of K terms (l*r - l*zr, say) that each lie in [-q^2, q^2]. So K*q^2 < 2^53 is checked per call, with q = 255 up to 8 bits
+and q = 65535 at 16 bits. int64 appears in three places only: captured
+accumulators, cast once per layer, the cluster engine's operands and sums
+around `mac8`, and the codes a weight container loads.
 
-Every MAC layer is channel-major: one unsigned dot product of the layer's
-weight rows with its input windows, over the batch axis. A conv is
+Every MAC layer is channel-major: one dot product of the layer's centred
+weight rows with its centred input windows, over the batch axis. A conv is
 (O, K) @ (N, K, P) -> (N, O, P), a depthwise layer of C channels the grouped
 product (C, 1, k) @ (N, C, k, P), and a dense layer (N, 1, K) @ (K, O). Outputs
 come out NCHW along the long P axis, so the next layer reads them without a
-transpose. A layer's input is quantized once, before windowing, and padded
-with the activation zero point. Zero-point corrections, bias addition,
-16-bit byte pass recombination and softmax run host-side. Integer results
-are exact, so both engines, any batch and any direct integer oracle agree
-bit-for-bit, with or without captures.
+transpose. A layer's input is quantized and centred once, before windowing,
+and padded with 0, the centred code of 0. Bias addition and softmax run
+host-side, as do the cluster engine's 16-bit byte pass recombination and
+zero-point corrections. Integer results are exact, so both engines, any
+batch and any direct integer oracle agree bit-for-bit, with or without
+captures.
 """
 
 from __future__ import annotations
@@ -98,14 +103,14 @@ def _chunks(net: NetworkSpec, inputs):
 # float reference backend
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, fill=0):
-    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); padding holds `fill`.
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); padding holds 0.
 
     One copy through a strided view of x (numpy checks that the view stays inside x's
     buffer); a 1x1, stride-1 window needs no copy and stays a view of x.
     """
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     x = np.ascontiguousarray(x)
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1
@@ -243,7 +248,7 @@ def _certify_byte_products() -> None:
 def _check_float64_exact(k: int, bits: int) -> None:
     """A k-long dot product of `bits`-bit codes, and its zero-point corrections, stay below 2**53.
 
-    Up to 8 bits the bound is a byte pass's k*255*255; 16-bit passes recombine to k*65535*65535.
+    The bound is k*255*255 up to 8 bits and k*65535*65535 at 16 bits.
     """
     top = 255 if bits <= 8 else 65535
     if k * top * top >= 1 << 53:
@@ -262,7 +267,7 @@ def _split_bytes(codes: np.ndarray):
 
 
 def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
-    """(multiplier, lhs bytes, rhs bytes) per byte pass; 16-bit operands take four, recombined host-side."""
+    """(multiplier, lhs bytes, rhs bytes) per cluster byte pass; 16-bit operands take four, recombined host-side."""
     if bits <= 8:
         return ((1, lhs, rhs),)
     (lh, ll), (rh, rl) = _split_bytes(lhs), _split_bytes(rhs)
@@ -270,27 +275,23 @@ def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
 
 
 def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
-    """Unsigned sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes.
+    """Sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes: one float64 matmul.
 
-    lhs and rhs hold float64 integer codes and so does the result. Tables are
-    certified once, then multiplies use the certified products: once mac8 has
-    matched a*b on every byte pair, each byte pass is one float64 BLAS matmul,
-    with no cast. Its sums are exact while K*255^2 < 2^53, and 16-bit passes
-    recombine exactly while K*65535^2 < 2^53; infer_lut checks the bound for
-    its precision before each call (_check_float64_exact).
+    lhs and rhs hold float64 integer codes, zero-centred in infer_lut, and so
+    does the result. Tables are certified once, then multiplies use the
+    certified products: once mac8 has matched a*b on every byte pair, the
+    cluster's byte passes recombined with its zero-point corrections give the
+    integer sum of products of the centred codes, so the vector engine takes
+    that sum as one BLAS matmul, at every precision. Its partial sums are
+    integers of magnitude at most K*q^2, exact while K*q^2 < 2^53; infer_lut
+    checks the bound for its precision before each call (_check_float64_exact).
     """
     _certify_byte_products()
-    out = None
-    for mul, a, b in _byte_passes(lhs, rhs, bits):
-        part = a @ b
-        if mul != 1:
-            part *= mul
-        out = part if out is None else np.add(out, part, out=out)
-    return out
+    return lhs @ rhs
 
 
 def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Same sum on the cluster: per byte pass, one lockstep mac8 call per block of k.
+    """Unsigned sum_k lhs[..., i, k] * rhs[..., k, j] on the cluster: per byte pass, one mac8 call per block of k.
 
     A call's lanes are a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each
     from a zero accumulator, and the host sums the products over k. A block
@@ -321,13 +322,29 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     return out.astype(np.float64)
 
 
+def _centered_dot_cluster(
+    lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, bits: int, cluster: Cluster
+) -> np.ndarray:
+    """_raw_dot_vector's sum of zero-centred codes on the cluster, where mac8 multiplies unsigned codes.
+
+    lhs + zl and rhs + zr are the unsigned codes l and r; their product runs
+    through _raw_dot_cluster and is corrected in place, to sum l*(r - zr) and
+    then sum (l - zl)*(r - zr). Each of these, and each correction, is a sum
+    of K terms in [-q^2, q^2], so it stays exact in float64.
+    """
+    unsigned = lhs + zl
+    acc = _raw_dot_cluster(unsigned, rhs + zr, bits, cluster)
+    acc -= zr * unsigned.sum(axis=-1, keepdims=True)
+    acc -= zl * rhs.sum(axis=-2, keepdims=True)
+    return acc
+
+
 @dataclass(frozen=True)
 class QuantizedLayer:
     """One MAC layer's weight codes and quantization parameters.
 
     qweight is cast to float64 once, when the layer is built, and held
-    read-only with its per-output code sums; change a layer with
-    dataclasses.replace, which builds both again.
+    read-only; change a layer with dataclasses.replace, which casts again.
     """
 
     name: str
@@ -335,15 +352,11 @@ class QuantizedLayer:
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
-    qweight_sums: np.ndarray = field(init=False, repr=False)  # (O,): qweight summed over K
 
     def __post_init__(self):
         qweight = np.asarray(self.qweight, dtype=np.float64).view()  # a view: the caller's array keeps its flags
         qweight.flags.writeable = False
-        sums = qweight.sum(axis=0)
-        sums.flags.writeable = False
         object.__setattr__(self, "qweight", qweight)
-        object.__setattr__(self, "qweight_sums", sums)
 
 
 @dataclass
@@ -438,48 +451,36 @@ def infer_lut(
     owned = False  # as in infer_float
     accs = captures.setdefault("acc", {}) if captures is not None else {}
 
-    def raw_dot(lhs, rhs):
-        if engine == "cluster":
-            return _raw_dot_cluster(lhs, rhs, qm.bits, cluster)
-        return _raw_dot_vector(lhs, rhs, qm.bits)
-
-    def centered(lhs, zl, lsum, rhs, zr, rsum):
-        """sum_k (lhs[..., i, k] - zl) * (rhs[..., k, j] - zr): one unsigned raw_dot, corrected in place.
-
-        lsum and rsum are lhs's and rhs's sums over k, shaped to broadcast
-        against the (..., i, j) result. Each partial sum below is a sum of K
-        terms in [-q^2, q^2], so it stays exact in float64.
-        """
-        k = lhs.shape[-1]
-        _check_float64_exact(k, qm.bits)
-        acc = raw_dot(lhs, rhs)
-        acc -= zr * lsum
-        acc -= zl * rsum
-        acc += k * zl * zr
-        return acc
+    def dot(lhs, zl, rhs, zr):
+        """sum_k lhs[..., i, k] * rhs[..., k, j] of zero-centred codes; zl and zr are lhs's and rhs's zero points."""
+        _check_float64_exact(lhs.shape[-1], qm.bits)
+        if cluster is None:
+            return _raw_dot_vector(lhs, rhs, qm.bits)
+        return _centered_dot_cluster(lhs, zl, rhs, zr, qm.bits, cluster)
 
     def capture(key, acc):
         accs[key] = acc[0] if single else acc
 
     def mac_layer(layer, x):
-        """Quantize x once, window it and run one channel-major product; acc = sum((qw - zw) * (qa - za))."""
+        """Quantize x once, centre and window it, and take one channel-major product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
         scale = ql.act_params.scale * ql.wparams.scale
         q = quantize(x, ql.act_params)
+        q -= za  # quantize's own array, centred in place
+        w = ql.qweight - zw  # a per-call temporary: the layer holds unsigned codes only
         if layer.kind == "dense":
-            acc = centered(q[:, None, :], za, q.sum(axis=-1)[:, None, None], ql.qweight, zw, ql.qweight_sums)
+            acc = dot(q[:, None, :], za, w, zw)
             if captures is not None:  # (N, 1, O)
                 capture(layer.name, acc.astype(np.int64))
             acc = acc[:, 0]
             acc *= scale
             acc += ql.bias
             return acc
-        # padding with za is padding x with 0, since quantize(0) == za
-        win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding, fill=za)
-        lhs, rhs = _channel_major(layer.kind, ql.qweight, win)
-        wsum = ql.qweight_sums.reshape(lhs.shape[:-1] + (1,))
-        acc = centered(lhs, zw, wsum, rhs, za, rhs.sum(axis=-2)[..., None, :]).reshape(len(q), -1, oh * ow)
+        # padding the centred codes with 0 is padding x with 0, since quantize(0) == za
+        win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding)
+        lhs, rhs = _channel_major(layer.kind, w, win)
+        acc = dot(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)
         if captures is not None:
             codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
             if layer.kind == "conv2d":

@@ -172,6 +172,26 @@ def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, p
     assert "backend" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "quantized, entry, message",
+    [
+        (True, "dense.b", "quantized container lacks 'dense.b' for tinymalnet layer 'dense'"),
+        (False, "dense.w", "float container lacks 'dense.w' for tinymalnet layer 'dense'"),
+    ],
+    ids=["quantized-bias", "float-weights"],
+)
+def test_simulate_refuses_a_container_missing_a_layer_entry(tmp_path, capsys, quantized, entry, message):
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    ws = _quantized_weights(2, blob) if quantized else init_random_weights(tinymalnet(), seed=2)
+    del ws.entries[entry]
+    save_weights(ws, tmp_path / "w.pimw")
+    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "w.pimw")]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "backend" not in captured.out
+
+
 def _simulate_out(capsys, argv):
     assert run(argv) == 0
     return capsys.readouterr().out

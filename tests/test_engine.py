@@ -336,7 +336,13 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
         )
     codes = []
     real_quantize = engine_module.quantize
-    monkeypatch.setattr(engine_module, "quantize", lambda r, p: codes.append(real_quantize(r, p)) or codes[-1])
+
+    def quantize(r, p):
+        q = real_quantize(r, p)
+        codes.append(q.copy())  # mac_layer centres q in place
+        return q
+
+    monkeypatch.setattr(engine_module, "quantize", quantize)
     x = rng.choice([-1.0, 1.0], size=net.input_shape) * (0.5 + rng.random(net.input_shape))
     captures = {}
     probs, _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
@@ -401,24 +407,21 @@ def test_infer_float_relu_after_a_saved_residual_source_matches_naive_conv_oracl
     assert captures["layer_inputs"]["dense"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
-def test_a_quantized_layer_holds_read_only_float64_codes_and_their_sums():
+def test_a_quantized_layer_holds_read_only_float64_codes():
     net = tiny_conv_net()
     rng = np.random.default_rng(15)
     qm = prepare_quantized(net, init_random_weights(net, seed=15), random_inputs(net, rng, 2), 8)
     for ql in qm.layers.values():
         assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
-        assert not ql.qweight_sums.flags.writeable
-        assert np.array_equal(ql.qweight_sums, ql.qweight.astype(np.int64).sum(axis=0))
         with pytest.raises(ValueError):
             ql.qweight[0, 0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             ql.qweight = ql.qweight.copy()
     layer = next(iter(qm.layers.values()))
     for codes in (rng.integers(0, 256, size=layer.qweight.shape), rng.integers(0, 256, size=(5, 3)) * 1.0):
-        ql = dataclasses.replace(layer, qweight=codes)  # builds the float64 codes and sums again
+        ql = dataclasses.replace(layer, qweight=codes)  # casts the codes to float64 again
         assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
         assert np.array_equal(ql.qweight, codes)
-        assert np.array_equal(ql.qweight_sums, codes.sum(axis=0))
         assert codes.flags.writeable  # the caller's array is left as it was
 
 
@@ -547,13 +550,39 @@ def test_float64_exactness_bound_at_the_boundary():
 
 
 def test_float64_exactness_bound_at_16_bits():
-    # four byte passes recombined, and the corrections, reach K*65535^2 at 16 bits
+    # the vector engine's one product of centred codes, and the cluster engine's recombined byte
+    # passes and corrections, reach K*65535^2 at 16 bits
     k_max = (2**53 - 1) // (65535 * 65535)
     assert k_max * 65535 * 65535 < 2**53 <= (k_max + 1) * 65535 * 65535
     engine_module._check_float64_exact(k_max, 16)
     engine_module._check_float64_exact(k_max + 1, 8)
     with pytest.raises(ValueError, match=f"dot length {k_max + 1}: a 16-bit"):
         engine_module._check_float64_exact(k_max + 1, 16)
+
+
+def test_vector_product_is_exact_at_the_16_bit_bound():
+    k_max = (2**53 - 1) // (65535 * 65535)
+    lhs, rhs = np.full((1, k_max), 65535.0), np.full((k_max, 1), 65535.0)
+    assert engine_module._raw_dot_vector(lhs, rhs, 16).tolist() == [[k_max * 65535 * 65535]]
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_both_engines_take_the_same_product_of_centred_codes(bits):
+    """The vector engine's one product equals the cluster's byte passes and zero-point corrections."""
+    rng = np.random.default_rng(600 + bits)
+    qmax = (1 << bits) - 1
+    zl, zr = 1 << (bits - 1), int(rng.integers(0, qmax + 1))
+    for lhs_shape, rhs_shape in (((3, 7), (2, 7, 5)), ((4, 1, 9), (2, 4, 9, 6)), ((2, 1, 8), (8, 3))):
+        for codes in ([0, qmax], range(qmax + 1)):  # saturated, then any code
+            lhs = rng.choice(codes, size=lhs_shape) - zl
+            rhs = rng.choice(codes, size=rhs_shape) - zr
+            expect = np.matmul(lhs.astype(np.int64), rhs.astype(np.int64))
+            vector = engine_module._raw_dot_vector(lhs.astype(np.float64), rhs.astype(np.float64), bits)
+            cluster = engine_module._centered_dot_cluster(
+                lhs.astype(np.float64), zl, rhs.astype(np.float64), zr, bits, Cluster()
+            )
+            assert np.array_equal(vector, expect), (lhs_shape, rhs_shape)
+            assert np.array_equal(cluster, expect), (lhs_shape, rhs_shape)
 
 
 def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
