@@ -224,10 +224,6 @@ def cmd_quantize(args) -> int:
     if args.cal_count < 1:
         raise DataError(f"--cal-count {args.cal_count}: calibration needs at least 1 sample")
     net = _get_network(args.network)
-    try:
-        engine.refuse_projected_shortcuts(net)
-    except NotImplementedError as e:  # a layer the LUT backend cannot run
-        raise DataError(str(e)) from e
     side = _binary_side(net)
     try:
         ws = load_weights(args.weights)
@@ -261,9 +257,7 @@ def _rebuild_qmodel(net, ws, bits):
     quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
     qm = engine.QuantizedModel(net=net, bits=bits) if quantized else None
-    for layer in net.layers:
-        if layer.kind not in ("conv2d", "depthwise_conv2d", "dense"):
-            continue
+    for layer in engine.mac_layers(net):
         qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
         for name in (qw_name, act_name, b_name) if quantized else (f"{layer.name}.w", b_name):
             if name not in ws:

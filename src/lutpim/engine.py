@@ -1,54 +1,46 @@
 """CNN execution: float reference backend and LUT-backed integer backend.
 
 Both backends take one (C, H, W) sample or an (N, C, H, W) stack whose
-trailing shape is the network's input. One sample returns what it always
-has: class probabilities of shape (classes,) and per-sample captures. A
-stack returns (N, classes) probabilities and adds a leading N axis to every
-captured value. `evaluate`, `prepare_quantized` and `fit_last_layer` run
-their inputs in stacked chunks of at most BATCH_ELEMENTS input elements.
+trailing shape is the network's input. One sample returns class
+probabilities of shape (classes,) and per-sample captures; a stack returns
+(N, classes) and adds a leading N axis to every captured value. `evaluate`,
+`prepare_quantized` and `fit_last_layer` run their inputs in stacked chunks
+of at most BATCH_ELEMENTS input elements.
 
-The integer backend's products come from the cluster's MAC microprogram.
-Tables are certified once, then multiplies use the certified products: the
-vector engine's first run checks `mac8` over all 65,536 byte pairs against
-a*b and raises naming any pair that differs. Once every byte product is a*b,
-the cluster's byte passes, recombined and corrected for zero points, give
-the integer sum of products of zero-centred codes, so the vector engine
-takes that sum as one float64 BLAS matmul per MAC layer at 4, 8 and 16 bits.
-engine="cluster" runs every product through `mac8` in lockstep: it adds the
-zero points back, runs each byte pass (four at 16 bits) as one call per
-block of k, with one lane per (output, k) pair and at most CLUSTER_LANES
-lanes unless a single k has more outputs, and applies the zero-point
-corrections host-side. The host sums the products over k and checks the
-running sums against the 32-bit accumulator. Products are non-negative, so
-a sum below 2^32 means every partial sum of a one-MAC-at-a-time accumulation
-was below it too: the check raises on exactly the inputs a per-MAC check
+One layer walk, `_forward`, serves every pass: inference on both backends,
+calibration and the last-layer fit. It runs pooling, ReLU (in place only on
+arrays the pass made itself), flatten, residual adds and softmax, and hands
+each MAC layer to the backend's MAC step. A projected shortcut is a MAC
+layer too: the 1x1 strided conv "{name}.proj" of the residual source, as
+`mac_layers` lists it. Every MAC step is channel-major (`_mac`): one product
+of weight rows with input windows over the batch axis, (O, K) @ (N, K, P)
+for a conv, the grouped (C, 1, k) @ (N, C, k, P) for a depthwise layer and
+(N, 1, K) @ (K, O) for a dense one, so outputs come out NCHW with no
+transpose. The float step's product is a real matmul.
+
+The integer step quantizes a layer's input once, centres it on its zero
+point in place and pads it with 0, the centred code of 0; weight codes are
+centred per call. Tables are certified once, then multiplies use the
+certified products: the vector engine's first run checks `mac8` over all
+65,536 byte pairs against a*b. Once every byte product is a*b, the
+cluster's byte passes, recombined and corrected for zero points, give the
+integer sum of products of centred codes, so the vector engine takes that
+sum as one float64 matmul at 4, 8 and 16 bits. engine="cluster" adds the
+zero points back and runs each byte pass (four at 16 bits) through `mac8`
+in lockstep, one call per block of k with at most CLUSTER_LANES lanes
+unless a single k has more outputs, then applies the corrections host-side.
+Products are non-negative, so checking the running sums against the 32-bit
+accumulator after each block raises on exactly the inputs a per-MAC check
 does.
 
-Codes travel as float64 integers from a layer's one `quantize` call to its
-accumulator: `quantize` returns them as float64, and they are centred on
-their zero point, windowed and multiplied in float64, with no cast. Each
-layer's unsigned weight codes are held as float64 from when its
-QuantizedLayer is built, and centred per call. That is exact while every
-integer on the way stays below 2^53. Centred codes are at most q in
-magnitude, so each product lies in [-q^2, q^2] and every partial sum of a
-K-long dot product is at most K*q^2 in magnitude; on the cluster engine
-so is each unsigned byte-pass sum and each partial sum of its corrections,
-a sum of K terms (l*r - l*zr, say) that each lie in [-q^2, q^2]. So K*q^2 < 2^53 is checked per call, with q = 255 up to 8 bits
-and q = 65535 at 16 bits. int64 appears in three places only: captured
-accumulators, cast once per layer, the cluster engine's operands and sums
-around `mac8`, and the codes a weight container loads.
-
-Every MAC layer is channel-major: one dot product of the layer's centred
-weight rows with its centred input windows, over the batch axis. A conv is
-(O, K) @ (N, K, P) -> (N, O, P), a depthwise layer of C channels the grouped
-product (C, 1, k) @ (N, C, k, P), and a dense layer (N, 1, K) @ (K, O). Outputs
-come out NCHW along the long P axis, so the next layer reads them without a
-transpose. A layer's input is quantized and centred once, before windowing,
-and padded with 0, the centred code of 0. Bias addition and softmax run
-host-side, as do the cluster engine's 16-bit byte pass recombination and
-zero-point corrections. Integer results are exact, so both engines, any
-batch and any direct integer oracle agree bit-for-bit, with or without
-captures.
+Codes stay float64 integers from `quantize` to the accumulator. Centred
+codes are at most q in magnitude, so every partial sum of a K-long dot
+product, and on the cluster engine every byte-pass sum and correction, is
+at most K*q^2; K*q^2 < 2^53 is checked per call, with q = 255 up to 8 bits
+and 65535 at 16. int64 appears only in captured accumulators (cast once per
+layer), around `mac8`, and in the codes a weight container loads. Integer
+results are exact, so both engines, any batch and any direct integer oracle
+agree bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -62,7 +54,7 @@ import numpy as np
 
 from .cluster import Cluster, check_accumulator, mac8
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
-from .nets import NetworkSpec
+from .nets import LayerSpec, NetworkSpec
 from .perf import charge_layer
 from .quantizer import CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
@@ -100,7 +92,7 @@ def _chunks(net: NetworkSpec, inputs):
 
 
 # ---------------------------------------------------------------------------
-# float reference backend
+# the layer walk, the MAC step and the float reference backend
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -120,18 +112,24 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return view.reshape(n, c, kh * kw, oh * ow), oh, ow
 
 
-def _channel_major(kind: str, wmat: np.ndarray, win: np.ndarray):
-    """Operands of a windowed MAC layer's product lhs @ rhs -> (N, O, P), or (N, C, 1, P) depthwise.
+def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product) -> np.ndarray:
+    """A MAC layer's outputs from its (N, C, H, W) or (N, K) input: one channel-major product(lhs, rhs) plus bias.
 
-    wmat is the layer's (K, O) weight matrix, (k, C) for a depthwise layer.
+    wmat is the layer's (K, O) weight matrix, (k, C) for a depthwise layer. A
+    dense layer is (N, 1, K) @ (K, O), one row per sample, so a stack's rows
+    equal single calls; a conv is (O, K) @ (N, K, P), K ordered (c, ki, kj), a
+    free reshape of the windows; a depthwise layer is (C, 1, k) @ (N, C, k, P).
+    The bias is added in place on the product's array, and outputs are NCHW.
     """
-    if kind == "conv2d":  # (O, K) @ (N, K, P); K ordered (c, ki, kj), a free reshape of the windows
-        return wmat.T, win.reshape(len(win), -1, win.shape[-1])
-    return wmat.T[:, None, :], win  # depthwise: (C, 1, k) @ (N, C, k, P)
-
-
-def _nchw(out: np.ndarray, bias: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """(N, O, P) or (N, O, 1, P) layer outputs plus a per-channel bias, added in place, as (N, O, OH, OW)."""
+    if layer.kind == "dense":
+        out = product(x[:, None, :], wmat)[:, 0]
+        out += bias
+        return out
+    win, oh, ow = _windows(x, *layer.kernel, layer.stride, layer.padding)
+    if layer.kind == "conv2d":
+        out = product(wmat.T, win.reshape(len(win), -1, win.shape[-1]))
+    else:
+        out = product(wmat.T[:, None, :], win)
     out = out.reshape(len(out), -1, oh * ow)
     out += bias[:, None]
     return out.reshape(len(out), -1, oh, ow)
@@ -157,36 +155,40 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _conv_w(ws: WeightSet, name: str):
-    try:
-        w = ws[f"{name}.w"].data
-        b = ws[f"{name}.b"].data
-    except KeyError:
-        raise KeyError(f"missing weights for layer {name!r}") from None
-    return np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+MAC_KINDS = ("conv2d", "depthwise_conv2d", "dense")
 
 
-def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
-    """Forward pass in real arithmetic; returns the class probabilities.
+def _projection(layer) -> LayerSpec:
+    """A projected shortcut's 1x1 strided conv of the residual source, named "{layer.name}.proj"."""
+    return LayerSpec(
+        name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
+        in_channels=layer.proj_in_shape[0], out_channels=layer.out_channels,
+        in_shape=layer.proj_in_shape, out_shape=layer.out_shape,
+    )
 
-    x is one (C, H, W) sample, which returns a (classes,) vector, or an
-    (N, C, H, W) stack, which returns (N, classes). captures["layer_inputs"]
-    holds each MAC layer's input, with the leading N axis for a stack.
+
+def mac_layers(net: NetworkSpec):
+    """Every layer that holds weights, in order: the MAC layers, and each projected shortcut as its 1x1 conv."""
+    for layer in net.layers:
+        if layer.kind in MAC_KINDS:
+            yield layer
+        elif layer.proj:
+            yield _projection(layer)
+
+
+def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None):
+    """The one layer walk of both backends over an (N, C, H, W) stack; mac(layer, x) runs each MAC layer.
+
+    A projected shortcut runs as mac(projection, source). The walk runs every
+    other layer itself, keeps only the outputs a later residual_add reads, and
+    captures the logits. Returns x[0] for a single sample.
     """
-    x, single = _as_batch(net, x)
-    sources, saved = _residual_sources(net), {}
+    sources = {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
+    saved = {}
     owned = False  # whether x is a temporary of this pass, not the input or a saved residual source
     for layer in net.layers:
-        if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
-            wmat, b = _weight_matrix(layer, ws)
-            if captures is not None:
-                captures.setdefault("layer_inputs", {})[layer.name] = (x[0] if single else x).copy()
-            if layer.kind == "dense":  # one (1, K) @ (K, O) per sample: a stack's rows equal single calls
-                x = (x[:, None, :] @ wmat)[:, 0] + b
-            else:
-                win, oh, ow = _windows(x, *layer.kernel, layer.stride, layer.padding)
-                lhs, rhs = _channel_major(layer.kind, wmat, win)
-                x = _nchw(lhs @ rhs, b, oh, ow)
+        if layer.kind in MAC_KINDS:
+            x = mac(layer, x)
         elif layer.kind == "maxpool2d":
             x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
         elif layer.kind == "relu":
@@ -195,12 +197,7 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
             x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
             res = saved[layer.residual_from]
-            if layer.proj:  # a 1x1 strided conv
-                w, b = _conv_w(ws, f"{layer.name}.proj")
-                win, oh, ow = _windows(res, 1, 1, layer.stride, 0)
-                lhs, rhs = _channel_major("conv2d", w.reshape(layer.out_channels, -1).T, win)
-                res = _nchw(lhs @ rhs, b, oh, ow)
-            x = x + res
+            x = x + (mac(_projection(layer), res) if layer.proj else res)
         elif layer.kind == "softmax":
             if captures is not None:
                 captures["logits"] = (x[0] if single else x).copy()
@@ -213,9 +210,40 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
     return x[0] if single else x
 
 
-def _residual_sources(net: NetworkSpec) -> set[str]:
-    """Layers whose outputs a later residual_add reads; only these are kept."""
-    return {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
+def _weight_matrix(layer, ws: WeightSet):
+    """A MAC layer's float64 (K, O) weight matrix, (k, C) for a depthwise layer, and its bias."""
+    try:
+        w = np.asarray(ws[f"{layer.name}.w"].data, dtype=np.float64)
+        b = np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64)
+    except KeyError:
+        raise KeyError(f"missing weights for layer {layer.name!r}") from None
+    if layer.kind == "dense":
+        return w, b
+    return w.reshape(layer.out_channels, -1).T, b  # a conv's K ordered (c, ki, kj); one column per depthwise channel
+
+
+def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
+    """The float backend's MAC step: a real-arithmetic matmul of x with the layer's weights."""
+    return _mac(layer, x, *_weight_matrix(layer, ws), np.matmul)
+
+
+def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
+    """Forward pass in real arithmetic; returns the class probabilities.
+
+    x is one (C, H, W) sample, which returns a (classes,) vector, or an
+    (N, C, H, W) stack, which returns (N, classes). captures["layer_inputs"]
+    holds each MAC layer's input, a projection's under "{name}.proj", with
+    the leading N axis for a stack; captures["logits"] the pre-softmax scores.
+    """
+    x, single = _as_batch(net, x)
+    inputs = captures.setdefault("layer_inputs", {}) if captures is not None else None
+
+    def mac(layer, x):
+        if inputs is not None:
+            inputs[layer.name] = (x[0] if single else x).copy()
+        return _float_mac(ws, layer, x)
+
+    return _forward(net, x, single, mac, captures)
 
 
 # ---------------------------------------------------------------------------
@@ -366,47 +394,26 @@ class QuantizedModel:
     layers: dict[str, QuantizedLayer] = field(default_factory=dict)
 
 
-def _weight_matrix(layer, ws: WeightSet):
-    w, b = _conv_w(ws, layer.name)
-    if layer.kind == "conv2d":
-        return w.reshape(layer.out_channels, -1).T, b
-    if layer.kind == "dense":
-        return w, b
-    if layer.kind == "depthwise_conv2d":
-        return w.reshape(w.shape[0], -1).T, b  # (kh*kw, C) column per channel
-    raise ValueError(layer.kind)
-
-
-def refuse_projected_shortcuts(net: NetworkSpec) -> None:
-    """The LUT backend runs identity shortcuts only; say which layer it cannot run."""
-    for layer in net.layers:
-        if layer.kind == "residual_add" and layer.proj:
-            raise NotImplementedError(
-                f"{net.name}: layer {layer.name!r} has a projected shortcut; only the perf model runs those"
-            )
-
-
 def prepare_quantized(
     net: NetworkSpec, ws: WeightSet, cal_inputs, bits: int
 ) -> QuantizedModel:
-    """Quantize weights (symmetric) and calibrate activations (asymmetric)."""
+    """Quantize weights (symmetric) and calibrate activations (asymmetric) on the float pass's layer inputs."""
     if bits not in (4, 8, 16):
         raise ValueError("precision must be 4, 8, or 16 bits")
-    refuse_projected_shortcuts(net)
     extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
+
+    def mac(layer, x):
+        mn, mx = float(x.min()), float(x.max())
+        if not (math.isfinite(mn) and math.isfinite(mx)):  # min/max below would drop a NaN
+            raise CalibrationError(f"calibration input to layer {layer.name!r} is not finite")
+        lo, hi = extremes.get(layer.name, (mn, mx))
+        extremes[layer.name] = (min(lo, mn), max(hi, mx))
+        return _float_mac(ws, layer, x)
+
     for xs in _chunks(net, cal_inputs):
-        captures: dict = {}
-        infer_float(net, ws, xs, captures=captures)
-        for name, arr in captures["layer_inputs"].items():
-            mn, mx = float(arr.min()), float(arr.max())
-            if not (math.isfinite(mn) and math.isfinite(mx)):  # min/max below would drop a NaN
-                raise CalibrationError(f"calibration input to layer {name!r} is not finite")
-            lo, hi = extremes.get(name, (mn, mx))
-            extremes[name] = (min(lo, mn), max(hi, mx))
+        _forward(net, xs, False, mac, None)
     qm = QuantizedModel(net=net, bits=bits)
-    for layer in net.layers:
-        if layer.kind not in ("conv2d", "depthwise_conv2d", "dense"):
-            continue
+    for layer in mac_layers(net):
         wmat, b = _weight_matrix(layer, ws)
         wp = calibrate(wmat, bits, symmetric=True)
         act = calibrate(np.array(extremes.get(layer.name, ())), bits, symmetric=False)
@@ -432,87 +439,58 @@ def infer_lut(
     x is one (C, H, W) sample or an (N, C, H, W) stack. Returns (probabilities,
     ledger); a stack's probabilities are (N, classes). Integer accumulators per
     MAC layer land in captures["acc"] when a captures dict is supplied: (P, O)
-    under a conv's name, (1, O) under a dense layer's (the pre-softmax integer
-    output when it is the last) and (P, 1) under "name[c]" for each channel c
-    of a depthwise layer, each with a leading N axis for a stack. The ledger
-    prices one sample, which is what each sample of a stack costs: it is
-    charged once per layer by perf.charge_layer, so each layer costs what
-    perf.layer_cost says and the totals match perf.estimate.
+    under a conv's name and a projected shortcut's "{name}.proj", (1, O) under
+    a dense layer's (the pre-softmax integer output when it is the last) and
+    (P, 1) under "name[c]" for each channel c of a depthwise layer, each with a
+    leading N axis for a stack. The ledger prices one sample, which is what
+    each sample of a stack costs: it is charged once per layer by
+    perf.charge_layer, so each layer costs what perf.layer_cost says and the
+    totals match perf.estimate.
     """
     if engine not in ("vector", "cluster"):
         raise ValueError(f"unknown engine {engine!r}")
     cfg = cfg or SystemConfig()
-    net = qm.net
-    refuse_projected_shortcuts(net)
-    x, single = _as_batch(net, x)
-    ledger = EnergyLedger()
+    x, single = _as_batch(qm.net, x)
     cluster = Cluster() if engine == "cluster" else None
-    sources, saved = _residual_sources(net), {}
-    owned = False  # as in infer_float
-    accs = captures.setdefault("acc", {}) if captures is not None else {}
-
-    def dot(lhs, zl, rhs, zr):
-        """sum_k lhs[..., i, k] * rhs[..., k, j] of zero-centred codes; zl and zr are lhs's and rhs's zero points."""
-        _check_float64_exact(lhs.shape[-1], qm.bits)
-        if cluster is None:
-            return _raw_dot_vector(lhs, rhs, qm.bits)
-        return _centered_dot_cluster(lhs, zl, rhs, zr, qm.bits, cluster)
+    accs = captures.setdefault("acc", {}) if captures is not None else None
 
     def capture(key, acc):
         accs[key] = acc[0] if single else acc
 
-    def mac_layer(layer, x):
-        """Quantize x once, centre and window it, and take one channel-major product: sum((qw - zw) * (qa - za))."""
+    def mac(layer, x):
+        """Quantize x once, centre it, and take one channel-major product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        scale = ql.act_params.scale * ql.wparams.scale
+        zl, zr = (za, zw) if layer.kind == "dense" else (zw, za)  # the product's lhs and rhs zero points
         q = quantize(x, ql.act_params)
-        q -= za  # quantize's own array, centred in place
-        w = ql.qweight - zw  # a per-call temporary: the layer holds unsigned codes only
-        if layer.kind == "dense":
-            acc = dot(q[:, None, :], za, w, zw)
-            if captures is not None:  # (N, 1, O)
-                capture(layer.name, acc.astype(np.int64))
-            acc = acc[:, 0]
-            acc *= scale
-            acc += ql.bias
-            return acc
-        # padding the centred codes with 0 is padding x with 0, since quantize(0) == za
-        win, oh, ow = _windows(q, *layer.kernel, layer.stride, layer.padding)
-        lhs, rhs = _channel_major(layer.kind, w, win)
-        acc = dot(lhs, zw, rhs, za).reshape(len(q), -1, oh * ow)
-        if captures is not None:
-            codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
-            if layer.kind == "conv2d":
-                capture(layer.name, codes.transpose(0, 2, 1))
-            else:
-                for c in range(codes.shape[1]):
-                    capture(f"{layer.name}[{c}]", codes[:, c, :, None])
-        acc *= scale
-        return _nchw(acc, ql.bias, oh, ow)
+        q -= za  # quantize's own array, centred in place; padding it with 0 pads x with 0, since quantize(0) == za
 
-    for layer in net.layers:
-        if layer.kind in ("conv2d", "depthwise_conv2d", "dense"):
-            x = mac_layer(layer, x)
-        elif layer.kind == "maxpool2d":
-            x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0, out=x if owned else None)
-        elif layer.kind == "flatten":
-            x = x.reshape(len(x), -1)
-        elif layer.kind == "residual_add":
-            x = x + saved[layer.residual_from]
-        elif layer.kind == "softmax":
-            if captures is not None:
-                captures["logits"] = (x[0] if single else x).copy()
-            x = softmax(x)
+        def product(lhs, rhs):
+            _check_float64_exact(lhs.shape[-1], qm.bits)
+            if cluster is None:
+                acc = _raw_dot_vector(lhs, rhs, qm.bits)
+            else:
+                acc = _centered_dot_cluster(lhs, zl, rhs, zr, qm.bits, cluster)
+            if accs is not None:
+                codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
+                if layer.kind == "dense":  # (N, 1, O)
+                    capture(layer.name, codes)
+                elif layer.kind == "conv2d":  # (N, O, P)
+                    capture(layer.name, codes.transpose(0, 2, 1))
+                else:  # (N, C, 1, P)
+                    for c in range(codes.shape[1]):
+                        capture(f"{layer.name}[{c}]", codes[:, c].transpose(0, 2, 1))
+            acc *= ql.act_params.scale * ql.wparams.scale
+            return acc
+
+        # the weight codes are centred per call: the layer holds unsigned codes only
+        return _mac(layer, q, ql.qweight - zw, ql.bias, product)
+
+    probs = _forward(qm.net, x, single, mac, captures)
+    ledger = EnergyLedger()
+    for layer in qm.net.layers:
         charge_layer(ledger, layer, cfg, qm.bits)
-        if layer.name in sources:
-            saved[layer.name] = x
-            owned = False
-        elif layer.kind != "flatten":  # a flattened x is a view of the x before it
-            owned = True
-    return (x[0] if single else x), ledger
+    return probs, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +498,10 @@ def infer_lut(
 
 
 def init_random_weights(net: NetworkSpec, seed: int) -> WeightSet:
-    """He-scaled random conv/dense weights, zero biases."""
+    """He-scaled random weights and zero biases for every layer mac_layers yields."""
     rng = np.random.default_rng(seed)
     ws = WeightSet()
-    for layer in net.layers:
+    for layer in mac_layers(net):
         if layer.kind == "conv2d":
             kh, kw = layer.kernel
             fan_in = layer.in_channels * kh * kw
@@ -535,14 +513,18 @@ def init_random_weights(net: NetworkSpec, seed: int) -> WeightSet:
             w = rng.normal(0, np.sqrt(2 / (kh * kw)), (layer.in_channels, 1, kh, kw))
             ws.add(f"{layer.name}.w", w.astype(np.float32))
             ws.add(f"{layer.name}.b", np.zeros(layer.in_channels, dtype=np.float32))
-        elif layer.kind == "dense":
+        else:
             w = rng.normal(0, np.sqrt(2 / layer.in_features), (layer.in_features, layer.out_features))
             ws.add(f"{layer.name}.w", w.astype(np.float32))
             ws.add(f"{layer.name}.b", np.zeros(layer.out_features, dtype=np.float32))
     return ws
 
 
-def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels, ridge: float = 1.0) -> WeightSet:
+# Ridge penalty per training sample of the last-layer fit.
+RIDGE = 1.0
+
+
+def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels) -> WeightSet:
     """Single-pass ridge fit of the final dense layer on frozen upstream features.
 
     Features are standardized for the solve; the affine correction is folded
@@ -550,10 +532,14 @@ def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels, ridge: float
     """
     dense = [l for l in net.layers if l.kind == "dense"][-1]
     feats = []
+
+    def mac(layer, x):
+        if layer is dense:
+            feats.append(x)  # nothing later in the pass writes to a MAC layer's input
+        return _float_mac(ws, layer, x)
+
     for xs in _chunks(net, inputs):
-        captures: dict = {}
-        infer_float(net, ws, xs, captures=captures)
-        feats.append(captures["layer_inputs"][dense.name])
+        _forward(net, xs, False, mac, None)
     X = np.concatenate(feats)
     y = np.asarray(labels, dtype=int)
     mu = X.mean(axis=0)
@@ -564,7 +550,7 @@ def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels, ridge: float
     Xs = (X - mu) / sd
     Y = -np.ones((len(y), dense.out_features))
     Y[np.arange(len(y)), y] = 1.0
-    gram = Xs.T @ Xs + ridge * len(y) * np.eye(Xs.shape[1])
+    gram = Xs.T @ Xs + RIDGE * len(y) * np.eye(Xs.shape[1])
     W = np.linalg.solve(gram, Xs.T @ Y)
     ws.add(f"{dense.name}.w", (W / sd[:, None]).astype(np.float32))
     ws.add(f"{dense.name}.b", (-(mu / sd) @ W).astype(np.float32))

@@ -189,7 +189,7 @@ def layer_csv(report: PerfReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_table(rows, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
+def compare_table(rows) -> str:
     """fps / frames-per-joule table from (network, bits, fps, frames/J, notes) rows."""
     width = max((len(row[0]) for row in rows), default=8) + 2
     lines = [f"{'network':<{width}}{'bits':>5}{'fps':>16}{'frames/J':>16}"]
@@ -197,14 +197,14 @@ def compare_table(rows, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
         lines.append(f"{network:<{width}}{bits:>5}{fps:>16.4f}{fpj:>16.4f}")
         for note in notes:
             lines.append(f"  note: {note}")
-    for note in baselines:
+    for note in PAPER_BASELINE_ANNOTATIONS:
         lines.append(f"ref: {note}")
     return "\n".join(lines) + "\n"
 
 
-def compare_report(reports, baselines=PAPER_BASELINE_ANNOTATIONS) -> str:
+def compare_report(reports) -> str:
     """Side-by-side fps / frames-per-joule table plus static reference annotations."""
     if not reports:
         raise ValueError("compare_report needs at least one report")
     rows = [(r.network, r.precision_bits, r.throughput_fps, r.frames_per_joule, r.notes) for r in reports]
-    return compare_table(rows, baselines)
+    return compare_table(rows)

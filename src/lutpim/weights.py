@@ -127,6 +127,8 @@ def parse_weights(buf: bytes) -> WeightSet:
             raw = take(width * n, f"{name}: data")
             store = np.dtype(_STORAGE[dtype]).newbyteorder("<")
             data = np.frombuffer(raw, dtype=store).reshape(dims).astype(np.int64)
+            if data.size and data.max() > params.qmax:  # a 4-bit code is stored in a whole byte
+                raise WeightFormatError(f"{name}: code {data.max()} is past the {bits}-bit maximum {params.qmax}")
         else:
             raise WeightFormatError(f"{name}: unknown dtype byte {dtype}")
         ws.add(name, data, params)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from lutpim.engine import init_random_weights
 from lutpim.nets import LayerSpec, NetworkSpec, build_network
 from lutpim.quantizer import quantize
 
@@ -69,14 +70,27 @@ def oracle_quantized_forward(qm, x):
     """Direct integer-arithmetic replay of the quantized pipeline.
 
     Signed accumulators come straight from sum((qa - Za) * (qw - Zw)) in int64,
-    with both kinds of codes cast to int64 first; no LUT machinery involved. Returns (probabilities, {layer: acc array}).
+    with both kinds of codes cast to int64 first; no LUT machinery involved. A
+    projected shortcut is a 1x1 strided conv of the residual source, keyed
+    "{name}.proj". Returns (probabilities, {layer: acc array}).
     """
     net = qm.net
     x = np.asarray(x, dtype=np.float64)
     accs = {}
     saved = {}
+
+    def conv(name, x, kernel, stride, pad):
+        ql = qm.layers[name]
+        cols, oh, ow = _patches(x, *kernel, stride, pad)
+        qa = quantize(cols, ql.act_params).astype(np.int64)
+        acc = (qa - ql.act_params.zero_point) @ (ql.qweight.astype(np.int64) - ql.wparams.zero_point)
+        accs[name] = acc
+        return (ql.act_params.scale * ql.wparams.scale * acc + ql.bias).T.reshape(-1, oh, ow)
+
     for layer in net.layers:
-        if layer.kind in ("conv2d", "dense", "depthwise_conv2d"):
+        if layer.kind == "conv2d":
+            x = conv(layer.name, x, layer.kernel, layer.stride, layer.padding)
+        elif layer.kind in ("dense", "depthwise_conv2d"):
             ql = qm.layers[layer.name]
             za, zw = ql.act_params.zero_point, ql.wparams.zero_point
             scale = ql.act_params.scale * ql.wparams.scale
@@ -85,12 +99,6 @@ def oracle_quantized_forward(qm, x):
                 acc = (qa - za) @ (ql.qweight.astype(np.int64) - zw)
                 accs[layer.name] = acc
                 x = (scale * acc + ql.bias)[0]
-            elif layer.kind == "conv2d":
-                cols, oh, ow = _patches(x, *layer.kernel, layer.stride, layer.padding)
-                qa = quantize(cols, ql.act_params).astype(np.int64)
-                acc = (qa - za) @ (ql.qweight.astype(np.int64) - zw)
-                accs[layer.name] = acc
-                x = (scale * acc + ql.bias).T.reshape(layer.out_channels, oh, ow)
             else:
                 chans = []
                 for c in range(x.shape[0]):
@@ -111,7 +119,10 @@ def oracle_quantized_forward(qm, x):
         elif layer.kind == "flatten":
             x = x.reshape(-1)
         elif layer.kind == "residual_add":
-            x = x + saved[layer.residual_from]
+            res = saved[layer.residual_from]
+            if layer.proj:
+                res = conv(f"{layer.name}.proj", res, (1, 1), layer.stride, 0)
+            x = x + res
         elif layer.kind == "softmax":
             e = np.exp(x - x.max())
             x = e / e.sum()
@@ -205,6 +216,32 @@ def relu_hazard_network() -> NetworkSpec:
             LayerSpec(name="softmax", kind="softmax"),
         ],
     )
+
+
+def projected_shortcut_net():
+    """A strided conv beside a 1x1 strided projection of its input, and weights for both.
+
+    The projection's weights and bias are drawn again from a normal
+    distribution, so its bias is nonzero.
+    """
+    net = build_network(
+        "proj",
+        (2, 7, 7),
+        [
+            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=3),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="conv_s2", kind="conv2d", kernel=(3, 3), stride=2, padding=1, out_channels=4),
+            LayerSpec(name="add", kind="residual_add", residual_from="relu", proj=True, stride=2, out_channels=4),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+    rng = np.random.default_rng(32)
+    ws = init_random_weights(net, seed=32)
+    ws.add("add.proj.w", rng.normal(size=(4, 3, 1, 1)).astype(np.float32))
+    ws.add("add.proj.b", rng.normal(size=4).astype(np.float32))
+    return net, ws
 
 
 def random_inputs(net: NetworkSpec, rng: np.random.Generator, n: int):

@@ -12,7 +12,8 @@ from lutpim.engine import init_random_weights, prepare_quantized
 from lutpim.nets import ZOO, tinymalnet
 from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
-from lutpim.weights import WeightSet, load_weights, parse_weights, save_weights
+from lutpim.weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
+from tests.helpers import projected_shortcut_net, random_inputs
 
 
 def run(argv):
@@ -134,11 +135,11 @@ def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
     assert "backend" not in captured.out
 
 
-def _quantized_weights(seed, blob):
-    """The 8-bit tinymalnet container `quantize` would write for weights of `seed` calibrated on `blob`."""
+def _quantized_weights(seed, blob, bits=8):
+    """The tinymalnet container `quantize` would write for weights of `seed` calibrated on `blob`."""
     net = tinymalnet()
     ws = init_random_weights(net, seed=seed)
-    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], 8)
+    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], bits)
     for name, ql in qm.layers.items():
         ws.add(f"{name}.qw", ql.qweight, ql.wparams)
         ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
@@ -170,6 +171,43 @@ def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, p
     captured = capsys.readouterr()
     assert message in captured.err
     assert "backend" not in captured.out
+
+
+def test_simulate_refuses_a_4_bit_code_past_its_maximum(tmp_path, capsys):
+    # a 4-bit code is stored in a whole byte, so the container can hold codes up to 255
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    ws = _quantized_weights(2, blob, bits=4)
+    argv = ["simulate", "--input", str(blob), "--precision", "4", "--weights", str(weights)]
+    for code, rc in ((15, 0), (16, 3), (200, 3)):
+        codes = ws["conv1.qw"].data.copy()
+        codes.flat[0] = code
+        ws.add("conv1.qw", codes, ws["conv1.qw"].params)
+        save_weights(ws, weights)
+        assert run(argv) == rc, code
+        captured = capsys.readouterr()
+        if rc:
+            assert f"conv1.qw: code {code} is past the 4-bit maximum 15" in captured.err
+            assert "backend" not in captured.out
+            with pytest.raises(WeightFormatError, match="conv1.qw"):
+                parse_weights(weights.read_bytes())
+
+
+def test_a_projected_shortcut_container_rebuilds_its_projection():
+    # the container `quantize` writes for a model: every float entry, plus each MAC layer's codes and act params
+    net, ws = projected_shortcut_net()
+    rng = np.random.default_rng(9)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), 8)
+    for name, ql in qm.layers.items():
+        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
+        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
+    rebuilt = cli._rebuild_qmodel(net, ws, 8)
+    assert rebuilt.layers.keys() == qm.layers.keys() == {"conv", "conv_s2", "add.proj", "dense"}
+    x = rng.random(net.input_shape)
+    assert np.array_equal(engine.infer_lut(rebuilt, x)[0], engine.infer_lut(qm, x)[0])
+    del ws.entries["act/add.proj"]
+    with pytest.raises(cli.DataError, match="'act/add.proj' for proj layer 'add.proj'"):
+        cli._rebuild_qmodel(net, ws, 8)
 
 
 @pytest.mark.parametrize(
@@ -240,19 +278,6 @@ def test_warm_requests_parse_the_container_once(tmp_path, monkeypatch, capsys):
     ws, qm = cli._loaded(weights.read_bytes(), "tinymalnet", 8)  # what every request shares is read-only
     assert not any(entry.data.flags.writeable for entry in ws.entries.values())
     assert len(parsed) == 2
-
-
-def test_quantize_refuses_a_projected_shortcut(tmp_path, capsys):
-    corp = tmp_path / "corp"
-    assert run(["corpus", "--out", str(corp), "--benign", "2", "--malware", "2", "--seed", "1"]) == 0
-    save_weights(init_random_weights(tinymalnet(), seed=1), tmp_path / "w.pimw")
-    out = tmp_path / "q.pimw"
-    assert run([
-        "quantize", "--network", "resnet18", "--weights", str(tmp_path / "w.pimw"),
-        "--corpus", str(corp / "manifest.csv"), "--out", str(out),
-    ]) == 3
-    assert "'s2b0_add'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("cal_count", ["0", "-1"])
@@ -492,9 +517,11 @@ def test_corpus_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
         (["fit", "--corpus", "{tmp}/manifest.csv", "--out", "{tmp}/out.pimw"], "alexnet"),
         (["quantize", "--weights", "{tmp}/w.pimw", "--corpus", "{tmp}/manifest.csv", "--out", "{tmp}/out.pimw"],
          "alexnet"),
+        (["quantize", "--weights", "{tmp}/w.pimw", "--corpus", "{tmp}/manifest.csv", "--out", "{tmp}/out.pimw"],
+         "resnet18"),
         (["simulate", "--weights", "{tmp}/w.pimw", "--input", "{tmp}/s.bin"], "mobilenet_v2"),
     ],
-    ids=["fit", "quantize", "simulate"],
+    ids=["fit", "quantize", "quantize-resnet18", "simulate"],
 )
 def test_binary_input_refuses_a_network_of_another_shape(tmp_path, monkeypatch, capsys, argv, network):
     # binaries become (1, side, side) images; these networks take (3, 224, 224), refused before any inference

@@ -12,17 +12,18 @@ from lutpim.cluster import AccumulatorOverflowError, Cluster
 from lutpim.engine import (
     CLUSTER_LANES,
     REFERENCE_METRICS,
-    QuantizedModel,
     evaluate,
     infer_float,
     infer_lut,
     init_random_weights,
+    mac_layers,
     metrics_from_predictions,
     prepare_quantized,
     softmax,
 )
 from lutpim.lut_core import OpTag
 from lutpim.nets import LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
+from lutpim.perf import estimate
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
 from lutpim.weights import (
@@ -35,6 +36,7 @@ from tests.helpers import (
     depthwise_residual_network,
     naive_conv2d,
     oracle_quantized_forward,
+    projected_shortcut_net,
     random_inputs,
     random_small_network,
     relu_hazard_network,
@@ -118,30 +120,8 @@ def test_infer_float_depthwise_matches_naive_conv_oracle():
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
-def _projected_shortcut_net():
-    """A strided conv beside a 1x1 strided projection of its input, and weights for both."""
-    net = build_network(
-        "proj",
-        (2, 7, 7),
-        [
-            LayerSpec(name="conv", kind="conv2d", kernel=(3, 3), padding=1, out_channels=3),
-            LayerSpec(name="relu", kind="relu"),
-            LayerSpec(name="conv_s2", kind="conv2d", kernel=(3, 3), stride=2, padding=1, out_channels=4),
-            LayerSpec(name="add", kind="residual_add", residual_from="relu", proj=True, stride=2, out_channels=4),
-            LayerSpec(name="flatten", kind="flatten"),
-            LayerSpec(name="dense", kind="dense", out_features=2),
-            LayerSpec(name="softmax", kind="softmax"),
-        ],
-    )
-    rng = np.random.default_rng(32)
-    ws = init_random_weights(net, seed=32)
-    ws.add("add.proj.w", rng.normal(size=(4, 3, 1, 1)).astype(np.float32))
-    ws.add("add.proj.b", rng.normal(size=4).astype(np.float32))
-    return net, ws
-
-
 def test_infer_float_projected_shortcut_matches_naive_conv_oracle():
-    net, ws = _projected_shortcut_net()
+    net, ws = projected_shortcut_net()
     rng = np.random.default_rng(32)
     captures = {}
     infer_float(net, ws, rng.random(net.input_shape), captures=captures)
@@ -159,7 +139,7 @@ def test_infer_float_on_a_stack_equals_single_calls():
     rng = np.random.default_rng(33)
     nets = [tinymalnet(), depthwise_residual_network(), strided_depthwise_network(), relu_hazard_network()]
     cases = [(net, init_random_weights(net, seed=33)) for net in nets]
-    cases.append(_projected_shortcut_net())
+    cases.append(projected_shortcut_net())
     for net, ws in cases:
         xs = np.stack(random_inputs(net, rng, 3))
         caps = {}
@@ -439,6 +419,44 @@ def _assert_cluster_matches_vector(qm, x):
     assert lv.mac_count == lc.mac_count
 
 
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_a_projected_shortcut_runs_as_a_mac_layer(bits):
+    """Its 1x1 strided conv matches the oracle on both engines, and runs the MACs its residual_add is charged."""
+    net, ws = projected_shortcut_net()
+    rng = np.random.default_rng(700 + bits)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
+    assert list(qm.layers) == ["conv", "conv_s2", "add.proj", "dense"]
+    x = rng.standard_normal(net.input_shape)
+    _assert_cluster_matches_vector(qm, x)
+    captures = {}
+    probs, ledger = infer_lut(qm, x, SystemConfig(), captures=captures)
+    oprobs, _ = oracle_quantized_forward(qm, x)
+    assert probs == pytest.approx(oprobs, abs=1e-12)
+    assert captures["acc"]["add.proj"].shape == (16, 4)  # (P, O) of a stride-2 1x1 conv of the (3, 7, 7) source
+    rep = estimate(net, SystemConfig(), bits)
+    by_name = {lc.name: lc for lc in rep.layers}
+    assert captures["acc"]["add.proj"].size * 3 == by_name["add"].mac_count == 192  # K = 3 input channels
+    assert ledger.mac_count == sum(lc.macs_effective for lc in rep.layers)
+    assert ledger.total_ns == pytest.approx(rep.latency_ns, rel=1e-12)
+    assert ledger.total_pj == pytest.approx(rep.energy_pj, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["tinymalnet", "mobilenet_v2", "resnet18"])
+def test_random_weights_cover_every_mac_layer_and_projection(name):
+    net = get_network(name)
+    ws = init_random_weights(net, seed=1)
+    layers = list(mac_layers(net))
+    assert ws.entries.keys() == {f"{layer.name}.{t}" for layer in layers for t in "wb"}
+    projections = [layer.name for layer in layers if layer.name.endswith(".proj")]
+    if name == "resnet18":
+        assert projections == ["s2b0_add.proj", "s3b0_add.proj", "s4b0_add.proj"]
+        assert ws["s2b0_add.proj.w"].data.shape == (128, 64, 1, 1)
+        probs = infer_float(net, ws, np.random.default_rng(1).random(net.input_shape))
+        assert probs.shape == (1000,) and probs.sum() == pytest.approx(1.0)
+    else:
+        assert projections == []
+
+
 def test_vector_engine_refuses_an_uncertified_byte_table(monkeypatch):
     net = tiny_conv_net()
     rng = np.random.default_rng(12)
@@ -644,15 +662,6 @@ def test_infer_lut_checks_engine_before_building_a_cluster(monkeypatch):
     monkeypatch.setattr(engine_module, "Cluster", lambda: pytest.fail("Cluster built for an unknown engine"))
     with pytest.raises(ValueError, match="unknown engine 'warp'"):
         infer_lut(qm, rng.random(net.input_shape), engine="warp")
-
-
-def test_projected_shortcut_refused_before_any_work(monkeypatch):
-    net = get_network("resnet18")
-    monkeypatch.setattr(engine_module, "infer_float", lambda *a, **k: pytest.fail("calibration pass ran"))
-    with pytest.raises(NotImplementedError, match="'s2b0_add'"):
-        prepare_quantized(net, WeightSet(), [np.zeros(net.input_shape)], 8)
-    with pytest.raises(NotImplementedError, match="'s2b0_add'"):
-        infer_lut(QuantizedModel(net=net, bits=8), np.zeros(net.input_shape))
 
 
 def test_ledger_counts_match_network_shape():
