@@ -25,7 +25,7 @@ certified products: the vector engine's first run checks `mac8` over all
 65,536 byte pairs against a*b. Once every byte product is a*b, the
 cluster's byte passes, recombined and corrected for zero points, give the
 integer sum of products of centred codes, so the vector engine takes that
-sum as one float64 matmul at 4, 8 and 16 bits. engine="cluster" adds the
+sum as one matmul at 4, 8 and 16 bits. engine="cluster" adds the
 zero points back and runs each byte pass (four at 16 bits) through `mac8`
 in lockstep, one call per block of k with at most CLUSTER_LANES lanes
 unless a single k has more outputs, then applies the corrections host-side.
@@ -33,14 +33,21 @@ Products are non-negative, so checking the running sums against the 32-bit
 accumulator after each block raises on exactly the inputs a per-MAC check
 does.
 
-Codes stay float64 integers from `quantize` to the accumulator. Centred
-codes are at most q in magnitude, so every partial sum of a K-long dot
-product, and on the cluster engine every byte-pass sum and correction, is
-at most K*q^2; K*q^2 < 2^53 is checked per call, with q = 255 up to 8 bits
-and 65535 at 16. int64 appears only in captured accumulators (cast once per
-layer), around `mac8`, and in the codes a weight container loads. Integer
-results are exact, so both engines, any batch and any direct integer oracle
-agree bit-for-bit, with or without captures.
+Codes stay float integers from `quantize` to the accumulator, in one float
+type per MAC layer. Centred codes are at most q = 2^bits - 1 in magnitude,
+so every partial sum of a K-long dot product, and on the cluster engine
+every byte-pass sum and correction, is at most K*q^2 in any summation
+order. A layer whose K*q^2 < 2^24 takes float32, which holds those
+integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at 16.
+Every other layer takes float64; building a layer with K*q^2 >= 2^53
+raises. `QuantizedLayer` makes that choice once (`_product_dtype`): `quantize`
+casts the layer's codes to its type, and centring, padding, windows, the
+centred weight codes and the product stay in it. The accumulator is scaled
+in float64 in every layer, so outputs do not depend on the type. int64
+appears only in captured accumulators (cast once per layer), around
+`mac8`, and in the codes a weight container loads. Integer results are
+exact, so both engines, any batch and any direct integer oracle agree
+bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -273,16 +280,21 @@ def _certify_byte_products() -> None:
         )
 
 
-def _check_float64_exact(k: int, bits: int) -> None:
-    """A k-long dot product of `bits`-bit codes, and its zero-point corrections, stay below 2**53.
+def _product_dtype(k: int, bits: int) -> np.dtype:
+    """The float type that holds every integer of a k-long product of centred `bits`-bit codes exactly.
 
-    The bound is k*255*255 up to 8 bits and k*65535*65535 at 16 bits.
+    Centred codes are at most q = 2**bits - 1 in magnitude, so every partial
+    sum of the product, and on the cluster engine every byte-pass sum and
+    zero-point correction, is at most k*q^2 in magnitude, in any summation
+    order. float32 holds it while k*q^2 < 2**24 (k <= 74,565 at 4 bits, 258
+    at 8, never at 16), float64 while k*q^2 < 2**53; past that, ValueError.
     """
-    top = 255 if bits <= 8 else 65535
-    if k * top * top >= 1 << 53:
-        raise ValueError(
-            f"dot length {k}: a {bits}-bit dot product may reach 2**53, past float64's exact integers"
-        )
+    bound = k * ((1 << bits) - 1) ** 2
+    if bound < 1 << 24:
+        return np.dtype(np.float32)
+    if bound < 1 << 53:
+        return np.dtype(np.float64)
+    raise ValueError(f"dot length {k}: a {bits}-bit dot product may reach 2**53, past float64's exact integers")
 
 
 def _split_bytes(codes: np.ndarray):
@@ -303,16 +315,18 @@ def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
 
 
 def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
-    """Sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes: one float64 matmul.
+    """Sum of products sum_k lhs[..., i, k] * rhs[..., k, j], broadcast over leading axes: one matmul.
 
-    lhs and rhs hold float64 integer codes, zero-centred in infer_lut, and so
-    does the result. Tables are certified once, then multiplies use the
-    certified products: once mac8 has matched a*b on every byte pair, the
-    cluster's byte passes recombined with its zero-point corrections give the
-    integer sum of products of the centred codes, so the vector engine takes
-    that sum as one BLAS matmul, at every precision. Its partial sums are
-    integers of magnitude at most K*q^2, exact while K*q^2 < 2^53; infer_lut
-    checks the bound for its precision before each call (_check_float64_exact).
+    lhs and rhs hold integer codes of one float type, zero-centred in
+    infer_lut, and the result holds integers of that type. Tables are
+    certified once, then multiplies use the certified products: once mac8 has
+    matched a*b on every byte pair, the cluster's byte passes recombined with
+    its zero-point corrections give the integer sum of products of the centred
+    codes, so the vector engine takes that sum as one BLAS matmul, at every
+    precision. Its partial sums are integers of magnitude at most K*q^2 with
+    q = 2**bits - 1, exact in float32 while K*q^2 < 2^24 (K <= 258 at 8 bits,
+    74,565 at 4, never at 16) and in float64 while K*q^2 < 2^53; each
+    QuantizedLayer picks its codes' type from that bound (_product_dtype).
     """
     _certify_byte_products()
     return lhs @ rhs
@@ -324,7 +338,7 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     A call's lanes are a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each
     from a zero accumulator, and the host sums the products over k. A block
     holds as many k as fit in CLUSTER_LANES lanes, and one k when a single k
-    already has more outputs than that. The float64 codes go to mac8 as
+    already has more outputs than that. The float codes go to mac8 as
     C-ordered int64; the accumulators come back as float64.
 
     Each pass's running sums are checked against the 32-bit accumulator after
@@ -358,7 +372,8 @@ def _centered_dot_cluster(
     lhs + zl and rhs + zr are the unsigned codes l and r; their product runs
     through _raw_dot_cluster and is corrected in place, to sum l*(r - zr) and
     then sum (l - zl)*(r - zr). Each of these, and each correction, is a sum
-    of K terms in [-q^2, q^2], so it stays exact in float64.
+    of K terms in [-q^2, q^2], so it stays exact in the codes' float type
+    (_product_dtype); the byte-pass sums come back from _raw_dot_cluster as float64.
     """
     unsigned = lhs + zl
     acc = _raw_dot_cluster(unsigned, rhs + zr, bits, cluster)
@@ -373,6 +388,8 @@ class QuantizedLayer:
 
     qweight is cast to float64 once, when the layer is built, and held
     read-only; change a layer with dataclasses.replace, which casts again.
+    dtype is the float type the layer's codes and product take in infer_lut,
+    chosen once from its dot length and bits (_product_dtype).
     """
 
     name: str
@@ -380,11 +397,14 @@ class QuantizedLayer:
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
+    dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qweight = np.asarray(self.qweight, dtype=np.float64).view()  # a view: the caller's array keeps its flags
         qweight.flags.writeable = False
         object.__setattr__(self, "qweight", qweight)
+        bits = max(self.wparams.bits, self.act_params.bits)
+        object.__setattr__(self, "dtype", _product_dtype(len(qweight), bits))
 
 
 @dataclass
@@ -462,11 +482,10 @@ def infer_lut(
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
         zl, zr = (za, zw) if layer.kind == "dense" else (zw, za)  # the product's lhs and rhs zero points
-        q = quantize(x, ql.act_params)
+        q = quantize(x, ql.act_params, ql.dtype)
         q -= za  # quantize's own array, centred in place; padding it with 0 pads x with 0, since quantize(0) == za
 
         def product(lhs, rhs):
-            _check_float64_exact(lhs.shape[-1], qm.bits)
             if cluster is None:
                 acc = _raw_dot_vector(lhs, rhs, qm.bits)
             else:
@@ -480,11 +499,12 @@ def infer_lut(
                 else:  # (N, C, 1, P)
                     for c in range(codes.shape[1]):
                         capture(f"{layer.name}[{c}]", codes[:, c].transpose(0, 2, 1))
+            acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
             acc *= ql.act_params.scale * ql.wparams.scale
             return acc
 
         # the weight codes are centred per call: the layer holds unsigned codes only
-        return _mac(layer, q, ql.qweight - zw, ql.bias, product)
+        return _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), ql.bias, product)
 
     probs = _forward(qm.net, x, single, mac, captures)
     ledger = EnergyLedger()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from collections import Counter
@@ -22,7 +23,7 @@ from lutpim.engine import (
     softmax,
 )
 from lutpim.lut_core import OpTag
-from lutpim.nets import LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
+from lutpim.nets import ZOO, LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
 from lutpim.perf import estimate
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
@@ -317,8 +318,8 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
     codes = []
     real_quantize = engine_module.quantize
 
-    def quantize(r, p):
-        q = real_quantize(r, p)
+    def quantize(r, p, dtype):
+        q = real_quantize(r, p, dtype)
         codes.append(q.copy())  # mac_layer centres q in place
         return q
 
@@ -326,7 +327,9 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
     x = rng.choice([-1.0, 1.0], size=net.input_shape) * (0.5 + rng.random(net.input_shape))
     captures = {}
     probs, _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
-    assert len(codes) == len(qm.layers)
+    # K = 18, 9, 54 and 325: float32 holds K*255^2 for all but the dense layer at 8 bits
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert [q.dtype for q in codes] == {4: [f32] * 4, 8: [f32, f32, f32, f64], 16: [f64] * 4}[bits]
     for q in codes:
         assert q.min() == 0 and q.max() == qmax
     oprobs, oaccs = oracle_quantized_forward(qm, x)
@@ -558,24 +561,115 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
         gather[3] = 0
 
 
-def test_float64_exactness_bound_at_the_boundary():
-    # K*255^2 < 2^53: the largest K whose byte-pass sums float64 holds exactly
-    k_max = (2**53 - 1) // (255 * 255)
-    assert k_max * 255 * 255 < 2**53 <= (k_max + 1) * 255 * 255
-    engine_module._check_float64_exact(k_max, 8)
-    with pytest.raises(ValueError, match=f"dot length {k_max + 1}"):
-        engine_module._check_float64_exact(k_max + 1, 8)
+@pytest.mark.parametrize(
+    "bits, k, dtype",
+    [(4, 74_565, np.float32), (4, 74_566, np.float64), (8, 258, np.float32), (8, 259, np.float64), (16, 1, np.float64)],
+)
+def test_product_dtype_at_each_float32_edge(bits, k, dtype):
+    # K*q^2 < 2^24 with q = 2^bits - 1: the last K whose sums float32 holds exactly, and the first past it
+    q = (1 << bits) - 1
+    assert (k * q * q < 2**24) == (dtype is np.float32)
+    assert engine_module._product_dtype(k, bits) == dtype
 
 
-def test_float64_exactness_bound_at_16_bits():
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_product_dtype_refuses_a_dot_past_float64s_exact_integers(bits):
     # the vector engine's one product of centred codes, and the cluster engine's recombined byte
-    # passes and corrections, reach K*65535^2 at 16 bits
-    k_max = (2**53 - 1) // (65535 * 65535)
-    assert k_max * 65535 * 65535 < 2**53 <= (k_max + 1) * 65535 * 65535
-    engine_module._check_float64_exact(k_max, 16)
-    engine_module._check_float64_exact(k_max + 1, 8)
-    with pytest.raises(ValueError, match=f"dot length {k_max + 1}: a 16-bit"):
-        engine_module._check_float64_exact(k_max + 1, 16)
+    # passes and corrections, reach K*q^2
+    q = (1 << bits) - 1
+    k_max = (2**53 - 1) // (q * q)
+    assert k_max * q * q < 2**53 <= (k_max + 1) * q * q
+    assert engine_module._product_dtype(k_max, bits) == np.float64
+    with pytest.raises(ValueError, match=f"dot length {k_max + 1}: a {bits}-bit"):
+        engine_module._product_dtype(k_max + 1, bits)
+
+
+@pytest.mark.parametrize("bits, k_max", [(4, 74_565), (8, 258)])
+def test_saturated_float32_product_is_exact_at_the_largest_float32_k(bits, k_max):
+    """Products, byte-pass sums and the cluster's zero-point corrections all reach K*q^2 = 2^24 - 91 or - 766."""
+    assert engine_module._product_dtype(k_max, bits) == np.float32
+    rng = np.random.default_rng(700 + bits)
+    q = (1 << bits) - 1
+    for zl, zr in itertools.product((0, q), repeat=2):
+        for lcodes, rcodes in [(np.full(k_max, c), np.full(k_max, d)) for c in (0, q) for d in (0, q)] + [
+            (rng.choice([0, q], size=k_max), rng.choice([0, q], size=k_max))
+        ]:
+            lhs, rhs = (lcodes - zl)[None, :], (rcodes - zr)[:, None]
+            expect = lhs.astype(np.int64) @ rhs.astype(np.int64)
+            lhs32, rhs32 = lhs.astype(np.float32), rhs.astype(np.float32)
+            vector = engine_module._raw_dot_vector(lhs32, rhs32, bits)
+            cluster = engine_module._centered_dot_cluster(lhs32, zl, rhs32, zr, bits, Cluster())
+            assert vector.dtype == np.float32
+            assert np.array_equal(vector, expect), (zl, zr)
+            assert np.array_equal(cluster, expect), (zl, zr)
+
+
+def float32_edge_network() -> NetworkSpec:
+    """1x1 convs whose dot lengths are K = 258 and 259, the last float32 K at 8 bits and the first past it."""
+    return build_network(
+        "k258",
+        (258, 2, 2),
+        [
+            LayerSpec(name="k258", kind="conv2d", kernel=(1, 1), out_channels=259),
+            LayerSpec(name="k259", kind="conv2d", kernel=(1, 1), out_channels=3),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
+def _dot_length(layer) -> int:
+    """K of a MAC layer from its spec: the length of each of its dot products."""
+    if layer.kind == "dense":
+        return layer.in_features
+    kh, kw = layer.kernel
+    return kh * kw * (1 if layer.kind == "depthwise_conv2d" else layer.in_channels)
+
+
+def _run_bytes(qm, x, engine):
+    """Probabilities, acc and logits captures and ledger events of one infer_lut call, as bytes."""
+    captures = {}
+    probs, ledger = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
+    accs = {name: (acc.dtype.str, acc.shape, acc.tobytes()) for name, acc in captures["acc"].items()}
+    return probs.tobytes(), accs, captures["logits"].tobytes(), ledger.events
+
+
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+@pytest.mark.parametrize(
+    "make_net", [strided_depthwise_network, projected_shortcut_net, tinymalnet, float32_edge_network],
+    ids=["strided_depthwise", "projected_shortcut", "tinymalnet", "k258"],
+)
+def test_float32_layers_give_the_bytes_of_float64_layers(make_net, bits, engine, monkeypatch):
+    made = make_net()
+    net, ws = made if isinstance(made, tuple) else (made, init_random_weights(made, seed=70))
+    rng = np.random.default_rng(70 + bits)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
+    dtypes = [ql.dtype for ql in qm.layers.values()]
+    assert (np.float32 in dtypes) == (bits < 16)
+    if make_net is float32_edge_network:
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert dtypes[:2] == {4: [f32, f32], 8: [f32, f64], 16: [f64, f64]}[bits]
+    monkeypatch.setattr(engine_module, "_product_dtype", lambda k, bits: np.dtype(np.float64))
+    qm64 = dataclasses.replace(qm, layers={name: dataclasses.replace(ql) for name, ql in qm.layers.items()})
+    assert all(ql.dtype == np.float64 for ql in qm64.layers.values())
+    for x in (rng.random(net.input_shape), np.stack(random_inputs(net, rng, 3))):
+        assert _run_bytes(qm, x, engine) == _run_bytes(qm64, x, engine), (make_net, bits, engine, x.shape)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_float32_layers_from_the_zoo_specs(name):
+    net = get_network(name)
+    layers = {layer.name: layer for layer in mac_layers(net)}
+    for bits, dtype in ((4, np.float32), (16, np.float64)):
+        assert all(engine_module._product_dtype(_dot_length(layer), bits) == dtype for layer in layers.values())
+    at8 = {n: engine_module._product_dtype(_dot_length(layer), 8) for n, layer in layers.items()}
+    if name == "tinymalnet":
+        assert at8 == {"conv1": np.float32, "conv2": np.float32, "dense": np.float64}  # K = 9, 72 and 576
+    if name == "mobilenet_v2":
+        depthwise = [n for n, layer in layers.items() if layer.kind == "depthwise_conv2d"]
+        assert len(depthwise) == 17 and all(at8[n] == np.float32 for n in depthwise)
 
 
 def test_vector_product_is_exact_at_the_16_bit_bound():
@@ -607,14 +701,20 @@ def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
     net = strided_depthwise_network()
     rng = np.random.default_rng(13)
     qm = prepare_quantized(net, init_random_weights(net, seed=13), random_inputs(net, rng, 2), 8)
-    calls = []
+    calls, dtypes = [], []
     real_quantize = engine_module.quantize
-    monkeypatch.setattr(
-        engine_module, "quantize", lambda r, p: calls.append(np.shape(r)) or real_quantize(r, p)
-    )
+
+    def quantize(r, p, dtype):
+        calls.append(np.shape(r))
+        q = real_quantize(r, p, dtype)
+        dtypes.append(q.dtype)
+        return q
+
+    monkeypatch.setattr(engine_module, "quantize", quantize)
     infer_lut(qm, rng.random(net.input_shape))
     # the MAC layers' inputs; one sample runs as a stack of one
     assert calls == [(1, 2, 9, 11), (1, 3, 9, 11), (1, 3, 4, 5), (1, 2 * 4 * 5)]
+    assert dtypes == [np.float32] * 4  # K = 2, 9, 27 and 40, all within float32's exact integers at 8 bits
     calls.clear()
     infer_lut(qm, np.stack(random_inputs(net, rng, 3)))
     assert calls == [(3, 2, 9, 11), (3, 3, 9, 11), (3, 3, 4, 5), (3, 2 * 4 * 5)]  # once per batch

@@ -130,6 +130,36 @@ def test_array_codes_are_float64_integers_equal_to_the_integer_formula(bits):
     assert q.min() == 0 and q.max() == p.qmax
 
 
+def _ulps(v: float, d: int) -> float:
+    """v moved d float64 ulps."""
+    for _ in range(abs(d)):
+        v = np.nextafter(v, np.copysign(np.inf, d))
+    return v
+
+
+@given(
+    bits=st.sampled_from([4, 8, 16]),
+    scale=st.floats(1e-6, 1e3),
+    zero=st.integers(0, 65535),
+    codes=st.lists(st.integers(0, 65535), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_float32_codes_round_as_float64_codes(bits, scale, zero, codes, seed):
+    """quantize(x, p, float32) equals quantize(x, p), also within a few ulps of a half-way r/S.
+
+    Dividing in float32 instead would round some of those x/S to the other integer.
+    """
+    p = QuantParams(scale=scale, zero_point=zero % (1 << bits), bits=bits)
+    halves = [(c % (1 << bits) - p.zero_point + 0.5) * scale for c in codes]  # k + 0.5 with k + Z a code
+    near = [_ulps(v, d) for v in halves for d in range(-4, 5)]
+    spread = np.random.default_rng(seed).uniform(-2.0, 2.0, 64) * (1 << bits) * scale
+    x = np.concatenate([near, spread])
+    q32, q64 = quantize(x, p, np.float32), quantize(x, p)
+    assert q32.dtype == np.float32 and q64.dtype == np.float64
+    assert np.array_equal(q32, q64)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 7, -1])
 def test_non_finite_values_anywhere_in_an_array_raise(bad, where):
