@@ -17,7 +17,6 @@ from .quantizer import SUPPORTED_BITS, QuantParams
 from .system import SystemConfig
 from .weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
 
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
@@ -57,7 +56,7 @@ def _parser():
     p.add_argument("--weights", required=True)
     p.add_argument("--network", default="tinymalnet")
     p.add_argument("--corpus", required=True, help="manifest used for activation calibration")
-    p.add_argument("--precision", type=int, choices=(4, 8, 16), default=8)
+    p.add_argument("--precision", type=int, choices=SUPPORTED_BITS, default=8)
     p.add_argument("--cal-count", type=int, default=32)
     p.add_argument("--out", required=True)
 
@@ -66,13 +65,12 @@ def _parser():
     p.add_argument("--weights", help="required in functional mode")
     p.add_argument("--input", help="binary or .pgm input (functional mode)")
     p.add_argument("--mode", choices=("functional", "perf"), default="functional")
-    p.add_argument("--precision", type=int, choices=(4, 8, 16), default=8)
+    p.add_argument("--precision", type=int, choices=SUPPORTED_BITS, default=8)
     p.add_argument("--clusters", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="perf-model sweep -> CSV")
     p.add_argument("--networks", default=",".join(sorted(set(nets.ZOO) - {"tinymalnet"})))
-    p.add_argument("--precisions", default="4,8,16")
+    p.add_argument("--precisions", default=",".join(map(str, SUPPORTED_BITS)))
     p.add_argument("--clusters", type=int, default=256)
     p.add_argument("--out", required=True)
 

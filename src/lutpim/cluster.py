@@ -2,7 +2,8 @@
 
 The MAC decomposes a*b into four 4x4-bit partial products computed in parallel
 (step 1) followed by seven nibble-serial addition steps, filling the published
-6.4 ns / 0.8 ns-per-step budget exactly.
+6.4 ns / 0.8 ns-per-step budget exactly. A wider MAC runs as one 8-bit MAC per
+pair of operand bytes (`operand_bytes`).
 """
 
 from __future__ import annotations
@@ -263,3 +264,8 @@ def mac8(cluster: Cluster, a, b):
     check_accumulator(acc)
     cluster.accumulator = acc
     return acc
+
+
+def operand_bytes(bits: int) -> int:
+    """Bytes per `bits`-bit operand: a bits-bit MAC runs as operand_bytes(bits)**2 mac8 passes, one per byte pair."""
+    return (bits + 7) // 8

@@ -26,28 +26,28 @@ certified products: the vector engine's first run checks `mac8` over all
 cluster's byte passes, recombined and corrected for zero points, give the
 integer sum of products of centred codes, so the vector engine takes that
 sum as one matmul at 4, 8 and 16 bits. engine="cluster" adds the
-zero points back and runs each byte pass (four at 16 bits) through `mac8`
-in lockstep, one call per block of k with at most CLUSTER_LANES lanes
-unless a single k has more outputs, then applies the corrections host-side.
-Products are non-negative, so checking the running sums against the 32-bit
-accumulator after each block raises on exactly the inputs a per-MAC check
-does.
+zero points back, casts the unsigned codes to int64 once per layer and runs
+each of the operand_bytes(bits)**2 byte passes (four at 16 bits) through
+`mac8` in lockstep, one call per block of k with at most CLUSTER_LANES lanes
+unless a single k has more outputs; it shifts and sums the passes and
+applies the zero-point corrections in int64. Products are non-negative, so
+checking the running sums against the 32-bit accumulator after each block
+raises on exactly the inputs a per-MAC check does.
 
 Codes stay float integers from `quantize` to the accumulator, in one float
 type per MAC layer. Centred codes are at most q = 2^bits - 1 in magnitude,
-so every partial sum of a K-long dot product, and on the cluster engine
-every byte-pass sum and correction, is at most K*q^2 in any summation
-order. A layer whose K*q^2 < 2^24 takes float32, which holds those
-integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at 16.
+so every partial sum of a K-long dot product is at most K*q^2 in any
+summation order. A layer whose K*q^2 < 2^24 takes float32, which holds
+those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at 16.
 Every other layer takes float64; building a layer with K*q^2 >= 2^53
 raises. `QuantizedLayer` makes that choice once (`_product_dtype`): `quantize`
 casts the layer's codes to its type, and centring, padding, windows, the
 centred weight codes and the product stay in it. The accumulator is scaled
 in float64 in every layer, so outputs do not depend on the type. int64
-appears only in captured accumulators (cast once per layer), around
-`mac8`, and in the codes a weight container loads. Integer results are
-exact, so both engines, any batch and any direct integer oracle agree
-bit-for-bit, with or without captures.
+appears only in captured accumulators (cast once per layer), in the cluster
+engine's product, and in the codes a weight container loads. Integer
+results are exact, so both engines, any batch and any direct integer oracle
+agree bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Cluster, check_accumulator, mac8
+from .cluster import Cluster, check_accumulator, mac8, operand_bytes
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
 from .nets import LayerSpec, NetworkSpec
 from .perf import charge_layer
-from .quantizer import CalibrationError, QuantParams, calibrate, quantize
+from .quantizer import SUPPORTED_BITS, CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
 from .weights import WeightSet
 
@@ -284,10 +284,9 @@ def _product_dtype(k: int, bits: int) -> np.dtype:
     """The float type that holds every integer of a k-long product of centred `bits`-bit codes exactly.
 
     Centred codes are at most q = 2**bits - 1 in magnitude, so every partial
-    sum of the product, and on the cluster engine every byte-pass sum and
-    zero-point correction, is at most k*q^2 in magnitude, in any summation
-    order. float32 holds it while k*q^2 < 2**24 (k <= 74,565 at 4 bits, 258
-    at 8, never at 16), float64 while k*q^2 < 2**53; past that, ValueError.
+    sum of the product is at most k*q^2 in magnitude, in any summation order.
+    float32 holds it while k*q^2 < 2**24 (k <= 74,565 at 4 bits, 258 at 8,
+    never at 16), float64 while k*q^2 < 2**53; past that, ValueError.
     """
     bound = k * ((1 << bits) - 1) ** 2
     if bound < 1 << 24:
@@ -295,23 +294,6 @@ def _product_dtype(k: int, bits: int) -> np.dtype:
     if bound < 1 << 53:
         return np.dtype(np.float64)
     raise ValueError(f"dot length {k}: a {bits}-bit dot product may reach 2**53, past float64's exact integers")
-
-
-def _split_bytes(codes: np.ndarray):
-    """(high byte, low byte) of float64 16-bit codes; scaling by 1/256 is exact, so floor drops the low byte."""
-    high = codes * (1 / 256)
-    np.floor(high, out=high)
-    low = high * -256
-    low += codes
-    return high, low
-
-
-def _byte_passes(lhs: np.ndarray, rhs: np.ndarray, bits: int):
-    """(multiplier, lhs bytes, rhs bytes) per cluster byte pass; 16-bit operands take four, recombined host-side."""
-    if bits <= 8:
-        return ((1, lhs, rhs),)
-    (lh, ll), (rh, rl) = _split_bytes(lhs), _split_bytes(rhs)
-    return ((1 << 16, lh, rh), (1 << 8, lh, rl), (1 << 8, ll, rh), (1, ll, rl))
 
 
 def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
@@ -327,19 +309,28 @@ def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
     q = 2**bits - 1, exact in float32 while K*q^2 < 2^24 (K <= 258 at 8 bits,
     74,565 at 4, never at 16) and in float64 while K*q^2 < 2^53; each
     QuantizedLayer picks its codes' type from that bound (_product_dtype).
+    The product does not read `bits`; the parameter stays because perfbench's
+    corrupted-accumulator test wraps this function by its three-argument form.
     """
     _certify_byte_products()
     return lhs @ rhs
 
 
-def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Cluster) -> np.ndarray:
-    """Unsigned sum_k lhs[..., i, k] * rhs[..., k, j] on the cluster: per byte pass, one mac8 call per block of k.
+def _centered_dot_cluster(
+    lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, bits: int, cluster: Cluster
+) -> np.ndarray:
+    """_raw_dot_vector's sum of zero-centred codes on the cluster, as float64, where mac8 multiplies unsigned bytes.
 
-    A call's lanes are a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each
-    from a zero accumulator, and the host sums the products over k. A block
-    holds as many k as fit in CLUSTER_LANES lanes, and one k when a single k
-    already has more outputs than that. The float codes go to mac8 as
-    C-ordered int64; the accumulators come back as float64.
+    The unsigned codes ul = lhs + zl and ur = rhs + zr are cast once to
+    C-ordered int64 (mac8's broadcast lanes ran about 1.15x slower on
+    transposed conv weights). A bits-bit MAC is operand_bytes(bits)**2 byte
+    passes: byte i of ul by byte j of ur, shifted left by 8*(i + j) bits and
+    summed. Each pass is one mac8 call per block of k: a call's lanes are
+    a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each from a zero
+    accumulator, and the host sums the products over k. A block holds as many
+    k as fit in CLUSTER_LANES lanes, and one k when a single k already has
+    more outputs than that. The zero-point corrections, sum ul*ur - zr*sum ul
+    - zl*(sum ur - K*zr), run in int64 too.
 
     Each pass's running sums are checked against the 32-bit accumulator after
     every block. Products are non-negative, so a lane's sum never decreases as
@@ -350,36 +341,25 @@ def _raw_dot_cluster(lhs: np.ndarray, rhs: np.ndarray, bits: int, cluster: Clust
     k_len = lhs.shape[-1]
     per_k = math.prod(np.broadcast_shapes(lhs.shape[:-1] + (1,), rhs.shape[:-2] + (1, rhs.shape[-1])))
     block = max(1, CLUSTER_LANES // per_k)
-    out = 0
-    for mul, a, b in _byte_passes(lhs, rhs, bits):
-        # C order whatever the codes' layout: mac8's broadcast lanes ran about 1.15x slower on transposed conv weights
-        a, b = a.astype(np.int64, order="C"), b.astype(np.int64, order="C")
+    ul, ur = lhs.astype(np.int64, order="C"), rhs.astype(np.int64, order="C")
+    ul += zl
+    ur += zr
+    n = operand_bytes(bits)
+    # byte i of each operand, taken once; codes of at most 8 bits are their own byte
+    lbytes = [ul >> 8 * i & 255 for i in range(n)] if n > 1 else [ul]
+    rbytes = [ur >> 8 * i & 255 for i in range(n)] if n > 1 else [ur]
+    acc = 0
+    for (i, a), (j, b) in itertools.product(enumerate(lbytes), enumerate(rbytes)):
         total = 0
         for k0 in range(0, k_len, block):
             cluster.accumulator = 0
             products = mac8(cluster, a[..., :, k0 : k0 + block, None], b[..., None, k0 : k0 + block, :])
             total = total + products.sum(axis=-2)
             check_accumulator(total)
-        out = out + total * mul
-    return out.astype(np.float64)
-
-
-def _centered_dot_cluster(
-    lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, bits: int, cluster: Cluster
-) -> np.ndarray:
-    """_raw_dot_vector's sum of zero-centred codes on the cluster, where mac8 multiplies unsigned codes.
-
-    lhs + zl and rhs + zr are the unsigned codes l and r; their product runs
-    through _raw_dot_cluster and is corrected in place, to sum l*(r - zr) and
-    then sum (l - zl)*(r - zr). Each of these, and each correction, is a sum
-    of K terms in [-q^2, q^2], so it stays exact in the codes' float type
-    (_product_dtype); the byte-pass sums come back from _raw_dot_cluster as float64.
-    """
-    unsigned = lhs + zl
-    acc = _raw_dot_cluster(unsigned, rhs + zr, bits, cluster)
-    acc -= zr * unsigned.sum(axis=-1, keepdims=True)
-    acc -= zl * rhs.sum(axis=-2, keepdims=True)
-    return acc
+        acc = acc + (total << 8 * (i + j))
+    acc -= zr * ul.sum(axis=-1, keepdims=True)
+    acc -= zl * (ur.sum(axis=-2, keepdims=True) - k_len * zr)
+    return acc.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -418,8 +398,8 @@ def prepare_quantized(
     net: NetworkSpec, ws: WeightSet, cal_inputs, bits: int
 ) -> QuantizedModel:
     """Quantize weights (symmetric) and calibrate activations (asymmetric) on the float pass's layer inputs."""
-    if bits not in (4, 8, 16):
-        raise ValueError("precision must be 4, 8, or 16 bits")
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"precision must be {', '.join(map(str, SUPPORTED_BITS[:-1]))}, or {SUPPORTED_BITS[-1]} bits")
     extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
 
     def mac(layer, x):
@@ -590,11 +570,6 @@ class MetricsReport:
     fn: int
 
 
-# Published reference row for the full-corpus classifier, rendered alongside
-# desk-scale results (accuracy / f1 / recall).
-REFERENCE_METRICS = (0.987, 0.987, 0.982)
-
-
 def metrics_from_predictions(y_true, probs) -> MetricsReport:
     """Two-class metrics with malware (class 1) as the positive class."""
     y_true = np.asarray(y_true, dtype=int)
@@ -630,7 +605,6 @@ def evaluate(
     inputs,
     labels,
     bits: int | None = None,
-    cfg: SystemConfig | None = None,
     cal_count: int = 32,
 ) -> MetricsReport:
     """Corpus evaluation in the float backend or the LUT backend at a precision.
@@ -646,5 +620,5 @@ def evaluate(
         probs = np.concatenate([infer_float(net, ws, xs) for xs in _chunks(net, inputs)])
     else:
         qm = prepare_quantized(net, ws, inputs[:cal_count], bits)
-        probs = np.concatenate([infer_lut(qm, xs, cfg)[0] for xs in _chunks(net, inputs)])
+        probs = np.concatenate([infer_lut(qm, xs)[0] for xs in _chunks(net, inputs)])
     return metrics_from_predictions(labels, probs)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cluster import operand_bytes
 from .nets import LayerSpec, NetworkSpec
+from .quantizer import SUPPORTED_BITS
 from .system import EnergyLedger, SystemConfig
-
-PASS_FACTOR = {4: 1, 8: 1, 16: 4}
 
 ELEMENTS_PER_INTRA_TRANSFER = 256
 CLUSTERS_PER_WEIGHT_TRANSFER = 16
@@ -118,11 +118,12 @@ def charge_layer(
 ) -> EnergyLedger:
     """Charge one layer's MAC, intra and inter events, each as one event carrying its count.
 
-    Multi-pass precisions run their passes sequentially inside each cluster,
-    so the pass factor multiplies whole wave sweeps: 16-bit is exactly 4x 8-bit.
+    A precision_bits-bit MAC is operand_bytes(precision_bits)**2 mac8 passes,
+    as the cluster engine runs it. The passes run sequentially inside each
+    cluster, so they multiply whole wave sweeps: 16-bit is exactly 4x 8-bit.
     """
     macs = mac_count(layer)
-    passes = PASS_FACTOR[precision_bits]
+    passes = operand_bytes(precision_bits) ** 2
     ledger.account_macs(cfg, macs, passes)
     ledger.account_transfer("intra", count=intra_transfer_events(layer))
     ledger.account_transfer("inter", 1, count=weight_transfer_events(macs * passes, cfg))
@@ -146,8 +147,8 @@ def layer_cost(layer: LayerSpec, cfg: SystemConfig, precision_bits: int) -> Laye
 
 def estimate(net: NetworkSpec, cfg: SystemConfig, precision_bits: int) -> PerfReport:
     """Sequential per-layer cost model (no inter-layer pipelining)."""
-    if precision_bits not in PASS_FACTOR:
-        raise ValueError(f"precision_bits must be one of {sorted(PASS_FACTOR)}")
+    if precision_bits not in SUPPORTED_BITS:
+        raise ValueError(f"precision_bits must be one of {list(SUPPORTED_BITS)}")
     net.validate()
     layers = tuple(layer_cost(layer, cfg, precision_bits) for layer in net.layers)
     notes = []

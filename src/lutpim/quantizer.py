@@ -1,4 +1,4 @@
-"""Uniform affine quantization r = S*(q - Z) for N in {4, 8, 16}, plus calibration.
+"""Uniform affine quantization r = S*(q - Z) for N in SUPPORTED_BITS, plus calibration.
 
 Weights use the symmetric scheme (Z fixed at mid-range); activations use
 asymmetric min-max calibration. Rounding is half-even throughout.

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import MAC_DELAY_NS, MAC_ENERGY_NOMINAL_PJ
+from .quantizer import SUPPORTED_BITS
 
 UJ_TO_PJ = 1e6
 
@@ -31,8 +32,8 @@ class SystemConfig:
             raise ValueError("cluster_count must be >= 1")
         if self.clusters_per_subarray < 1 or self.cluster_count % self.clusters_per_subarray:
             raise ValueError("clusters_per_subarray must divide cluster_count")
-        if self.precision_bits not in (4, 8, 16):
-            raise ValueError("precision_bits must be one of {4, 8, 16}")
+        if self.precision_bits not in SUPPORTED_BITS:
+            raise ValueError(f"precision_bits must be one of {{{', '.join(map(str, SUPPORTED_BITS))}}}")
 
 
 def hop_class(hops: int) -> int:

@@ -24,6 +24,7 @@ def test_usage_error_exit_code(capsys):
     for argv, usage in (
         (["convert"], "usage: lutpim convert"),  # missing required args
         (["simulate", "--precision", "5"], "usage: lutpim simulate"),
+        (["simulate", "--mode", "perf", "--seed", "0"], "unrecognized arguments: --seed 0"),
         (["no-such-command"], "usage: lutpim"),
     ):
         assert run(["simulate", "--mode", "perf"]) == 0  # the cached parser is warm

@@ -12,7 +12,6 @@ import lutpim.engine as engine_module
 from lutpim.cluster import AccumulatorOverflowError, Cluster
 from lutpim.engine import (
     CLUSTER_LANES,
-    REFERENCE_METRICS,
     evaluate,
     infer_float,
     infer_lut,
@@ -487,25 +486,25 @@ def test_cluster_engine_32_bit_limit_at_the_boundary():
     k = 66_052
     lhs, rhs = np.full((1, k), 255.0), np.full((k, 1), 255.0)
     lhs[0, -1] = 4
-    assert engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster()).tolist() == [[2**32 - 1]]
+    assert engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()).tolist() == [[2**32 - 1]]
     lhs[0, -1], rhs[-1, 0] = 5, 205  # 2**32 + 4
     with pytest.raises(AccumulatorOverflowError):
-        engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster())
+        engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
 
 
 def _record_cluster_calls(monkeypatch):
-    """Per _raw_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
-    calls, real_dot, real_mac8 = [], engine_module._raw_dot_cluster, engine_module.mac8
+    """Per _centered_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
+    calls, real_dot, real_mac8 = [], engine_module._centered_dot_cluster, engine_module.mac8
 
-    def raw_dot(lhs, rhs, bits, cluster):
+    def dot(lhs, zl, rhs, zr, bits, cluster):
         calls.append([lhs.shape, rhs.shape, []])
-        return real_dot(lhs, rhs, bits, cluster)
+        return real_dot(lhs, zl, rhs, zr, bits, cluster)
 
     def mac8(cluster, a, b):
         calls[-1][2].append(np.broadcast(a, b).size)
         return real_mac8(cluster, a, b)
 
-    monkeypatch.setattr(engine_module, "_raw_dot_cluster", raw_dot)
+    monkeypatch.setattr(engine_module, "_centered_dot_cluster", dot)
     monkeypatch.setattr(engine_module, "mac8", mac8)
     return calls
 
@@ -533,12 +532,26 @@ def test_cluster_engine_runs_blocks_of_k_within_the_lane_bound(make_net, bits, n
     _assert_blocks_of_k(calls, passes=1 if bits <= 8 else 4)
 
 
+@pytest.mark.parametrize("bits", [4, 8, 16])
+@pytest.mark.parametrize("make_net", [tinymalnet, projected_shortcut_net], ids=["tinymalnet", "projected_shortcut"])
+def test_cluster_engine_runs_the_mac_count_its_ledger_charges(make_net, bits, monkeypatch):
+    """Per MAC layer of one sample, the mac8 lanes run equal the layer's ledger `mac` count: its MACs times passes."""
+    made = make_net()
+    net, ws = made if isinstance(made, tuple) else (made, init_random_weights(made, seed=80))
+    rng = np.random.default_rng(80 + bits)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), bits)
+    calls = _record_cluster_calls(monkeypatch)
+    _, ledger = infer_lut(qm, rng.random(net.input_shape), SystemConfig(), engine="cluster")
+    assert len(calls) == len(qm.layers)
+    assert [sum(lanes) for _, _, lanes in calls] == [n for cat, n, _, _ in ledger.events if cat == "mac"]
+
+
 def test_cluster_engine_runs_one_k_per_call_past_the_lane_bound(monkeypatch):
     # one k of a (2, 3) @ (3, 40000) product already has 80,000 outputs
     rng = np.random.default_rng(14)
     lhs, rhs = rng.integers(0, 256, (2, 3)).astype(np.float64), rng.integers(0, 256, (3, 40_000)).astype(np.float64)
     calls = _record_cluster_calls(monkeypatch)
-    assert np.array_equal(engine_module._raw_dot_cluster(lhs, rhs, 8, Cluster()), lhs @ rhs)
+    assert np.array_equal(engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()), lhs @ rhs)
     assert calls[0][2] == [80_000] * 3
     _assert_blocks_of_k(calls, passes=1)
 
@@ -869,10 +882,6 @@ def test_metrics_perfect_classifier():
     m = metrics_from_predictions(y, probs)
     assert m.accuracy == 1.0 and m.f1 == 1.0
     assert m.probability_gap == 0.0
-
-
-def test_reference_metrics_constants():
-    assert REFERENCE_METRICS == (0.987, 0.987, 0.982)
 
 
 @pytest.mark.parametrize("bits", [None, 4, 8, 16])
