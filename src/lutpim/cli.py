@@ -255,7 +255,7 @@ def _rebuild_qmodel(net, ws, bits):
     quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
     qm = engine.QuantizedModel(net=net, bits=bits) if quantized else None
-    for layer in engine.mac_layers(net):
+    for layer in nets.mac_layers(net):
         qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
         for name in (qw_name, act_name, b_name) if quantized else (f"{layer.name}.w", b_name):
             if name not in ws:

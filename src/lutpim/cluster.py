@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut_core import LutCore, OpTag, UnprogrammedCoreError, build_function_table
+from .lut_core import CORE_DELAY_NS, LutCore, OpTag, UnprogrammedCoreError, build_function_table
 
 CLUSTER_CORES = 9
 MAC_STEPS = 8
-MAC_DELAY_NS = 6.4
+MAC_DELAY_NS = MAC_STEPS * CORE_DELAY_NS  # 6.4 ns: one core step per microprogram step
 CLUSTER_POWER_MW_LOW = 8.2
 CLUSTER_POWER_MW_HIGH = 11.0
 CLUSTER_POWER_MW_NOMINAL = (CLUSTER_POWER_MW_LOW + CLUSTER_POWER_MW_HIGH) / 2

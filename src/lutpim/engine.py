@@ -12,11 +12,12 @@ calibration and the last-layer fit. It runs pooling, ReLU (in place only on
 arrays the pass made itself), flatten, residual adds and softmax, and hands
 each MAC layer to the backend's MAC step. A projected shortcut is a MAC
 layer too: the 1x1 strided conv "{name}.proj" of the residual source, as
-`mac_layers` lists it. Every MAC step is channel-major (`_mac`): one product
-of weight rows with input windows over the batch axis, (O, K) @ (N, K, P)
-for a conv, the grouped (C, 1, k) @ (N, C, k, P) for a depthwise layer and
-(N, 1, K) @ (K, O) for a dense one, so outputs come out NCHW with no
-transpose. The float step's product is a real matmul.
+`nets.mac_layers` lists it. Every MAC step is one grouped conv (`_mac`),
+channel-major: the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
+windows over the batch axis, rows of the layer's (K/G, O) weight matrix
+always on the left. A conv has G = 1, a depthwise layer G = C and a dense layer is one
+window, so outputs come out NCHW with no transpose. The float step's
+product is a real matmul.
 
 The integer step quantizes a layer's input once, centres it on its zero
 point in place and pads it with 0, the centred code of 0; weight codes are
@@ -61,7 +62,7 @@ import numpy as np
 
 from .cluster import Cluster, check_accumulator, mac8, operand_bytes
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
-from .nets import LayerSpec, NetworkSpec
+from .nets import MAC_KINDS, NetworkSpec, groups, mac_layers, projection, weight_shape
 from .perf import charge_layer
 from .quantizer import SUPPORTED_BITS, CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
@@ -102,7 +103,7 @@ def _chunks(net: NetworkSpec, inputs):
 # the layer walk, the MAC step and the float reference backend
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); padding holds 0.
 
     One copy through a strided view of x (numpy checks that the view stays inside x's
@@ -116,30 +117,29 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     ow = (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     view = np.ndarray((n, c, kh, kw, oh, ow), x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride))
-    return view.reshape(n, c, kh * kw, oh * ow), oh, ow
+    return view.reshape(n, c, kh * kw, oh * ow)
 
 
 def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product) -> np.ndarray:
-    """A MAC layer's outputs from its (N, C, H, W) or (N, K) input: one channel-major product(lhs, rhs) plus bias.
+    """A MAC layer's outputs from its (N, C, H, W) or (N, K) input: one grouped-conv product(lhs, rhs) plus bias.
 
-    wmat is the layer's (K, O) weight matrix, (k, C) for a depthwise layer. A
-    dense layer is (N, 1, K) @ (K, O), one row per sample, so a stack's rows
-    equal single calls; a conv is (O, K) @ (N, K, P), K ordered (c, ki, kj), a
-    free reshape of the windows; a depthwise layer is (C, 1, k) @ (N, C, k, P).
-    The bias is added in place on the product's array, and outputs are NCHW.
+    wmat is the layer's (K/G, O) weight matrix over its G groups (nets.groups).
+    Every layer is the one product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
+    windows, each group's K/G ordered (c, ki, kj), a free reshape of the
+    windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is
+    one window per sample, so each sample is its own product and a stack's
+    rows equal single calls. The bias is added in place on the product's
+    array, and outputs take the layer's out_shape, NCHW.
     """
     if layer.kind == "dense":
-        out = product(x[:, None, :], wmat)[:, 0]
-        out += bias
-        return out
-    win, oh, ow = _windows(x, *layer.kernel, layer.stride, layer.padding)
-    if layer.kind == "conv2d":
-        out = product(wmat.T, win.reshape(len(win), -1, win.shape[-1]))
+        win = x[:, None, :, None]
     else:
-        out = product(wmat.T[:, None, :], win)
-    out = out.reshape(len(out), -1, oh * ow)
+        win = _windows(x, *layer.kernel, layer.stride, layer.padding)
+        win = win.reshape(len(win), groups(layer), -1, win.shape[-1])
+    out = product(wmat.T.reshape(win.shape[1], -1, len(wmat)), win)
+    out = out.reshape(len(out), len(bias), -1)
     out += bias[:, None]
-    return out.reshape(len(out), -1, oh, ow)
+    return out.reshape(len(out), *layer.out_shape)
 
 
 def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -160,27 +160,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis: one logit vector, or one row per sample."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-MAC_KINDS = ("conv2d", "depthwise_conv2d", "dense")
-
-
-def _projection(layer) -> LayerSpec:
-    """A projected shortcut's 1x1 strided conv of the residual source, named "{layer.name}.proj"."""
-    return LayerSpec(
-        name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
-        in_channels=layer.proj_in_shape[0], out_channels=layer.out_channels,
-        in_shape=layer.proj_in_shape, out_shape=layer.out_shape,
-    )
-
-
-def mac_layers(net: NetworkSpec):
-    """Every layer that holds weights, in order: the MAC layers, and each projected shortcut as its 1x1 conv."""
-    for layer in net.layers:
-        if layer.kind in MAC_KINDS:
-            yield layer
-        elif layer.proj:
-            yield _projection(layer)
 
 
 def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None):
@@ -204,7 +183,7 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
             x = x.reshape(len(x), -1)
         elif layer.kind == "residual_add":
             res = saved[layer.residual_from]
-            x = x + (mac(_projection(layer), res) if layer.proj else res)
+            x = x + (mac(projection(layer), res) if layer.proj else res)
         elif layer.kind == "softmax":
             if captures is not None:
                 captures["logits"] = (x[0] if single else x).copy()
@@ -218,7 +197,7 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
 
 
 def _weight_matrix(layer, ws: WeightSet):
-    """A MAC layer's float64 (K, O) weight matrix, (k, C) for a depthwise layer, and its bias."""
+    """A MAC layer's float64 (K/G, O) weight matrix, (k, C) for a depthwise layer, and its bias."""
     try:
         w = np.asarray(ws[f"{layer.name}.w"].data, dtype=np.float64)
         b = np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64)
@@ -226,7 +205,7 @@ def _weight_matrix(layer, ws: WeightSet):
         raise KeyError(f"missing weights for layer {layer.name!r}") from None
     if layer.kind == "dense":
         return w, b
-    return w.reshape(layer.out_channels, -1).T, b  # a conv's K ordered (c, ki, kj); one column per depthwise channel
+    return w.reshape(layer.out_channels, -1).T, b  # each group's K/G ordered (c, ki, kj); one column per output channel
 
 
 def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
@@ -373,7 +352,7 @@ class QuantizedLayer:
     """
 
     name: str
-    qweight: np.ndarray  # (K, O) unsigned codes; (k, C) for a depthwise layer
+    qweight: np.ndarray  # (K/G, O) unsigned codes: (K, O) for a conv or dense layer, (k, C) for a depthwise one
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
@@ -458,10 +437,9 @@ def infer_lut(
         accs[key] = acc[0] if single else acc
 
     def mac(layer, x):
-        """Quantize x once, centre it, and take one channel-major product: sum((qw - zw) * (qa - za))."""
+        """Quantize x once, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        zl, zr = (za, zw) if layer.kind == "dense" else (zw, za)  # the product's lhs and rhs zero points
         q = quantize(x, ql.act_params, ql.dtype)
         q -= za  # quantize's own array, centred in place; padding it with 0 pads x with 0, since quantize(0) == za
 
@@ -469,16 +447,14 @@ def infer_lut(
             if cluster is None:
                 acc = _raw_dot_vector(lhs, rhs, qm.bits)
             else:
-                acc = _centered_dot_cluster(lhs, zl, rhs, zr, qm.bits, cluster)
+                acc = _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
             if accs is not None:
-                codes = acc.astype(np.int64)  # one cast per layer; depthwise channels are views of it
-                if layer.kind == "dense":  # (N, 1, O)
-                    capture(layer.name, codes)
-                elif layer.kind == "conv2d":  # (N, O, P)
-                    capture(layer.name, codes.transpose(0, 2, 1))
-                else:  # (N, C, 1, P)
+                codes = acc.astype(np.int64)  # (N, G, O/G, P), one cast per layer; captures are views of it
+                if layer.kind == "depthwise_conv2d":  # one key per channel
                     for c in range(codes.shape[1]):
                         capture(f"{layer.name}[{c}]", codes[:, c].transpose(0, 2, 1))
+                else:
+                    capture(layer.name, codes[:, 0].transpose(0, 2, 1))
             acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
             acc *= ql.act_params.scale * ql.wparams.scale
             return acc
@@ -502,21 +478,10 @@ def init_random_weights(net: NetworkSpec, seed: int) -> WeightSet:
     rng = np.random.default_rng(seed)
     ws = WeightSet()
     for layer in mac_layers(net):
-        if layer.kind == "conv2d":
-            kh, kw = layer.kernel
-            fan_in = layer.in_channels * kh * kw
-            w = rng.normal(0, np.sqrt(2 / fan_in), (layer.out_channels, layer.in_channels, kh, kw))
-            ws.add(f"{layer.name}.w", w.astype(np.float32))
-            ws.add(f"{layer.name}.b", np.zeros(layer.out_channels, dtype=np.float32))
-        elif layer.kind == "depthwise_conv2d":
-            kh, kw = layer.kernel
-            w = rng.normal(0, np.sqrt(2 / (kh * kw)), (layer.in_channels, 1, kh, kw))
-            ws.add(f"{layer.name}.w", w.astype(np.float32))
-            ws.add(f"{layer.name}.b", np.zeros(layer.in_channels, dtype=np.float32))
-        else:
-            w = rng.normal(0, np.sqrt(2 / layer.in_features), (layer.in_features, layer.out_features))
-            ws.add(f"{layer.name}.w", w.astype(np.float32))
-            ws.add(f"{layer.name}.b", np.zeros(layer.out_features, dtype=np.float32))
+        shape, out_channels = weight_shape(layer), layer.out_shape[0]
+        w = rng.normal(0, np.sqrt(2 / (math.prod(shape) // out_channels)), shape)  # fan-in K/G
+        ws.add(f"{layer.name}.w", w.astype(np.float32))
+        ws.add(f"{layer.name}.b", np.zeros(out_channels, dtype=np.float32))
     return ws
 
 

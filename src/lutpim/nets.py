@@ -77,6 +77,46 @@ class NetworkSpec:
             raise ShapeError(f"{self.name}: final layer must yield a score vector, got {shape}")
 
 
+# Every MAC layer is a grouped convolution: G groups, each of O/G output
+# channels over C/G input channels. A conv has G = 1, a depthwise layer
+# G = C (one group per channel), and a dense layer is a conv with one window.
+MAC_KINDS = ("conv2d", "depthwise_conv2d", "dense")
+
+
+def groups(layer: LayerSpec) -> int:
+    """A MAC layer's groups G: C for a depthwise layer, 1 otherwise."""
+    return layer.in_channels if layer.kind == "depthwise_conv2d" else 1
+
+
+def weight_shape(layer: LayerSpec) -> tuple[int, ...]:
+    """A MAC layer's stored weight shape: (O, C/G, kh, kw) for a conv, (K, O) for a dense layer."""
+    if layer.kind == "dense":
+        return (layer.in_features, layer.out_features)
+    return (layer.out_channels, layer.in_channels // groups(layer), *layer.kernel)
+
+
+def projection(layer: LayerSpec) -> LayerSpec:
+    """A projected shortcut's 1x1 strided conv of the residual source, named "{layer.name}.proj"."""
+    return LayerSpec(
+        name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
+        in_channels=layer.proj_in_shape[0], out_channels=layer.out_channels,
+        in_shape=layer.proj_in_shape, out_shape=layer.out_shape,
+    )
+
+
+def own_mac_layers(layer: LayerSpec) -> tuple[LayerSpec, ...]:
+    """The MAC layers one layer runs: itself if it is one, its projection if it is a projected shortcut."""
+    if layer.kind in MAC_KINDS:
+        return (layer,)
+    return (projection(layer),) if layer.proj else ()
+
+
+def mac_layers(net: NetworkSpec):
+    """Every layer that holds weights, in order: the MAC layers, and each projected shortcut as its 1x1 conv."""
+    for layer in net.layers:
+        yield from own_mac_layers(layer)
+
+
 def _conv_out(side: int, k: int, stride: int, pad: int) -> int:
     out = (side + 2 * pad - k) // stride + 1
     if out < 1:

@@ -1,11 +1,12 @@
 """Analytic latency/energy mapper: NetworkSpec -> per-layer and total PerfReport.
 
-Conv/dense MACs run on the clusters (ceil-spread over cluster_count at 6.4 ns
-per wave); element-wise layers charge one intra-subarray transfer per 256
-output elements; each MAC layer charges one hop-1 inter-subarray transfer per
-16 clusters used for weight distribution. `charge_layer` is the one place
-these costs are computed: `layer_cost` reads them back from a ledger, and
-`engine.infer_lut` charges its ledger through it once per layer.
+MACs run on the clusters (ceil-spread over cluster_count at 6.4 ns per
+wave); element-wise layers charge one intra-subarray transfer per 256 output
+elements; each MAC layer charges one hop-1 inter-subarray transfer per
+subarray (`SystemConfig.clusters_per_subarray` clusters) it uses for weight
+distribution. `charge_layer` is the one place these costs are computed:
+`layer_cost` reads them back from a ledger, and `engine.infer_lut` charges
+its ledger through it once per layer.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .cluster import operand_bytes
-from .nets import LayerSpec, NetworkSpec
+from .nets import LayerSpec, NetworkSpec, own_mac_layers, weight_shape
 from .quantizer import SUPPORTED_BITS
 from .system import EnergyLedger, SystemConfig
 
 ELEMENTS_PER_INTRA_TRANSFER = 256
-CLUSTERS_PER_WEIGHT_TRANSFER = 16
 
 # Published cross-device comparison ratios for AlexNet at 8-bit; these are
 # reference annotations only, no external device is simulated here.
@@ -73,26 +73,8 @@ class PerfReport:
 
 
 def mac_count(layer: LayerSpec) -> int:
-    """Multiplies per layer from the closed-form shape formulas."""
-    kind = layer.kind
-    if kind == "conv2d":
-        kh, kw = layer.kernel
-        c, h, w = layer.out_shape
-        return kh * kw * layer.in_channels * h * w * c
-    if kind == "depthwise_conv2d":
-        kh, kw = layer.kernel
-        c, h, w = layer.out_shape
-        return kh * kw * h * w * c
-    if kind == "dense":
-        return layer.in_features * layer.out_features
-    if kind == "residual_add":
-        if layer.proj:
-            c, h, w = layer.out_shape
-            return layer.proj_in_shape[0] * c * h * w
-        return 0
-    if kind in ("maxpool2d", "relu", "flatten", "softmax"):
-        return 0
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """Multiplies per layer: each MAC layer it runs (nets.own_mac_layers) is its weights times its output positions."""
+    return sum(math.prod(weight_shape(m)) * math.prod(m.out_shape[1:]) for m in own_mac_layers(layer))
 
 
 def intra_transfer_events(layer: LayerSpec) -> int:
@@ -106,11 +88,11 @@ def intra_transfer_events(layer: LayerSpec) -> int:
 
 
 def weight_transfer_events(macs_effective: int, cfg: SystemConfig) -> int:
-    """Hop-1 inter-subarray events for distributing weights to the clusters used."""
+    """Hop-1 inter-subarray events for distributing weights: one per subarray whose clusters are used."""
     if macs_effective == 0:
         return 0
     clusters_used = min(cfg.cluster_count, macs_effective)
-    return math.ceil(clusters_used / CLUSTERS_PER_WEIGHT_TRANSFER)
+    return math.ceil(clusters_used / cfg.clusters_per_subarray)
 
 
 def charge_layer(

@@ -18,9 +18,9 @@ from .quantizer import QuantParams
 MAGIC = b"PIMW"
 VERSION = 1
 
-_DTYPE_BY_BITS = {4: 1, 8: 2, 16: 3}
-_BITS_BY_DTYPE = {1: 4, 2: 8, 3: 16}
-_STORAGE = {1: np.uint8, 2: np.uint8, 3: np.uint16}
+# quantized dtype byte -> (bits, little-endian storage type of one element)
+_QUANTIZED = {1: (4, np.dtype("<u1")), 2: (8, np.dtype("<u1")), 3: (16, np.dtype("<u2"))}
+_DTYPE_BY_BITS = {bits: dtype for dtype, (bits, _) in _QUANTIZED.items()}
 
 
 class WeightFormatError(ValueError):
@@ -67,8 +67,7 @@ def save_weights(ws: WeightSet, path) -> None:
             dtype = _DTYPE_BY_BITS[p.bits]
             out += bytes([dtype])
             out += struct.pack("<diB", p.scale, p.zero_point, p.bits)
-            store = np.dtype(_STORAGE[dtype]).newbyteorder("<")
-            out += np.ascontiguousarray(arr).astype(store).tobytes()
+            out += np.ascontiguousarray(arr).astype(_QUANTIZED[dtype][1]).tobytes()
     with open(path, "wb") as f:
         f.write(out)
 
@@ -114,18 +113,17 @@ def parse_weights(buf: bytes) -> WeightSet:
             raw = take(4 * n, f"{name}: data")
             data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
             params = None
-        elif dtype in _BITS_BY_DTYPE:
+        elif dtype in _QUANTIZED:
+            want_bits, store = _QUANTIZED[dtype]
             scale, zp, bits = struct.unpack("<diB", take(13, f"{name}: quant params"))
-            if bits != _BITS_BY_DTYPE[dtype]:
+            if bits != want_bits:
                 raise WeightFormatError(f"{name}: dtype/bits mismatch")
             try:
                 params = QuantParams(scale=scale, zero_point=zp, bits=bits,
                                      symmetric=zp == 1 << (bits - 1))
             except ValueError as e:
                 raise WeightFormatError(f"{name}: bad quant params: {e}") from None
-            width = 2 if dtype == 3 else 1
-            raw = take(width * n, f"{name}: data")
-            store = np.dtype(_STORAGE[dtype]).newbyteorder("<")
+            raw = take(store.itemsize * n, f"{name}: data")
             data = np.frombuffer(raw, dtype=store).reshape(dims).astype(np.int64)
             if data.size and data.max() > params.qmax:  # a 4-bit code is stored in a whole byte
                 raise WeightFormatError(f"{name}: code {data.max()} is past the {bits}-bit maximum {params.qmax}")

@@ -12,8 +12,6 @@ ALLOWED = {
     "perf.layer_csv": "the per-layer CSV rendering that the one per-layer record will replace",
     "perf.compare_report": "acceptance criteria 6 and 9 render the paper comparison through it",
     "lut_core.LutCore.lookup": "acceptance criterion 1 drives each core through it",
-    "cluster.MAC_STEPS": "acceptance criterion 2 checks the MAC's step count against it",
-    "lut_core.CORE_DELAY_NS": "the 0.8 ns core step that the MAC's 6.4 ns is tested against",
 }
 
 

@@ -16,13 +16,12 @@ from lutpim.engine import (
     infer_float,
     infer_lut,
     init_random_weights,
-    mac_layers,
     metrics_from_predictions,
     prepare_quantized,
     softmax,
 )
 from lutpim.lut_core import OpTag
-from lutpim.nets import ZOO, LayerSpec, NetworkSpec, build_network, get_network, tinymalnet
+from lutpim.nets import ZOO, LayerSpec, NetworkSpec, build_network, get_network, mac_layers, tinymalnet
 from lutpim.perf import estimate
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
 from lutpim.system import SystemConfig
@@ -450,6 +449,12 @@ def test_random_weights_cover_every_mac_layer_and_projection(name):
     layers = list(mac_layers(net))
     assert ws.entries.keys() == {f"{layer.name}.{t}" for layer in layers for t in "wb"}
     projections = [layer.name for layer in layers if layer.name.endswith(".proj")]
+    shapes = {  # the stored layouts: (O, C/G, kh, kw) for a conv, one group per depthwise channel, (K, O) for dense
+        "tinymalnet": {"conv2.w": (16, 8, 3, 3), "dense.w": (576, 2)},
+        "mobilenet_v2": {"ir0_dw.w": (32, 1, 3, 3), "ir1_dw.w": (96, 1, 3, 3), "fc.w": (1280, 1000)},
+        "resnet18": {"conv1.w": (64, 3, 7, 7), "fc.w": (512, 1000)},
+    }[name]
+    assert {key: ws[key].data.shape for key in shapes} == shapes
     if name == "resnet18":
         assert projections == ["s2b0_add.proj", "s3b0_add.proj", "s4b0_add.proj"]
         assert ws["s2b0_add.proj.w"].data.shape == (128, 64, 1, 1)
@@ -533,7 +538,11 @@ def test_cluster_engine_runs_blocks_of_k_within_the_lane_bound(make_net, bits, n
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
-@pytest.mark.parametrize("make_net", [tinymalnet, projected_shortcut_net], ids=["tinymalnet", "projected_shortcut"])
+@pytest.mark.parametrize(
+    "make_net",
+    [tinymalnet, projected_shortcut_net, strided_depthwise_network, depthwise_residual_network],
+    ids=["tinymalnet", "projected_shortcut", "strided_depthwise", "depthwise_residual"],
+)
 def test_cluster_engine_runs_the_mac_count_its_ledger_charges(make_net, bits, monkeypatch):
     """Per MAC layer of one sample, the mac8 lanes run equal the layer's ledger `mac` count: its MACs times passes."""
     made = make_net()

@@ -16,6 +16,7 @@ import numpy as np
 
 from tests.helpers import (
     depthwise_residual_network,
+    projected_shortcut_net,
     random_inputs,
     random_small_network,
     strided_depthwise_network,
@@ -44,6 +45,19 @@ def test_mac_count_formulas():
     assert mac_count(by_name["relu1"]) == 0
     assert mac_count(by_name["flatten"]) == 0
     assert mac_count(by_name["softmax"]) == 0
+    # a depthwise layer: 3x3 taps per output over C = 3 channels, (9, 11) -> (4, 5) at stride 2, no padding
+    assert mac_count({l.name: l for l in strided_depthwise_network().layers}["dw"]) == 3 * 3 * 3 * 4 * 5
+    # a projected residual_add: its 1x1 conv of the (3, 7, 7) source to (4, 4, 4) at stride 2
+    assert mac_count({l.name: l for l in projected_shortcut_net()[0].layers}["add"]) == 3 * 4 * 4 * 4
+    assert mac_count({l.name: l for l in depthwise_residual_network().layers}["add"]) == 0  # identity shortcut
+
+
+def test_weight_transfers_follow_the_subarray_size():
+    """A MAC layer charges one hop-1 inter transfer per subarray of clusters it uses."""
+    r16 = estimate(small_net(), SystemConfig(), 8)
+    r8 = estimate(small_net(), SystemConfig(clusters_per_subarray=8), 8)
+    assert [lc.inter_transfers for lc in r16.layers] == [16, 0, 0, 16, 0]  # 256 clusters / 16
+    assert [lc.inter_transfers for lc in r8.layers] == [32, 0, 0, 32, 0]  # 256 clusters / 8
 
 
 def test_estimate_hand_check():
