@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -250,16 +251,29 @@ def cmd_quantize(args) -> int:
 def _rebuild_qmodel(net, ws, bits):
     """The QuantizedModel a quantized container holds; None for a float-only container.
 
-    DataError names the first entry a MAC layer needs that the container lacks.
+    DataError names the first entry a MAC layer needs that the container
+    lacks, or whose shape is not the layer's: (O, C/G, kh, kw) or (K, O) for
+    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`.
     """
     quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
     qm = engine.QuantizedModel(net=net, bits=bits) if quantized else None
     for layer in nets.mac_layers(net):
         qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
-        for name in (qw_name, act_name, b_name) if quantized else (f"{layer.name}.w", b_name):
+        w_shape, out = nets.weight_shape(layer), layer.out_shape[0]
+        shapes = (  # each entry the layer needs, and its shape; act entries carry only their params
+            {qw_name: (math.prod(w_shape) // out, out), act_name: None, b_name: (out,)}
+            if quantized
+            else {f"{layer.name}.w": w_shape, b_name: (out,)}
+        )
+        for name, shape in shapes.items():
             if name not in ws:
                 raise DataError(f"{kind} container lacks {name!r} for {net.name} layer {layer.name!r}")
+            if shape is not None and ws[name].data.shape != shape:
+                raise DataError(
+                    f"{kind} container entry {name!r} has shape {ws[name].data.shape}, but {net.name} layer"
+                    f" {layer.name!r} needs {shape}"
+                )
         if qm is None:
             continue
         for name in (qw_name, act_name):

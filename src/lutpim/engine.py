@@ -19,36 +19,42 @@ always on the left. A conv has G = 1, a depthwise layer G = C and a dense layer 
 window, so outputs come out NCHW with no transpose. The float step's
 product is a real matmul.
 
-The integer step quantizes a layer's input once, centres it on its zero
-point in place and pads it with 0, the centred code of 0; weight codes are
-centred per call. Tables are certified once, then multiplies use the
-certified products: the vector engine's first run checks `mac8` over all
-65,536 byte pairs against a*b. Once every byte product is a*b, the
-cluster's byte passes, recombined and corrected for zero points, give the
-integer sum of products of centred codes, so the vector engine takes that
-sum as one matmul at 4, 8 and 16 bits. engine="cluster" adds the
-zero points back, casts the unsigned codes to int64 once per layer and runs
-each of the operand_bytes(bits)**2 byte passes (four at 16 bits) through
-`mac8` in lockstep, one call per block of k with at most CLUSTER_LANES lanes
-unless a single k has more outputs; it shifts and sums the passes and
-applies the zero-point corrections in int64. Products are non-negative, so
-checking the running sums against the 32-bit accumulator after each block
-raises on exactly the inputs a per-MAC check does.
+Each MAC step pads its own input, so `_mac` always receives it padded: the
+float step with np.pad, the integer step by quantizing the layer's input
+once into the interior of a buffer whose border holds the zero point, then
+centring the whole buffer in place, so the border is 0, the centred code of
+0. Weight codes are centred per call. A layer's captured accumulators are
+written in one update, and the ledger's events are charged once per
+(net, cfg, bits) and copied into each call's fresh ledger.
+
+Tables are certified once, then multiplies use the certified products: the
+vector engine's first run checks `mac8` over all 65,536 byte pairs against
+a*b. Once every byte product is a*b, the cluster's byte passes, recombined
+and corrected for zero points, give the integer sum of products of centred
+codes, so the vector engine takes that sum as one matmul at 4, 8 and 16
+bits. engine="cluster" adds the zero points back, casts the unsigned codes
+to int64 once per layer and runs each of the operand_bytes(bits)**2 byte
+passes (four at 16 bits) through `mac8` in lockstep, one call per block of
+k with at most CLUSTER_LANES lanes unless a single k has more outputs; it
+shifts and sums the passes and applies the zero-point corrections in int64.
+Products are non-negative, so checking the running sums against the 32-bit
+accumulator after each block raises on exactly the inputs a per-MAC check
+does.
 
 Codes stay float integers from `quantize` to the accumulator, in one float
 type per MAC layer. Centred codes are at most q = 2^bits - 1 in magnitude,
 so every partial sum of a K-long dot product is at most K*q^2 in any
 summation order. A layer whose K*q^2 < 2^24 takes float32, which holds
-those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at 16.
-Every other layer takes float64; building a layer with K*q^2 >= 2^53
-raises. `QuantizedLayer` makes that choice once (`_product_dtype`): `quantize`
-casts the layer's codes to its type, and centring, padding, windows, the
-centred weight codes and the product stay in it. The accumulator is scaled
-in float64 in every layer, so outputs do not depend on the type. int64
-appears only in captured accumulators (cast once per layer), in the cluster
-engine's product, and in the codes a weight container loads. Integer
-results are exact, so both engines, any batch and any direct integer oracle
-agree bit-for-bit, with or without captures.
+those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at
+16. Every other layer takes float64; building a layer with K*q^2 >= 2^53
+raises. `QuantizedLayer` makes that choice once (`_product_dtype`): the
+padded buffer takes the layer's type, `quantize` casts the codes into it,
+and centring, windows, the centred weight codes and the product stay in it.
+The accumulator is scaled in float64 in every layer, so outputs do not
+depend on the type. int64 appears only in captured accumulators (cast once
+per layer), in the cluster engine's product, and in the codes a weight
+container loads. Integer results are exact, so both engines, any batch and
+any direct integer oracle agree bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -103,14 +109,12 @@ def _chunks(net: NetworkSpec, inputs):
 # the layer walk, the MAC step and the float reference backend
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); padding holds 0.
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); x is already padded.
 
     One copy through a strided view of x (numpy checks that the view stays inside x's
     buffer); a 1x1, stride-1 window needs no copy and stays a view of x.
     """
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     x = np.ascontiguousarray(x)
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1
@@ -121,20 +125,21 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
 
 
 def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product) -> np.ndarray:
-    """A MAC layer's outputs from its (N, C, H, W) or (N, K) input: one grouped-conv product(lhs, rhs) plus bias.
+    """A MAC layer's outputs from its padded (N, C, H+2p, W+2p) or (N, K) input: one grouped-conv product(lhs, rhs) plus bias.
 
-    wmat is the layer's (K/G, O) weight matrix over its G groups (nets.groups).
-    Every layer is the one product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
-    windows, each group's K/G ordered (c, ki, kj), a free reshape of the
-    windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is
-    one window per sample, so each sample is its own product and a stack's
-    rows equal single calls. The bias is added in place on the product's
-    array, and outputs take the layer's out_shape, NCHW.
+    Each backend's step pads its own input with the layer's padding p, so x
+    arrives padded. wmat is the layer's (K/G, O) weight matrix over its G
+    groups (nets.groups). Every layer is the one product (G, O/G, K/G)
+    weight rows @ (N, G, K/G, P) windows, each group's K/G ordered (c, ki, kj),
+    a free reshape of the windows: a conv has G = 1 and a depthwise layer
+    G = C. A dense layer is one window per sample, so each sample is its own
+    product and a stack's rows equal single calls. The bias is added in place
+    on the product's array, and outputs take the layer's out_shape, NCHW.
     """
     if layer.kind == "dense":
         win = x[:, None, :, None]
     else:
-        win = _windows(x, *layer.kernel, layer.stride, layer.padding)
+        win = _windows(x, *layer.kernel, layer.stride)
         win = win.reshape(len(win), groups(layer), -1, win.shape[-1])
     out = product(wmat.T.reshape(win.shape[1], -1, len(wmat)), win)
     out = out.reshape(len(out), len(bias), -1)
@@ -209,7 +214,9 @@ def _weight_matrix(layer, ws: WeightSet):
 
 
 def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
-    """The float backend's MAC step: a real-arithmetic matmul of x with the layer's weights."""
+    """The float backend's MAC step: x padded with 0, then a real-arithmetic matmul with the layer's weights."""
+    if p := layer.padding:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     return _mac(layer, x, *_weight_matrix(layer, ws), np.matmul)
 
 
@@ -406,6 +413,21 @@ def prepare_quantized(
     return qm
 
 
+@functools.lru_cache(maxsize=64)
+def _channel_keys(name: str, channels: int) -> tuple[str, ...]:
+    """A depthwise layer's capture keys, "name[c]" for each channel c."""
+    return tuple(f"{name}[{c}]" for c in range(channels))
+
+
+@functools.lru_cache(maxsize=16)
+def _ledger_events(net: NetworkSpec, cfg: SystemConfig, bits: int) -> tuple[tuple, ...]:
+    """The ledger events of one sample of `net`, charged once per (net, cfg, bits) by perf.charge_layer."""
+    ledger = EnergyLedger()
+    for layer in net.layers:
+        charge_layer(ledger, layer, cfg, bits)
+    return tuple(ledger.events)
+
+
 def infer_lut(
     qm: QuantizedModel,
     x: np.ndarray,
@@ -422,9 +444,10 @@ def infer_lut(
     a dense layer's (the pre-softmax integer output when it is the last) and
     (P, 1) under "name[c]" for each channel c of a depthwise layer, each with a
     leading N axis for a stack. The ledger prices one sample, which is what
-    each sample of a stack costs: it is charged once per layer by
-    perf.charge_layer, so each layer costs what perf.layer_cost says and the
-    totals match perf.estimate.
+    each sample of a stack costs: its events are charged by perf.charge_layer,
+    once per layer and once per (net, cfg, bits) (_ledger_events), so each
+    layer costs what perf.layer_cost says and the totals match
+    perf.estimate. Every call returns a fresh ledger with its own event list.
     """
     if engine not in ("vector", "cluster"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -433,15 +456,18 @@ def infer_lut(
     cluster = Cluster() if engine == "cluster" else None
     accs = captures.setdefault("acc", {}) if captures is not None else None
 
-    def capture(key, acc):
-        accs[key] = acc[0] if single else acc
-
     def mac(layer, x):
-        """Quantize x once, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
+        """Quantize x once into its padded buffer, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        q = quantize(x, ql.act_params, ql.dtype)
-        q -= za  # quantize's own array, centred in place; padding it with 0 pads x with 0, since quantize(0) == za
+        if p := layer.padding:
+            n, c, h, w = x.shape
+            q = np.empty((n, c, h + 2 * p, w + 2 * p), ql.dtype)
+            q[:, :, :p] = q[:, :, -p:] = q[:, :, :, :p] = q[:, :, :, -p:] = za  # quantize(0) == za
+            quantize(x, ql.act_params, ql.dtype, out=q[:, :, p:-p, p:-p])
+        else:
+            q = quantize(x, ql.act_params, ql.dtype)
+        q -= za  # centred in place: the border becomes 0, the centred code of 0
 
         def product(lhs, rhs):
             if cluster is None:
@@ -449,12 +475,14 @@ def infer_lut(
             else:
                 acc = _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
             if accs is not None:
-                codes = acc.astype(np.int64)  # (N, G, O/G, P), one cast per layer; captures are views of it
-                if layer.kind == "depthwise_conv2d":  # one key per channel
-                    for c in range(codes.shape[1]):
-                        capture(f"{layer.name}[{c}]", codes[:, c].transpose(0, 2, 1))
+                # (N, G, O/G, P) cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
+                view = acc.astype(np.int64).transpose(1, 0, 3, 2)
+                if single:
+                    view = view[:, 0]
+                if layer.kind == "depthwise_conv2d":  # one key per channel, written in one update
+                    accs.update(zip(_channel_keys(layer.name, len(view)), view))
                 else:
-                    capture(layer.name, codes[:, 0].transpose(0, 2, 1))
+                    accs[layer.name] = view[0]
             acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
             acc *= ql.act_params.scale * ql.wparams.scale
             return acc
@@ -463,10 +491,7 @@ def infer_lut(
         return _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), ql.bias, product)
 
     probs = _forward(qm.net, x, single, mac, captures)
-    ledger = EnergyLedger()
-    for layer in qm.net.layers:
-        charge_layer(ledger, layer, cfg, qm.bits)
-    return probs, ledger
+    return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, qm.bits)))
 
 
 # ---------------------------------------------------------------------------

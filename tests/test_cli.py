@@ -231,6 +231,48 @@ def test_simulate_refuses_a_container_missing_a_layer_entry(tmp_path, capsys, qu
     assert "backend" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "quantized, entry, reshape, message",
+    [
+        (
+            False,
+            "dense.w",
+            lambda w: w.T,
+            "float container entry 'dense.w' has shape (2, 576), but tinymalnet layer 'dense' needs (576, 2)",
+        ),
+        (
+            False,
+            "conv2.w",
+            lambda w: w[:, :4],
+            "float container entry 'conv2.w' has shape (16, 4, 3, 3), but tinymalnet layer 'conv2' needs (16, 8, 3, 3)",
+        ),
+        (
+            True,
+            "conv2.qw",
+            lambda w: w[:36],
+            "quantized container entry 'conv2.qw' has shape (36, 16), but tinymalnet layer 'conv2' needs (72, 16)",
+        ),
+        (
+            False,
+            "conv1.b",
+            lambda b: b[:-1],
+            "float container entry 'conv1.b' has shape (7,), but tinymalnet layer 'conv1' needs (8,)",
+        ),
+    ],
+    ids=["float-dense-transposed", "float-conv-half-channels", "quantized-qw", "float-bias"],
+)
+def test_simulate_refuses_a_container_entry_of_the_wrong_shape(tmp_path, capsys, quantized, entry, reshape, message):
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    ws = _quantized_weights(2, blob) if quantized else init_random_weights(tinymalnet(), seed=2)
+    ws.add(entry, np.ascontiguousarray(reshape(ws[entry].data)), ws[entry].params)
+    save_weights(ws, tmp_path / "w.pimw")
+    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "w.pimw")]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "backend" not in captured.out
+
+
 def _simulate_out(capsys, argv):
     assert run(argv) == 0
     return capsys.readouterr().out

@@ -22,9 +22,9 @@ from lutpim.engine import (
 )
 from lutpim.lut_core import OpTag
 from lutpim.nets import ZOO, LayerSpec, NetworkSpec, build_network, get_network, mac_layers, tinymalnet
-from lutpim.perf import estimate
+from lutpim.perf import charge_layer, estimate
 from lutpim.quantizer import CalibrationError, QuantParams, calibrate
-from lutpim.system import SystemConfig
+from lutpim.system import EnergyLedger, SystemConfig
 from lutpim.weights import (
     WeightFormatError,
     WeightSet,
@@ -316,8 +316,8 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
     codes = []
     real_quantize = engine_module.quantize
 
-    def quantize(r, p, dtype):
-        q = real_quantize(r, p, dtype)
+    def quantize(r, p, dtype, **kw):
+        q = real_quantize(r, p, dtype, **kw)
         codes.append(q.copy())  # mac_layer centres q in place
         return q
 
@@ -726,9 +726,9 @@ def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
     calls, dtypes = [], []
     real_quantize = engine_module.quantize
 
-    def quantize(r, p, dtype):
+    def quantize(r, p, dtype, **kw):
         calls.append(np.shape(r))
-        q = real_quantize(r, p, dtype)
+        q = real_quantize(r, p, dtype, **kw)
         dtypes.append(q.dtype)
         return q
 
@@ -797,6 +797,87 @@ def test_ledger_counts_match_network_shape():
     assert ledger.mac_count == 64800 + 194688 + 1152
     counts = ledger.event_counts()
     assert counts.get("intra", 0) > 0  # relu/pool traffic is accounted
+
+
+def _charged_events(net, cfg, bits):
+    """The events perf.charge_layer charges for every layer of `net`, into a fresh ledger."""
+    ledger = EnergyLedger()
+    for layer in net.layers:
+        charge_layer(ledger, layer, cfg, bits)
+    return ledger.events
+
+
+def _assert_ledger_is_the_estimate(ledger, net, cfg, bits):
+    assert ledger.events == _charged_events(net, cfg, bits)
+    rep = estimate(net, cfg, bits)
+    assert ledger.mac_count == sum(lc.macs_effective for lc in rep.layers)
+    assert ledger.total_ns == pytest.approx(rep.latency_ns, rel=1e-12)
+    assert ledger.total_pj == pytest.approx(rep.energy_pj, rel=1e-12)
+
+
+def test_each_call_gets_its_own_ledger():
+    net = tinymalnet()
+    rng = np.random.default_rng(31)
+    qm = prepare_quantized(net, init_random_weights(net, seed=31), random_inputs(net, rng, 2), 8)
+    x = rng.random(net.input_shape)
+    _, first = infer_lut(qm, x, SystemConfig())
+    first.events.append(("mac", 1, 6.4, 1.0))
+    first.account_transfer("intra", count=3)
+    _, second = infer_lut(qm, x, SystemConfig())
+    assert second.events is not first.events
+    _assert_ledger_is_the_estimate(second, net, SystemConfig(), 8)
+    assert len(first.events) == len(second.events) + 2
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_each_system_config_and_precision_gets_its_own_ledger(bits):
+    net = tinymalnet()
+    rng = np.random.default_rng(32)
+    ws = init_random_weights(net, seed=32)
+    cal = random_inputs(net, rng, 2)
+    qm = prepare_quantized(net, ws, cal, bits)
+    cfgs = [SystemConfig(), SystemConfig(clusters_per_subarray=8), SystemConfig(cluster_count=512)]
+    events = []
+    for cfg in cfgs:
+        _, ledger = infer_lut(qm, cal[0], cfg)
+        _assert_ledger_is_the_estimate(ledger, net, cfg, bits)
+        _, cluster_ledger = infer_lut(qm, cal[0], cfg, engine="cluster")
+        assert cluster_ledger.events == ledger.events
+        events.append(ledger.events)
+    assert events[0] != events[1] and events[0] != events[2] and events[1] != events[2]
+    assert infer_lut(qm, cal[0])[1].events == events[0]  # no cfg is the default SystemConfig
+
+
+@pytest.mark.parametrize("make_net", [strided_depthwise_network, depthwise_residual_network])
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+def test_depthwise_captures_hold_one_int64_column_per_channel(make_net, engine):
+    """ "name[c]" is channel c's (P, 1) accumulator, (N, P, 1) for a stack, keyed in channel order."""
+    net = make_net()
+    rng = np.random.default_rng(33)
+    qm = prepare_quantized(net, init_random_weights(net, seed=33), random_inputs(net, rng, 3), 8)
+    dw = next(layer for layer in net.layers if layer.kind == "depthwise_conv2d")
+    channels, positions = dw.out_shape[0], math.prod(dw.out_shape[1:])
+    keys = [f"dw[{c}]" for c in range(channels)]
+    xs = random_inputs(net, rng, 3)
+    singles = []
+    for x in xs:
+        captures = {}
+        infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
+        accs = captures["acc"]
+        assert [k for k in accs if k.startswith("dw")] == keys
+        _, oaccs = oracle_quantized_forward(qm, x)
+        for key in keys:
+            assert accs[key].dtype == np.int64 and accs[key].shape == (positions, 1)
+            assert np.array_equal(accs[key], oaccs[key]), key
+        singles.append(accs)
+    captures = {}
+    infer_lut(qm, np.stack(xs), SystemConfig(), engine=engine, captures=captures)
+    assert [k for k in captures["acc"] if k.startswith("dw")] == keys
+    for key in keys:
+        stacked = captures["acc"][key]
+        assert stacked.dtype == np.int64 and stacked.shape == (3, positions, 1)
+        for i, single in enumerate(singles):
+            assert np.array_equal(stacked[i], single[key]), (key, i)
 
 
 def test_weights_round_trip(tmp_path):
