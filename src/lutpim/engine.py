@@ -19,13 +19,19 @@ always on the left. A conv has G = 1, a depthwise layer G = C and a dense layer 
 window, so outputs come out NCHW with no transpose. The float step's
 product is a real matmul.
 
-Each MAC step pads its own input, so `_mac` always receives it padded: the
-float step with np.pad, the integer step by quantizing the layer's input
-once into the interior of a buffer whose border holds the zero point, then
-centring the whole buffer in place, so the border is 0, the centred code of
-0. Weight codes are centred per call. A layer's captured accumulators are
-written in one update, and the ledger's events are charged once per
-(net, cfg, bits) and copied into each call's fresh ledger.
+`_mac` receives each layer's input unpadded and walks its groups in blocks
+of at most WINDOW_BYTES of windows (at least one group, so a conv or dense
+layer is one block): it copies a block's channels into the interior of one
+scratch buffer whose border is zeroed once per call, windows it and takes
+that block's product. Neither a layer's whole padded input nor its whole
+window tensor exists at once (cache blocking; Goto and van de Geijn, ACM
+TOMS 2008). A zero border serves both backends: the float pad is 0, and the
+integer step quantizes and centres its input before `_mac`, so its pad is
+0, the centred code of 0. Weight codes are centred per call. The integer
+step's captures and scaling run once per layer on the assembled product, a
+layer's captured accumulators are written in one update, and the ledger's
+events are charged once per (net, cfg, bits) and copied into each call's
+fresh ledger.
 
 Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
@@ -47,9 +53,9 @@ so every partial sum of a K-long dot product is at most K*q^2 in any
 summation order. A layer whose K*q^2 < 2^24 takes float32, which holds
 those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at
 16. Every other layer takes float64; building a layer with K*q^2 >= 2^53
-raises. `QuantizedLayer` makes that choice once (`_product_dtype`): the
-padded buffer takes the layer's type, `quantize` casts the codes into it,
-and centring, windows, the centred weight codes and the product stay in it.
+raises. `QuantizedLayer` makes that choice once (`_product_dtype`):
+`quantize` casts the codes into the layer's type, and centring, the scratch
+buffer, windows, the centred weight codes and the product stay in it.
 The accumulator is scaled in float64 in every layer, so outputs do not
 depend on the type. int64 appears only in captured accumulators (cast once
 per layer), in the cluster engine's product, and in the codes a weight
@@ -85,6 +91,13 @@ BATCH_ELEMENTS = 8192
 # certification byte table holds, so no call holds more lanes than it does.
 CLUSTER_LANES = 65_536
 
+# Window bytes per block of groups in a MAC step (_window_blocks): a depthwise
+# layer pads and windows this many bytes of its groups at a time instead of
+# the whole layer. On the 2-core VM above, one mobilenet_v2 infer_float sample took
+# 46-51 ms with 256 KiB to 1 MiB blocks, 49-56 ms with 128 KiB, 51-53 ms
+# with 2 MiB (the L2 size) and 80 ms with one block per layer.
+WINDOW_BYTES = 512 * 1024
+
 
 def _as_batch(net: NetworkSpec, x) -> tuple[np.ndarray, bool]:
     """x as an (N, C, H, W) float64 stack, and whether it was one (C, H, W) sample."""
@@ -94,6 +107,8 @@ def _as_batch(net: NetworkSpec, x) -> tuple[np.ndarray, bool]:
             f"input shape {x.shape} is neither the network input {net.input_shape}"
             f" nor a stack (N, *{net.input_shape})"
         )
+    if len(x) == 0:
+        raise ValueError("cannot run an empty stack of inputs")
     return (x[None], True) if x.ndim == 3 else (x, False)
 
 
@@ -110,7 +125,7 @@ def _chunks(net: NetworkSpec, inputs):
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); x is already padded.
+    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); x already holds any padding (_window_blocks).
 
     One copy through a strided view of x (numpy checks that the view stays inside x's
     buffer); a 1x1, stride-1 window needs no copy and stays a view of x.
@@ -124,27 +139,70 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view.reshape(n, c, kh * kw, oh * ow)
 
 
-def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product) -> np.ndarray:
-    """A MAC layer's outputs from its padded (N, C, H+2p, W+2p) or (N, K) input: one grouped-conv product(lhs, rhs) plus bias.
+def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product, finish=None) -> np.ndarray:
+    """A MAC layer's outputs from its unpadded (N, C, H, W) or (N, K) input: a grouped-conv product per block of groups, plus bias.
 
-    Each backend's step pads its own input with the layer's padding p, so x
-    arrives padded. wmat is the layer's (K/G, O) weight matrix over its G
-    groups (nets.groups). Every layer is the one product (G, O/G, K/G)
-    weight rows @ (N, G, K/G, P) windows, each group's K/G ordered (c, ki, kj),
-    a free reshape of the windows: a conv has G = 1 and a depthwise layer
-    G = C. A dense layer is one window per sample, so each sample is its own
-    product and a stack's rows equal single calls. The bias is added in place
-    on the product's array, and outputs take the layer's out_shape, NCHW.
+    wmat is the layer's (K/G, O) weight matrix over its G groups (nets.groups).
+    Every layer is the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
+    windows, each group's K/G ordered (c, ki, kj), a free reshape of the
+    windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
+    window per sample, so each sample is its own product and a stack's rows
+    equal single calls. product(lhs, rhs) runs once per block of groups
+    (_window_blocks), and the blocks' (N, gb, O/G, P) results fill one
+    (N, G, O/G, P) array; an unpadded conv is one block with nothing to pad,
+    so it skips the block walk, whose bookkeeping made tinymalnet's small
+    layers 2-4% slower. finish, if given, maps the result once per layer.
+    The bias is added in place on the result, and outputs take the layer's
+    out_shape, NCHW.
     """
+    g = groups(layer)
+    lhs = wmat.T.reshape(g, -1, len(wmat))
     if layer.kind == "dense":
-        win = x[:, None, :, None]
-    else:
+        out = product(lhs, x[:, None, :, None])
+    elif g == 1 and not layer.padding:
         win = _windows(x, *layer.kernel, layer.stride)
-        win = win.reshape(len(win), groups(layer), -1, win.shape[-1])
-    out = product(wmat.T.reshape(win.shape[1], -1, len(wmat)), win)
+        out = product(lhs, win.reshape(len(win), 1, -1, win.shape[-1]))
+    else:
+        for g0, win in _window_blocks(layer, x):
+            gb = win.shape[1]
+            acc = product(lhs[g0 : g0 + gb], win)
+            if gb == g:  # one block: its product is the layer's
+                out = acc
+            else:
+                if g0 == 0:
+                    out = np.empty((len(acc), g, *acc.shape[2:]), acc.dtype)
+                out[:, g0 : g0 + gb] = acc
+    if finish is not None:
+        out = finish(out)
     out = out.reshape(len(out), len(bias), -1)
     out += bias[:, None]
     return out.reshape(len(out), *layer.out_shape)
+
+
+def _window_blocks(layer, x: np.ndarray):
+    """(g0, windows) for each block of a conv layer's groups: the (N, gb, K/G, P) windows of groups g0 to g0 + gb.
+
+    A block holds as many groups as fit WINDOW_BYTES of windows, and at least
+    one, so a conv (G = 1) is one block. A padded layer copies each block's
+    channels into the interior of one scratch buffer, zeroed once per call,
+    and windows that: 0 is both the float pad and the centred code of 0. So
+    neither the whole padded input nor the whole window tensor exists at once.
+    """
+    n, c, h, w = x.shape
+    kh, kw = layer.kernel
+    p, per_group = layer.padding, c // groups(layer)
+    group_bytes = n * per_group * kh * kw * math.prod(layer.out_shape[1:]) * x.itemsize
+    block = max(1, WINDOW_BYTES // group_bytes) * per_group  # channels per block
+    if p:
+        scratch = np.zeros((n, min(block, c), h + 2 * p, w + 2 * p), x.dtype)
+    for c0 in range(0, c, block):
+        xb = x[:, c0 : c0 + block]
+        if p:
+            padded = scratch[:, : xb.shape[1]]
+            padded[:, :, p:-p, p:-p] = xb
+            xb = padded
+        win = _windows(xb, kh, kw, layer.stride)
+        yield c0 // per_group, win.reshape(n, -1, per_group * kh * kw, win.shape[-1])
 
 
 def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -214,9 +272,7 @@ def _weight_matrix(layer, ws: WeightSet):
 
 
 def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
-    """The float backend's MAC step: x padded with 0, then a real-arithmetic matmul with the layer's weights."""
-    if p := layer.padding:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    """The float backend's MAC step: a real-arithmetic matmul of the layer's weights with each block's windows."""
     return _mac(layer, x, *_weight_matrix(layer, ws), np.matmul)
 
 
@@ -437,6 +493,12 @@ def infer_lut(
 ):
     """Quantized forward pass on the LUT backend.
 
+    Each MAC layer quantizes its input once, centres the codes in place and
+    hands them to _mac unpadded, which pads each block of groups with 0, the
+    centred code of 0, and takes the block's product (_raw_dot_vector or
+    _centered_dot_cluster); the layer's captures and scaling run once on the
+    assembled product.
+
     x is one (C, H, W) sample or an (N, C, H, W) stack. Returns (probabilities,
     ledger); a stack's probabilities are (N, classes). Integer accumulators per
     MAC layer land in captures["acc"] when a captures dict is supplied: (P, O)
@@ -457,25 +519,22 @@ def infer_lut(
     accs = captures.setdefault("acc", {}) if captures is not None else None
 
     def mac(layer, x):
-        """Quantize x once into its padded buffer, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
+        """Quantize x once, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        if p := layer.padding:
-            n, c, h, w = x.shape
-            q = np.empty((n, c, h + 2 * p, w + 2 * p), ql.dtype)
-            q[:, :, :p] = q[:, :, -p:] = q[:, :, :, :p] = q[:, :, :, -p:] = za  # quantize(0) == za
-            quantize(x, ql.act_params, ql.dtype, out=q[:, :, p:-p, p:-p])
-        else:
-            q = quantize(x, ql.act_params, ql.dtype)
-        q -= za  # centred in place: the border becomes 0, the centred code of 0
+        q = quantize(x, ql.act_params, ql.dtype)
+        q -= za  # centred in place; _mac pads with 0, the centred code of 0
 
         def product(lhs, rhs):
+            """One block's integer product, from the module's products as they are at call time."""
             if cluster is None:
-                acc = _raw_dot_vector(lhs, rhs, qm.bits)
-            else:
-                acc = _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
+                return _raw_dot_vector(lhs, rhs, qm.bits)
+            return _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
+
+        def finish(acc):
+            """The layer's (N, G, O/G, P) integer product: captured, then scaled in float64."""
             if accs is not None:
-                # (N, G, O/G, P) cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
+                # cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
                 view = acc.astype(np.int64).transpose(1, 0, 3, 2)
                 if single:
                     view = view[:, 0]
@@ -488,7 +547,7 @@ def infer_lut(
             return acc
 
         # the weight codes are centred per call: the layer holds unsigned codes only
-        return _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), ql.bias, product)
+        return _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), ql.bias, product, finish)
 
     probs = _forward(qm.net, x, single, mac, captures)
     return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, qm.bits)))

@@ -55,6 +55,14 @@ class NetworkSpec:
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per instance: a cache keyed on the net rehashes no LayerSpec."""
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.name, self.input_shape, self.layers))
+            return h
+
     def validate(self) -> None:
         shape = self.input_shape
         seen = {}

@@ -62,17 +62,14 @@ def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
     return QuantParams(scale=scale, zero_point=zp, bits=bits, symmetric=False)
 
 
-def quantize(r, p: QuantParams, dtype=np.float64, out=None):
+def quantize(r, p: QuantParams, dtype=np.float64):
     """q = clamp(round_half_even(r/S) + Z, 0, 2^N - 1).
 
     A scalar returns an int. An array returns a fresh C-ordered array of
-    `dtype` and of r's shape holding the integer codes; given `out`, an
-    array of r's shape, the codes are written into it instead and `out` is
-    returned, numpy's out= idiom (a view such as the interior of a padded
-    buffer leaves the rest of its base untouched). The division, rounding,
-    zero point and clip run in float64 whatever the dtype, so a half-way r/S
-    rounds as it does at float64; the clipped codes are then cast to `dtype`,
-    or to out's type, once. float32 and float64 both hold every code up to
+    `dtype` and of r's shape holding the integer codes. The division,
+    rounding, zero point and clip run in float64 whatever the dtype, so a
+    half-way r/S rounds as it does at float64; the clipped codes are then
+    cast to `dtype` once. float32 and float64 both hold every code up to
     16 bits exactly. r is left unchanged. NaN or +-inf anywhere in r raises
     ValueError; a finite r whose r/S overflows clips like any other value
     past the range.
@@ -85,9 +82,6 @@ def quantize(r, p: QuantParams, dtype=np.float64, out=None):
     np.rint(q, out=q)
     q += p.zero_point
     np.clip(q, 0, p.qmax, out=q)
-    if out is not None:
-        np.copyto(out, q)
-        return out
     q = q.astype(dtype, copy=False)
     return int(q) if arr.ndim == 0 else q
 

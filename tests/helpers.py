@@ -195,6 +195,24 @@ def strided_depthwise_network() -> NetworkSpec:
     )
 
 
+def wide_depthwise_network() -> NetworkSpec:
+    """One padded depthwise layer whose float64 windows, 50 * 9 * 24 * 24 * 8 bytes (2.1 MB), span several window blocks.
+
+    50 groups split unevenly at the default budget, so the last block is smaller.
+    """
+    return build_network(
+        "dw_wide",
+        (50, 24, 24),
+        [
+            LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), padding=1),
+            LayerSpec(name="relu", kind="relu"),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )
+
+
 def relu_hazard_network() -> NetworkSpec:
     """A relu on the input and a relu after a saved residual source: two arrays no pass may overwrite.
 

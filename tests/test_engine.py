@@ -40,6 +40,7 @@ from tests.helpers import (
     random_small_network,
     relu_hazard_network,
     strided_depthwise_network,
+    wide_depthwise_network,
 )
 
 
@@ -742,6 +743,78 @@ def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
     assert calls == [(3, 2, 9, 11), (3, 3, 9, 11), (3, 3, 4, 5), (3, 2 * 4 * 5)]  # once per batch
 
 
+def _assert_same_outputs(a, b, where):
+    """Two nested captures / outputs hold equal keys and arrays of equal shape, dtype and values."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same_outputs(a[key], b[key], (*where, key))
+    else:
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_window_blocks_change_no_output(bits, monkeypatch):
+    """One group per block, the default blocks and one block per layer give equal outputs and captures, and the integer oracle's."""
+    rng = np.random.default_rng(700 + bits)
+    nets = (strided_depthwise_network(), depthwise_residual_network(), tinymalnet(), wide_depthwise_network())
+    nets = [(net, init_random_weights(net, seed=70 + i)) for i, net in enumerate(nets)] + [projected_shortcut_net()]
+    for net, ws in nets:
+        qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
+        xs = np.stack(random_inputs(net, rng, 3))
+        runs = []
+        for budget in (1, engine_module.WINDOW_BYTES, 1 << 40):
+            monkeypatch.setattr(engine_module, "WINDOW_BYTES", budget)
+            run = {}
+            for x in (xs[0], xs):
+                run["float", x.ndim] = caps = {}
+                caps["probs"] = infer_float(net, ws, x, captures=caps)
+                for engine in ("vector", "cluster"):
+                    run[engine, x.ndim] = caps = {}
+                    caps["probs"], _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=caps)
+            runs.append(run)
+        for run in runs[1:]:
+            _assert_same_outputs(runs[0], run, (net.name, bits))
+        for i, x in enumerate(xs):
+            oprobs, oaccs = oracle_quantized_forward(qm, x)
+            for engine in ("vector", "cluster"):
+                single, stack = runs[0][engine, 3], runs[0][engine, 4]
+                assert stack["acc"].keys() == oaccs.keys()
+                for name, acc in oaccs.items():
+                    assert np.array_equal(stack["acc"][name][i], acc), (net.name, engine, name)
+                    if i == 0:
+                        assert np.array_equal(single["acc"][name], acc), (net.name, engine, name)
+                assert stack["probs"][i] == pytest.approx(oprobs, abs=1e-12)
+
+
+def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
+    """A wide depthwise layer is windowed in blocks of at most WINDOW_BYTES, on both backends and a stack."""
+    net = wide_depthwise_network()
+    rng = np.random.default_rng(71)
+    ws = init_random_weights(net, seed=71)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), 8)
+    real_windows = engine_module._windows
+    sizes = []
+
+    def windows(x, kh, kw, stride):
+        win = real_windows(x, kh, kw, stride)
+        sizes.append((win.nbytes, len(x), x.itemsize))
+        return win
+
+    monkeypatch.setattr(engine_module, "_windows", windows)
+    per_sample = 3 * 3 * 24 * 24  # one group's windows of one sample: k * P elements
+    channels = net.input_shape[0]
+    for x in (rng.random(net.input_shape), np.stack(random_inputs(net, rng, 3))):
+        for run in (lambda: infer_float(net, ws, x), lambda: infer_lut(qm, x)):
+            sizes.clear()
+            run()
+            assert len(sizes) > 1  # 2.1 MB of float64 windows per sample would not fit one block
+            for nbytes, n, itemsize in sizes:
+                assert nbytes <= max(engine_module.WINDOW_BYTES, n * per_sample * itemsize)
+            _, n, itemsize = sizes[0]
+            assert sum(nbytes for nbytes, _, _ in sizes) == channels * n * per_sample * itemsize  # every group, once
+
+
 def test_calibration_from_running_extremes_matches_concatenated_inputs():
     net = tinymalnet()
     ws = init_random_weights(net, seed=21)
@@ -1008,3 +1081,29 @@ def test_trained_model_separates_corpus(trained_model, eval_corpus):
     inputs, labels = eval_corpus
     m = evaluate(net, ws, inputs, labels)
     assert m.accuracy >= 0.95
+
+
+def test_an_empty_stack_is_refused_by_both_backends():
+    net = tiny_conv_net()
+    ws = init_random_weights(net, seed=16)
+    qm = prepare_quantized(net, ws, random_inputs(net, np.random.default_rng(16), 2), 8)
+    empty = np.empty((0, *net.input_shape))
+    with pytest.raises(ValueError, match="empty stack"):
+        infer_float(net, ws, empty)
+    for engine in ("vector", "cluster"):
+        with pytest.raises(ValueError, match="empty stack"):
+            infer_lut(qm, empty, engine=engine)
+
+
+def test_a_second_infer_lut_call_hashes_no_layer_spec(monkeypatch):
+    net = tinymalnet()
+    qm = prepare_quantized(net, init_random_weights(net, seed=17), random_inputs(net, np.random.default_rng(17), 2), 8)
+    x = np.random.default_rng(18).random(net.input_shape)
+    infer_lut(qm, x)
+    hashed = []
+    real_hash = LayerSpec.__hash__
+    monkeypatch.setattr(LayerSpec, "__hash__", lambda layer: hashed.append(layer.name) or real_hash(layer))
+    infer_lut(qm, x)
+    assert hashed == []
+    twin = tinymalnet()  # equal and hashed alike, though built apart
+    assert twin == net and hash(twin) == hash(net) and hashed
