@@ -23,7 +23,9 @@ product is a real matmul.
 of at most WINDOW_BYTES of windows (at least one group, so a conv or dense
 layer is one block): it copies a block's channels into the interior of one
 scratch buffer whose border is zeroed once per call, windows it and takes
-that block's product. Neither a layer's whole padded input nor its whole
+that block's product. The blocks fill the layer's (N, G, O/G, P) product,
+which `_mac` returns before bias; each backend finishes it and adds the
+bias with `_add_bias`. Neither a layer's whole padded input nor its whole
 window tensor exists at once (cache blocking; Goto and van de Geijn, ACM
 TOMS 2008). A zero border serves both backends: the float pad is 0, and the
 integer step quantizes and centres its input before `_mac`, so its pad is
@@ -139,8 +141,8 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view.reshape(n, c, kh * kw, oh * ow)
 
 
-def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product, finish=None) -> np.ndarray:
-    """A MAC layer's outputs from its unpadded (N, C, H, W) or (N, K) input: a grouped-conv product per block of groups, plus bias.
+def _mac(layer, x: np.ndarray, wmat: np.ndarray, product) -> np.ndarray:
+    """A MAC layer's (N, G, O/G, P) product from its unpadded (N, C, H, W) or (N, K) input, one block of groups at a time.
 
     wmat is the layer's (K/G, O) weight matrix over its G groups (nets.groups).
     Every layer is the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
@@ -149,32 +151,26 @@ def _mac(layer, x: np.ndarray, wmat: np.ndarray, bias: np.ndarray, product, fini
     window per sample, so each sample is its own product and a stack's rows
     equal single calls. product(lhs, rhs) runs once per block of groups
     (_window_blocks), and the blocks' (N, gb, O/G, P) results fill one
-    (N, G, O/G, P) array; an unpadded conv is one block with nothing to pad,
-    so it skips the block walk, whose bookkeeping made tinymalnet's small
-    layers 2-4% slower. finish, if given, maps the result once per layer.
-    The bias is added in place on the result, and outputs take the layer's
-    out_shape, NCHW.
+    (N, G, O/G, P) array; a layer of one block returns that block's product.
     """
     g = groups(layer)
     lhs = wmat.T.reshape(g, -1, len(wmat))
-    if layer.kind == "dense":
-        out = product(lhs, x[:, None, :, None])
-    elif g == 1 and not layer.padding:
-        win = _windows(x, *layer.kernel, layer.stride)
-        out = product(lhs, win.reshape(len(win), 1, -1, win.shape[-1]))
-    else:
-        for g0, win in _window_blocks(layer, x):
-            gb = win.shape[1]
-            acc = product(lhs[g0 : g0 + gb], win)
-            if gb == g:  # one block: its product is the layer's
-                out = acc
-            else:
-                if g0 == 0:
-                    out = np.empty((len(acc), g, *acc.shape[2:]), acc.dtype)
-                out[:, g0 : g0 + gb] = acc
-    if finish is not None:
-        out = finish(out)
-    out = out.reshape(len(out), len(bias), -1)
+    blocks = [(0, x[:, None, :, None])] if layer.kind == "dense" else _window_blocks(layer, x)
+    out = None
+    for g0, win in blocks:
+        gb = win.shape[1]
+        acc = product(lhs[g0 : g0 + gb], win)
+        if gb == g:
+            return acc
+        if out is None:
+            out = np.empty((len(acc), g, *acc.shape[2:]), acc.dtype)
+        out[:, g0 : g0 + gb] = acc
+    return out
+
+
+def _add_bias(layer, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """A layer's (N, G, O/G, P) result plus its bias, added in place, as (N, *out_shape), NCHW."""
+    out = acc.reshape(len(acc), len(bias), -1)
     out += bias[:, None]
     return out.reshape(len(out), *layer.out_shape)
 
@@ -272,8 +268,9 @@ def _weight_matrix(layer, ws: WeightSet):
 
 
 def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
-    """The float backend's MAC step: a real-arithmetic matmul of the layer's weights with each block's windows."""
-    return _mac(layer, x, *_weight_matrix(layer, ws), np.matmul)
+    """The float backend's MAC step: a real-arithmetic matmul of the layer's weights with each block's windows, plus bias."""
+    wmat, bias = _weight_matrix(layer, ws)
+    return _add_bias(layer, _mac(layer, x, wmat, np.matmul), bias)
 
 
 def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
@@ -531,23 +528,20 @@ def infer_lut(
                 return _raw_dot_vector(lhs, rhs, qm.bits)
             return _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
 
-        def finish(acc):
-            """The layer's (N, G, O/G, P) integer product: captured, then scaled in float64."""
-            if accs is not None:
-                # cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
-                view = acc.astype(np.int64).transpose(1, 0, 3, 2)
-                if single:
-                    view = view[:, 0]
-                if layer.kind == "depthwise_conv2d":  # one key per channel, written in one update
-                    accs.update(zip(_channel_keys(layer.name, len(view)), view))
-                else:
-                    accs[layer.name] = view[0]
-            acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
-            acc *= ql.act_params.scale * ql.wparams.scale
-            return acc
-
         # the weight codes are centred per call: the layer holds unsigned codes only
-        return _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), ql.bias, product, finish)
+        acc = _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), product)
+        if accs is not None:
+            # cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
+            view = acc.astype(np.int64).transpose(1, 0, 3, 2)
+            if single:
+                view = view[:, 0]
+            if layer.kind == "depthwise_conv2d":  # one key per channel, written in one update
+                accs.update(zip(_channel_keys(layer.name, len(view)), view))
+            else:
+                accs[layer.name] = view[0]
+        acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
+        acc *= ql.act_params.scale * ql.wparams.scale
+        return _add_bias(layer, acc, ql.bias)
 
     probs = _forward(qm.net, x, single, mac, captures)
     return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, qm.bits)))
