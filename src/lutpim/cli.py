@@ -289,13 +289,8 @@ def _rebuild_qmodel(net, ws, bits):
                 f"quantized container entry {act_name!r} is {act_params.bits}-bit, "
                 f"but its layer's weights are {bits}-bit"
             )
-        qm.layers[layer.name] = engine.QuantizedLayer(
-            name=layer.name,
-            qweight=qw.data,
-            wparams=qw.params,
-            bias=np.asarray(ws[b_name].data, dtype=np.float64),
-            act_params=act_params,
-        )
+        bias = np.asarray(ws[b_name].data, dtype=np.float64)
+        qm.layers[layer.name] = engine.quantized_layer(layer, qw.data, qw.params, bias, act_params)
     return qm
 
 

@@ -14,10 +14,10 @@ each MAC layer to the backend's MAC step. A projected shortcut is a MAC
 layer too: the 1x1 strided conv "{name}.proj" of the residual source, as
 `nets.mac_layers` lists it. Every MAC step is one grouped conv (`_mac`),
 channel-major: the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
-windows over the batch axis, rows of the layer's (K/G, O) weight matrix
-always on the left. A conv has G = 1, a depthwise layer G = C and a dense layer is one
-window, so outputs come out NCHW with no transpose. The float step's
-product is a real matmul.
+windows over the batch axis, weight rows always on the left. A conv has
+G = 1, a depthwise layer G = C and a dense layer is one window, so outputs
+come out NCHW with no transpose. The float step's rows are a free reshape
+of the stored weights (`_weight_rows`) and its product is a real matmul.
 
 `_mac` receives each layer's input unpadded and walks its groups in blocks
 of at most WINDOW_BYTES of windows (at least one group, so a conv or dense
@@ -29,8 +29,9 @@ bias with `_add_bias`. Neither a layer's whole padded input nor its whole
 window tensor exists at once (cache blocking; Goto and van de Geijn, ACM
 TOMS 2008). A zero border serves both backends: the float pad is 0, and the
 integer step quantizes and centres its input before `_mac`, so its pad is
-0, the centred code of 0. Weight codes are centred per call. The integer
-step's captures and scaling run once per layer on the assembled product, a
+0, the centred code of 0. Each `QuantizedLayer` holds its centred weight
+codes once, as the rows `_mac` reads (`lhs`). The integer step's captures
+and scaling run once per layer on the assembled product, a
 layer's captured accumulators are written in one update, and the ledger's
 events are charged once per (net, cfg, bits) and copied into each call's
 fresh ledger.
@@ -55,9 +56,10 @@ so every partial sum of a K-long dot product is at most K*q^2 in any
 summation order. A layer whose K*q^2 < 2^24 takes float32, which holds
 those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at
 16. Every other layer takes float64; building a layer with K*q^2 >= 2^53
-raises. `QuantizedLayer` makes that choice once (`_product_dtype`):
-`quantize` casts the codes into the layer's type, and centring, the scratch
-buffer, windows, the centred weight codes and the product stay in it.
+raises. `quantized_layer` makes that choice once (`_product_dtype`) and
+centres the weight codes into that type; `quantize` casts the activation
+codes into it, and centring, the scratch buffer, windows and the product
+stay in it.
 The accumulator is scaled in float64 in every layer, so outputs do not
 depend on the type. int64 appears only in captured accumulators (cast once
 per layer), in the cluster engine's product, and in the codes a weight
@@ -141,20 +143,19 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view.reshape(n, c, kh * kw, oh * ow)
 
 
-def _mac(layer, x: np.ndarray, wmat: np.ndarray, product) -> np.ndarray:
+def _mac(layer, x: np.ndarray, lhs: np.ndarray, product) -> np.ndarray:
     """A MAC layer's (N, G, O/G, P) product from its unpadded (N, C, H, W) or (N, K) input, one block of groups at a time.
 
-    wmat is the layer's (K/G, O) weight matrix over its G groups (nets.groups).
-    Every layer is the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
-    windows, each group's K/G ordered (c, ki, kj), a free reshape of the
-    windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
+    lhs is the layer's (G, O/G, K/G) weight rows over its G groups
+    (nets.groups), read as given. Every layer is the product lhs @ (N, G,
+    K/G, P) windows, each group's K/G ordered (c, ki, kj), a free reshape of
+    the windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
     window per sample, so each sample is its own product and a stack's rows
     equal single calls. product(lhs, rhs) runs once per block of groups
     (_window_blocks), and the blocks' (N, gb, O/G, P) results fill one
     (N, G, O/G, P) array; a layer of one block returns that block's product.
     """
-    g = groups(layer)
-    lhs = wmat.T.reshape(g, -1, len(wmat))
+    g = len(lhs)
     blocks = [(0, x[:, None, :, None])] if layer.kind == "dense" else _window_blocks(layer, x)
     out = None
     for g0, win in blocks:
@@ -255,22 +256,27 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
     return x[0] if single else x
 
 
-def _weight_matrix(layer, ws: WeightSet):
-    """A MAC layer's float64 (K/G, O) weight matrix, (k, C) for a depthwise layer, and its bias."""
+def _weight_rows(layer, ws: WeightSet):
+    """A MAC layer's float64 (G, O/G, K/G) weight rows and its bias.
+
+    The rows are a free reshape of the stored (O, C/G, kh, kw) tensor, each
+    group's K/G ordered (c, ki, kj), or the (1, O, K) transposed view of a
+    dense layer's (K, O) matrix.
+    """
     try:
         w = np.asarray(ws[f"{layer.name}.w"].data, dtype=np.float64)
         b = np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64)
     except KeyError:
         raise KeyError(f"missing weights for layer {layer.name!r}") from None
     if layer.kind == "dense":
-        return w, b
-    return w.reshape(layer.out_channels, -1).T, b  # each group's K/G ordered (c, ki, kj); one column per output channel
+        return w.T[None], b
+    return w.reshape(groups(layer), layer.out_channels // groups(layer), -1), b
 
 
 def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
     """The float backend's MAC step: a real-arithmetic matmul of the layer's weights with each block's windows, plus bias."""
-    wmat, bias = _weight_matrix(layer, ws)
-    return _add_bias(layer, _mac(layer, x, wmat, np.matmul), bias)
+    rows, bias = _weight_rows(layer, ws)
+    return _add_bias(layer, _mac(layer, x, rows, np.matmul), bias)
 
 
 def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
@@ -403,27 +409,42 @@ def _centered_dot_cluster(
 
 @dataclass(frozen=True)
 class QuantizedLayer:
-    """One MAC layer's weight codes and quantization parameters.
+    """One MAC layer's weight operand and quantization parameters; build one with quantized_layer.
 
-    qweight is cast to float64 once, when the layer is built, and held
-    read-only; change a layer with dataclasses.replace, which casts again.
-    dtype is the float type the layer's codes and product take in infer_lut,
-    chosen once from its dot length and bits (_product_dtype).
+    lhs holds the layer's zero-centred weight codes once, read-only, as the
+    (G, O/G, K/G) rows _mac reads, in the float type the layer's codes and
+    product take in infer_lut (_product_dtype). It is the layer's only weight
+    array: the container's unsigned codes are derived from it (qweight).
     """
 
     name: str
-    qweight: np.ndarray  # (K/G, O) unsigned codes: (K, O) for a conv or dense layer, (k, C) for a depthwise one
+    lhs: np.ndarray
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
-    dtype: np.dtype = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        qweight = np.asarray(self.qweight, dtype=np.float64).view()  # a view: the caller's array keeps its flags
-        qweight.flags.writeable = False
-        object.__setattr__(self, "qweight", qweight)
-        bits = max(self.wparams.bits, self.act_params.bits)
-        object.__setattr__(self, "dtype", _product_dtype(len(qweight), bits))
+    @property
+    def qweight(self) -> np.ndarray:
+        """The unsigned (K/G, O) float64 codes a weight container holds, derived from lhs on every read.
+
+        (K, O) for a conv or dense layer, (k, C) for a depthwise one.
+        """
+        centred = self.lhs.transpose(2, 0, 1).reshape(self.lhs.shape[-1], -1)  # (K/G, O), a view of lhs
+        return np.add(centred, self.wparams.zero_point, dtype=np.float64)
+
+
+def quantized_layer(layer, qweight, wparams: QuantParams, bias, act_params: QuantParams) -> QuantizedLayer:
+    """A QuantizedLayer for MAC layer `layer` from its unsigned (K/G, O) weight codes.
+
+    The codes are centred once into the read-only (G, O/G, K/G) rows the
+    layer's product reads, in the float type _product_dtype picks from K/G
+    and the wider of the two precisions. The caller's array is left as it was.
+    """
+    dtype = _product_dtype(len(qweight), max(wparams.bits, act_params.bits))
+    lhs = np.subtract(qweight.T, wparams.zero_point, dtype=dtype, order="C")
+    lhs = lhs.reshape(groups(layer), -1, len(qweight))
+    lhs.flags.writeable = False
+    return QuantizedLayer(layer.name, lhs, wparams, bias, act_params)
 
 
 @dataclass
@@ -453,16 +474,13 @@ def prepare_quantized(
         _forward(net, xs, False, mac, None)
     qm = QuantizedModel(net=net, bits=bits)
     for layer in mac_layers(net):
-        wmat, b = _weight_matrix(layer, ws)
+        rows, b = _weight_rows(layer, ws)
+        wmat = rows.reshape(-1, rows.shape[-1]).T  # a (K/G, O) view, the layout a container holds codes in
         wp = calibrate(wmat, bits, symmetric=True)
+        codes = quantize(wmat, wp)
+        del rows, wmat  # so the float weights are freed before the centred rows are built
         act = calibrate(np.array(extremes.get(layer.name, ())), bits, symmetric=False)
-        qm.layers[layer.name] = QuantizedLayer(
-            name=layer.name,
-            qweight=quantize(wmat, wp),
-            wparams=wp,
-            bias=b,
-            act_params=act,
-        )
+        qm.layers[layer.name] = quantized_layer(layer, codes, wp, b, act)
     return qm
 
 
@@ -519,7 +537,7 @@ def infer_lut(
         """Quantize x once, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        q = quantize(x, ql.act_params, ql.dtype)
+        q = quantize(x, ql.act_params, ql.lhs.dtype)
         q -= za  # centred in place; _mac pads with 0, the centred code of 0
 
         def product(lhs, rhs):
@@ -528,8 +546,7 @@ def infer_lut(
                 return _raw_dot_vector(lhs, rhs, qm.bits)
             return _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
 
-        # the weight codes are centred per call: the layer holds unsigned codes only
-        acc = _mac(layer, q, np.subtract(ql.qweight, zw, dtype=ql.dtype), product)
+        acc = _mac(layer, q, ql.lhs, product)
         if accs is not None:
             # cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
             view = acc.astype(np.int64).transpose(1, 0, 3, 2)

@@ -108,7 +108,7 @@ def charge_layer(
     passes = operand_bytes(precision_bits) ** 2
     ledger.account_macs(cfg, macs, passes)
     ledger.account_transfer("intra", count=intra_transfer_events(layer))
-    ledger.account_transfer("inter", 1, count=weight_transfer_events(macs * passes, cfg))
+    ledger.account_transfer("inter", count=weight_transfer_events(macs * passes, cfg))
     return ledger
 
 

@@ -14,11 +14,6 @@ INTRA_DELAY_NS = 63.0
 INTRA_ENERGY_UJ = 0.028
 INTER_DELAY_NS = {1: 148.5, 7: 196.5, 15: 260.5}
 INTER_ENERGY_UJ = {1: 0.09, 7: 0.12, 15: 0.17}
-HOP_CLASSES = (1, 7, 15)
-
-
-class HopClassError(ValueError):
-    """Hop count outside the published inter-subarray classes."""
 
 
 @dataclass(frozen=True)
@@ -34,16 +29,6 @@ class SystemConfig:
             raise ValueError("clusters_per_subarray must divide cluster_count")
         if self.precision_bits not in SUPPORTED_BITS:
             raise ValueError(f"precision_bits must be one of {{{', '.join(map(str, SUPPORTED_BITS))}}}")
-
-
-def hop_class(hops: int) -> int:
-    """Map a hop count UP to the next published class (no interpolation)."""
-    if hops < 1:
-        raise HopClassError(f"hop count must be >= 1, got {hops}")
-    for cls in HOP_CLASSES:
-        if hops <= cls:
-            return cls
-    raise HopClassError(f"hop count {hops} exceeds the largest published class (15)")
 
 
 @dataclass
@@ -67,17 +52,16 @@ class EnergyLedger:
         self.events.append(("mac", mac_count * passes, ns, pj))
         return self
 
-    def account_transfer(self, kind: str, hops: int | None = None, count: int = 1) -> "EnergyLedger":
-        """Charge `count` transfers of one kind as a single event."""
+    def account_transfer(self, kind: str, count: int = 1) -> "EnergyLedger":
+        """Charge `count` transfers of one kind as a single event; an inter-subarray transfer takes one hop."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         if kind == "intra":
             ns, pj = count * INTRA_DELAY_NS, count * INTRA_ENERGY_UJ * UJ_TO_PJ
             label = "intra"
         elif kind == "inter":
-            cls = hop_class(1 if hops is None else hops)
-            ns, pj = count * INTER_DELAY_NS[cls], count * INTER_ENERGY_UJ[cls] * UJ_TO_PJ
-            label = f"inter[{cls}]"
+            ns, pj = count * INTER_DELAY_NS[1], count * INTER_ENERGY_UJ[1] * UJ_TO_PJ
+            label = "inter[1]"
         else:
             raise ValueError(f"unknown transfer kind {kind!r}")
         if count:

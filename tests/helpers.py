@@ -100,11 +100,12 @@ def oracle_quantized_forward(qm, x):
                 accs[layer.name] = acc
                 x = (scale * acc + ql.bias)[0]
             else:
+                qw = ql.qweight.astype(np.int64)  # qweight is derived on every read, so read it once per layer
                 chans = []
                 for c in range(x.shape[0]):
                     cols, oh, ow = _patches(x[c : c + 1], *layer.kernel, layer.stride, layer.padding)
                     qa = quantize(cols, ql.act_params).astype(np.int64)
-                    acc = (qa - za) @ (ql.qweight[:, c : c + 1].astype(np.int64) - zw)
+                    acc = (qa - za) @ (qw[:, c : c + 1] - zw)
                     accs[f"{layer.name}[{c}]"] = acc
                     chans.append((scale * acc[:, 0] + ql.bias[c]).reshape(oh, ow))
                 x = np.stack(chans)

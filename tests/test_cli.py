@@ -13,7 +13,7 @@ from lutpim.nets import ZOO, tinymalnet
 from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
 from lutpim.weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
-from tests.helpers import projected_shortcut_net, random_inputs
+from tests.helpers import projected_shortcut_net, random_inputs, strided_depthwise_network
 
 
 def run(argv):
@@ -597,6 +597,34 @@ def test_a_rebuilt_container_model_infers_like_the_in_memory_model(tmp_path, bit
     want_probs, _ = engine.infer_lut(in_memory, np.stack(xs), captures=want)
     got_probs, _ = engine.infer_lut(rebuilt, np.stack(xs), captures=got)
     assert np.array_equal(got_probs, want_probs)
+    assert got["acc"].keys() == want["acc"].keys()
+    for name, acc in want["acc"].items():
+        assert got["acc"][name].dtype == np.int64 and np.array_equal(got["acc"][name], acc), name
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_a_depthwise_container_rebuilds_the_in_memory_weight_rows(tmp_path, bits):
+    # a depthwise layer's (k, C) container codes and its (C, 1, k) rows are a real transpose of each other
+    net = strided_depthwise_network()
+    ws = init_random_weights(net, seed=21)
+    rng = np.random.default_rng(21 + bits)
+    qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), bits)
+    for name, ql in qm.layers.items():
+        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
+        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
+    save_weights(ws, tmp_path / "q.pimw")
+    container = load_weights(tmp_path / "q.pimw")
+    rebuilt = cli._rebuild_qmodel(net, container, bits)
+    assert rebuilt.layers.keys() == qm.layers.keys()
+    assert rebuilt.layers["dw"].lhs.shape == (3, 1, 9)
+    for name, ql in rebuilt.layers.items():
+        want = qm.layers[name].lhs
+        assert (ql.lhs.dtype, ql.lhs.shape, ql.lhs.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert np.array_equal(ql.qweight, container[f"{name}.qw"].data), name
+    x = np.stack(random_inputs(net, rng, 2))
+    want, got = {}, {}
+    engine.infer_lut(qm, x, captures=want)
+    engine.infer_lut(rebuilt, x, captures=got)
     assert got["acc"].keys() == want["acc"].keys()
     for name, acc in want["acc"].items():
         assert got["acc"][name].dtype == np.int64 and np.array_equal(got["acc"][name], acc), name

@@ -18,6 +18,7 @@ from lutpim.engine import (
     init_random_weights,
     metrics_from_predictions,
     prepare_quantized,
+    quantized_layer,
     softmax,
 )
 from lutpim.lut_core import OpTag
@@ -306,13 +307,15 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
     rng = np.random.default_rng(400 + bits)
     qm = prepare_quantized(net, init_random_weights(net, seed=40), random_inputs(net, rng, 2), bits)
     qmax = (1 << bits) - 1
-    for i, (name, ql) in enumerate(list(qm.layers.items())):
-        qm.layers[name] = dataclasses.replace(
-            ql,
-            qweight=rng.choice([0, qmax], size=ql.qweight.shape),
-            wparams=QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True),
+    for i, layer in enumerate(mac_layers(net)):
+        ql = qm.layers[layer.name]
+        qm.layers[layer.name] = quantized_layer(
+            layer,
+            rng.choice([0, qmax], size=ql.qweight.shape),
+            QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True),
+            ql.bias,
             # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
-            act_params=QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits),
+            QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits),
         )
     codes = []
     real_quantize = engine_module.quantize
@@ -389,21 +392,27 @@ def test_infer_float_relu_after_a_saved_residual_source_matches_naive_conv_oracl
     assert captures["layer_inputs"]["dense"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
-def test_a_quantized_layer_holds_read_only_float64_codes():
+def test_a_quantized_layer_holds_its_centred_codes_once_read_only():
     net = tiny_conv_net()
     rng = np.random.default_rng(15)
     qm = prepare_quantized(net, init_random_weights(net, seed=15), random_inputs(net, rng, 2), 8)
     for ql in qm.layers.values():
-        assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
+        # one weight array, the (G, O/G, K/G) rows in the product's type; the unsigned codes are derived
+        assert [name for name, v in vars(ql).items() if isinstance(v, np.ndarray)] == ["lhs", "bias"]
+        assert ql.lhs.dtype == engine_module._product_dtype(ql.lhs.shape[-1], 8) and not ql.lhs.flags.writeable
         with pytest.raises(ValueError):
-            ql.qweight[0, 0] = 0
+            ql.lhs[0, 0, 0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ql.qweight = ql.qweight.copy()
-    layer = next(iter(qm.layers.values()))
-    for codes in (rng.integers(0, 256, size=layer.qweight.shape), rng.integers(0, 256, size=(5, 3)) * 1.0):
-        ql = dataclasses.replace(layer, qweight=codes)  # casts the codes to float64 again
-        assert ql.qweight.dtype == np.float64 and not ql.qweight.flags.writeable
-        assert np.array_equal(ql.qweight, codes)
+            ql.lhs = ql.lhs.copy()
+        assert ql.qweight.dtype == np.float64
+    conv = next(mac_layers(net))
+    built = qm.layers[conv.name]
+    shape = built.qweight.shape
+    for codes in (rng.integers(0, 256, size=shape), rng.integers(0, 256, size=shape) * 1.0):
+        ql = quantized_layer(conv, codes, built.wparams, built.bias, built.act_params)
+        assert ql.lhs.dtype == np.float32 and not ql.lhs.flags.writeable  # K = 18
+        assert np.array_equal(ql.lhs, (codes - 128).T.reshape(1, 3, 18))
+        assert ql.qweight.dtype == np.float64 and np.array_equal(ql.qweight, codes)
         assert codes.flags.writeable  # the caller's array is left as it was
 
 
@@ -669,14 +678,17 @@ def test_float32_layers_give_the_bytes_of_float64_layers(make_net, bits, engine,
     net, ws = made if isinstance(made, tuple) else (made, init_random_weights(made, seed=70))
     rng = np.random.default_rng(70 + bits)
     qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
-    dtypes = [ql.dtype for ql in qm.layers.values()]
+    dtypes = [ql.lhs.dtype for ql in qm.layers.values()]
     assert (np.float32 in dtypes) == (bits < 16)
     if make_net is float32_edge_network:
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert dtypes[:2] == {4: [f32, f32], 8: [f32, f64], 16: [f64, f64]}[bits]
     monkeypatch.setattr(engine_module, "_product_dtype", lambda k, bits: np.dtype(np.float64))
-    qm64 = dataclasses.replace(qm, layers={name: dataclasses.replace(ql) for name, ql in qm.layers.items()})
-    assert all(ql.dtype == np.float64 for ql in qm64.layers.values())
+    qm64 = dataclasses.replace(qm, layers={})
+    for layer in mac_layers(net):  # the same codes, rebuilt with float64 rows
+        ql = qm.layers[layer.name]
+        qm64.layers[layer.name] = quantized_layer(layer, ql.qweight, ql.wparams, ql.bias, ql.act_params)
+    assert all(ql.lhs.dtype == np.float64 for ql in qm64.layers.values())
     for x in (rng.random(net.input_shape), np.stack(random_inputs(net, rng, 3))):
         assert _run_bytes(qm, x, engine) == _run_bytes(qm64, x, engine), (make_net, bits, engine, x.shape)
 

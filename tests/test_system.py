@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from lutpim.system import (
-    HOP_CLASSES,
     INTER_DELAY_NS,
     INTER_ENERGY_UJ,
     INTRA_DELAY_NS,
     INTRA_ENERGY_UJ,
     EnergyLedger,
-    HopClassError,
     SystemConfig,
-    hop_class,
 )
 
 
@@ -21,17 +18,6 @@ def test_published_comm_constants():
     assert INTRA_ENERGY_UJ == 0.028
     assert INTER_DELAY_NS == {1: 148.5, 7: 196.5, 15: 260.5}
     assert INTER_ENERGY_UJ == {1: 0.09, 7: 0.12, 15: 0.17}
-
-
-def test_hop_class_maps_up():
-    assert hop_class(1) == 1
-    assert hop_class(2) == 7
-    assert hop_class(7) == 7
-    assert hop_class(8) == 15
-    assert hop_class(15) == 15
-    for bad in (0, -3, 16, 100):
-        with pytest.raises(HopClassError):
-            hop_class(bad)
 
 
 def test_account_macs_worked_example():
@@ -61,9 +47,10 @@ def test_transfers():
     led.account_transfer("intra")
     assert led.comm_ns == pytest.approx(63.0)
     assert led.comm_pj == pytest.approx(0.028e6)
-    led.account_transfer("inter", hops=15)
-    assert led.comm_ns == pytest.approx(63.0 + 260.5)
-    assert led.comm_pj == pytest.approx((0.028 + 0.17) * 1e6)
+    led.account_transfer("inter", count=2)
+    assert led.comm_ns == pytest.approx(63.0 + 2 * 148.5)
+    assert led.comm_pj == pytest.approx((0.028 + 2 * 0.09) * 1e6)
+    assert [e[:2] for e in led.events] == [("intra", 1), ("inter[1]", 2)]
     with pytest.raises(ValueError):
         led.account_transfer("warp")
 
@@ -80,7 +67,7 @@ def test_summary_worked_example():
 
 
 def test_summary_idempotent():
-    led = EnergyLedger().account_macs(SystemConfig(), 1000).account_transfer("inter", hops=3)
+    led = EnergyLedger().account_macs(SystemConfig(), 1000).account_transfer("inter", count=3)
     assert led.summary() == led.summary()
 
 
@@ -95,7 +82,7 @@ def test_totals_equal_event_sums():
         elif roll == 1:
             led.account_transfer("intra")
         else:
-            led.account_transfer("inter", hops=int(rng.integers(1, 16)))
+            led.account_transfer("inter", count=int(rng.integers(1, 16)))
     total_ns = sum(ns for _, _, ns, _ in led.events)
     total_pj = sum(pj for _, _, _, pj in led.events)
     assert led.compute_ns + led.comm_ns == pytest.approx(total_ns)
