@@ -1,9 +1,17 @@
-"""Nine-core cluster: router, microprogram interpreter, and the 8-step 8-bit MAC.
+"""Nine-core cluster: router, microprogram runner, and the 8-step 8-bit MAC.
 
 The MAC decomposes a*b into four 4x4-bit partial products computed in parallel
 (step 1) followed by seven nibble-serial addition steps, filling the published
 6.4 ns / 0.8 ns-per-step budget exactly. A wider MAC runs as one 8-bit MAC per
 pair of operand bytes (`operand_bytes`).
+
+A program runs on one lane or on many in lockstep, as many clusters run the
+same step in hardware. Many lanes run through the program's kernel, compiled
+once per program into straight-line Python over byte lanes: every lane holds
+one uint8 byte, and each core lookup is one bytes.translate through the
+core's 256-byte table. One lane runs in an interpreter on Python ints, where
+a lookup indexes the table's bytes; the kernel's per-array numpy calls cost
+more than that for a single lane.
 """
 
 from __future__ import annotations
@@ -84,16 +92,25 @@ class ClusterMicroprogram:
     """Ordered schedule of parallel core lookups plus the output nibble list.
 
     A run's cost is fixed by the text, so it is counted here once, per lane:
-    (core, lookups, last table) per core used, (src, dst) per operand transfer.
+    (core, lookups, last table) per core used, (src, dst) per operand
+    transfer, and the same transfers as ((src, dst), count) per route. What
+    a run reads is fixed too: `inputs` names its input operands in order of
+    first use, `live_in` the cores it reads before writing them, whose bytes
+    come from an earlier run. `kernel` is the program compiled for byte
+    lanes, built on first use and kept with the program.
     """
 
     steps: tuple[tuple[CoreOp, ...], ...]
     outputs: tuple[Src, ...]
     lookups: tuple = field(init=False, repr=False, compare=False)
     transfers: tuple = field(init=False, repr=False, compare=False)
+    routes: tuple = field(init=False, repr=False, compare=False)
+    inputs: tuple = field(init=False, repr=False, compare=False)
+    live_in: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lookups, last_table, transfers = Counter(), {}, []
+        inputs, live_in = {}, {}
         for n, step in enumerate(self.steps):
             seen = set()
             for op in step:
@@ -102,16 +119,34 @@ class ClusterMicroprogram:
                 if op.core in seen:
                     raise MicroprogramError(f"step {n}: core {op.core} used twice")
                 seen.add(op.core)
-                lookups[op.core] += 1
-                last_table[op.core] = op.table
                 for src in (op.src_a, op.src_b):
                     _check_src(src)
                     if src[0] == "core" and src[1] != op.core:
                         transfers.append((src[1], op.core))
+                    _note_read(src, inputs, live_in, lookups)
+            for op in step:
+                lookups[op.core] += 1
+                last_table[op.core] = op.table
         for src in self.outputs:
             _check_src(src)
+            _note_read(src, inputs, live_in, lookups)
         object.__setattr__(self, "lookups", tuple((c, n, last_table[c]) for c, n in lookups.items()))
         object.__setattr__(self, "transfers", tuple(transfers))
+        object.__setattr__(self, "routes", tuple(Counter(transfers).items()))
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "live_in", tuple(live_in))
+
+    @functools.cached_property
+    def kernel(self):
+        return _compile(self)
+
+
+def _note_read(src: Src, inputs: dict, live_in: dict, written) -> None:
+    """Record an input name, or a core read before the program writes it, in first-use order."""
+    if src[0] == "in":
+        inputs.setdefault(src[1])
+    elif src[0] == "core" and src[1] not in written:
+        live_in.setdefault(src[1])
 
 
 @dataclass
@@ -128,19 +163,90 @@ def _any(flags) -> bool:
 
 @functools.cache
 def _table(tag: OpTag):
-    """(table, its assembled bytes, the same as a read-only int64 array), built once per process."""
-    raw = (table := build_function_table(tag)).assembled_bytes()
-    gather = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    gather.flags.writeable = False
-    return table, raw, gather
+    """(table, its assembled bytes), built once per process."""
+    return (table := build_function_table(tag)), table.assembled_bytes()
+
+
+def _compile(prog: ClusterMicroprogram):
+    """prog as one straight-line Python function over byte lanes, built once per program (prog.kernel).
+
+    Its arguments bind by position: the uint8 input lanes in prog.inputs
+    order, then the latched bytes of prog.live_in. It returns the output
+    nibbles and the last byte of each core in prog.lookups order. Each lookup
+    is one bytes.translate of the uint8 index lanes through the core's
+    assembled table, and each operand nibble enters the index with one uint8
+    op: x * 16, x & 0xF0, x & 15 or x >> 4. (x * 16 is x << 4 wrapped to a
+    byte; numpy's uint8 shift took about 9x as long on 65,536 lanes.)
+    bytes.translate beat np.take on a uint8 table at every lane count
+    measured, 96 to 65,536. A value fixed by immediates alone folds to an int
+    while compiling; only such ints and table names enter the source, so no
+    operand name does.
+    """
+    tables = {tag: f"t{n}" for n, tag in enumerate(dict.fromkeys(op.table for step in prog.steps for op in step))}
+    names = {name: f"i{n}" for n, name in enumerate(prog.inputs)}
+    value = {c: f"l{c}" for c in prog.live_in}  # core -> its current byte: a variable or a folded int
+    lines, temps = [], {}
+
+    def temp(expr: str) -> str:
+        if expr not in temps:
+            temps[expr] = f"v{len(temps)}"
+            lines.append(f"    {temps[expr]} = {expr}")
+        return temps[expr]
+
+    def nibble(src: Src, high: bool):
+        """src's nibble as a variable or an int, shifted into the high half of the index if high."""
+        if src[0] == "in":
+            return temp(f"{names[src[1]]} * 16") if high else names[src[1]]
+        if src[0] == "imm":
+            x = src[1] & 15
+        elif isinstance(x := value[src[1]], int):
+            x = x >> 4 if src[2] == "hi" else x & 15
+        elif src[2] == "hi":
+            return temp(f"{x} & 240" if high else f"{x} >> 4")
+        else:
+            return temp(f"{x} * 16" if high else f"{x} & 15")
+        return x << 4 if high else x
+
+    for step in prog.steps:
+        outs = []
+        for op in step:
+            hi, lo = nibble(op.src_a, True), nibble(op.src_b, False)
+            if isinstance(hi, int) and isinstance(lo, int):
+                outs.append(_table(op.table)[1][hi | lo])
+                continue
+            index = lo if hi == 0 else hi if lo == 0 else temp(f"{hi} | {lo}")
+            outs.append(temp(f"frombuffer({index}.tobytes().translate({tables[op.table]}), uint8).reshape({index}.shape)"))
+        # Latch only after every lookup of the step has read its operands.
+        value.update((op.core, out) for op, out in zip(step, outs))
+    outputs = [str(nibble(src, False)) for src in prog.outputs]
+    latched = [str(value[c]) for c, _, _ in prog.lookups]
+    args = [*names.values(), *(f"l{c}" for c in prog.live_in)]
+    source = "\n".join(
+        [f"def kernel({', '.join(args)}):", *lines, f"    return [{', '.join(outputs)}], [{', '.join(latched)}]"]
+    )
+    namespace = {"frombuffer": np.frombuffer, "uint8": np.uint8}
+    namespace.update((name, _table(tag)[1]) for tag, name in tables.items())
+    exec(compile(source, "<cluster kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _is_bytes(v) -> bool:
+    """Whether v is a uint8 array, whose lanes are bytes by their type."""
+    return isinstance(v, np.ndarray) and v.dtype == np.uint8
+
+
+def _lanes(v):
+    """v as uint8 lanes: an int or any array of 0..255 becomes a uint8 array, a uint8 array stays as it is."""
+    return np.asarray(v).astype(np.uint8, copy=False)
 
 
 @dataclass
 class Cluster:
     """Nine LUT cores, a router, and a 32-bit accumulator register.
 
-    Inputs and the accumulator are ints (one lane) or int64 arrays that
-    broadcast to one lane per cluster, every lane in the same step.
+    Inputs and the accumulator are ints (one lane) or arrays that broadcast
+    to one lane per cluster, every lane in the same step. A lane holds one
+    uint8 byte from input to output, and the accumulator takes int64 lanes.
     """
 
     cores: list[LutCore] = field(default_factory=lambda: [LutCore() for _ in range(CLUSTER_CORES)])
@@ -155,7 +261,7 @@ class Cluster:
             raise MicroprogramError(f"cluster requires exactly {CLUSTER_CORES} cores")
 
     def _read(self, src: Src, inputs: dict):
-        """One operand nibble per lane."""
+        """One operand nibble of the one-lane interpreter."""
         kind = src[0]
         if kind == "in":
             try:
@@ -172,34 +278,67 @@ class Cluster:
     def run_microprogram(self, prog: ClusterMicroprogram, inputs: dict) -> list:
         """Execute steps in order on every lane; within a step all lookups read pre-step state.
 
-        A lookup is one gather from the core's table: bytes for one lane, int64 for many."""
+        A run has one lane per element of the broadcast of the arrays it
+        reads: its array inputs and the latched bytes of its live-in cores.
+        With none, one lane runs in the interpreter on Python ints, each
+        lookup an index into the core's table bytes; a single lane costs less
+        there than a kernel call's per-array set-up. Otherwise the inputs
+        become uint8 lanes and the program's compiled kernel runs them all
+        (_compile). Either way, counts come from the program's precomputed
+        lookups and transfers, per lane, and _latched ends holding each
+        core's last output.
+        """
         for name, v in inputs.items():
             if _any((v < 0) | (v > 15)):
                 raise ValueError(f"input operand {name!r} must be 4-bit")
-        arrays = [v for v in inputs.values() if not isinstance(v, int)]
-        lanes = np.broadcast(*arrays).size if arrays else 1
+        outputs, lanes = self._execute(prog, inputs)
+        self._charge(prog, lanes)
+        return outputs
+
+    def _execute(self, prog: ClusterMicroprogram, inputs: dict):
+        """(outputs, lanes) of one run on 4-bit inputs: latches each core's output and charges nothing."""
+        latched = self._latched
+        live = [latched[c] for c in prog.live_in]
+        arrays = [v for v in (*inputs.values(), *live) if not isinstance(v, int)]
+        if not arrays:
+            return self._interpret(prog, inputs), 1
+        try:
+            args = [_lanes(inputs[name]) for name in prog.inputs]
+        except KeyError as e:
+            raise MicroprogramError(f"undefined input operand {e.args[0]!r}") from None
+        for c, v in zip(prog.live_in, live):
+            if v is None:
+                raise UnprogrammedCoreError(f"core {c} read before any lookup")
+            args.append(_lanes(v))
+        outputs, last = prog.kernel(*args)
+        for (c, _, _), v in zip(prog.lookups, last):
+            latched[c] = v
+        return outputs, np.broadcast(*arrays).size
+
+    def _interpret(self, prog: ClusterMicroprogram, inputs: dict) -> list:
         read, table, latched = self._read, _table, self._latched
         for step in prog.steps:
             outs = []
             for op in step:
-                _, raw, gather = table(op.table)
-                index = (read(op.src_a, inputs) << 4) | read(op.src_b, inputs)
-                outs.append(raw[index] if isinstance(index, int) else gather[index])
+                outs.append(table(op.table)[1][(read(op.src_a, inputs) << 4) | read(op.src_b, inputs)])
             # Latch only after every lookup of the step has read its operands.
             for op, out in zip(step, outs):
                 latched[op.core] = out
+        return [read(src, inputs) for src in prog.outputs]
+
+    def _charge(self, prog: ClusterMicroprogram, lanes: int) -> None:
+        """Count one run of prog on `lanes` lanes: steps, core lookups and tables, routed transfers."""
         self.step_counter += len(prog.steps)
         for idx, n, tag in prog.lookups:
             core = self.cores[idx]
             core.lookup_count += n * lanes
-            if core.table is not (built := table(tag)[0]):
+            if core.table is not (built := _table(tag)[0]):
                 core.program(built)
         log = self.router.transfer_log
         if lanes == 1:
             log.update(prog.transfers)  # counted in C: the scalar MAC's hot path
         else:
-            log.update({route: n * lanes for route, n in Counter(prog.transfers).items()})
-        return [read(src, inputs) for src in prog.outputs]
+            log.update({route: n * lanes for route, n in prog.routes})
 
 
 def mac_microprogram() -> ClusterMicroprogram:
@@ -253,15 +392,31 @@ _MAC_PROG = mac_microprogram()
 
 
 def mac8(cluster: Cluster, a, b):
-    """Accumulate a*b exactly in 8 core-steps on every lane; returns the new accumulator."""
-    if _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
+    """Accumulate a*b exactly in 8 core-steps on every lane; returns the new accumulator.
+
+    Array operands run as uint8 lanes, and only each lane's 16-bit product,
+    formed from its two result bytes, widens to int64 for the accumulator.
+    An overflowing lane fails the call and changes neither the accumulator
+    nor any count.
+    """
+    # Operands other than uint8 arrays are range-checked before their cast.
+    if not (_is_bytes(a) and _is_bytes(b)) and _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
         raise ValueError(f"mac8 operands must be 8-bit, got a={a}, b={b}")
-    n0, n1, n2, n3 = cluster.run_microprogram(
+    if not isinstance(a, int):
+        a = _lanes(a)
+    if not isinstance(b, int):
+        b = _lanes(b)
+    (n0, n1, n2, n3), lanes = cluster._execute(
         _MAC_PROG,
         {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15},
     )
-    acc = cluster.accumulator + (n0 | n1 << 4 | n2 << 8 | n3 << 12)
+    if isinstance(n0, int):
+        product = n0 | n1 << 4 | n2 << 8 | n3 << 12
+    else:
+        product = ((n3 * 16 | n2).astype(np.uint16) * 256 | (n1 * 16 | n0)).astype(np.int64)
+    acc = cluster.accumulator + product
     check_accumulator(acc)
+    cluster._charge(_MAC_PROG, lanes)
     cluster.accumulator = acc
     return acc
 

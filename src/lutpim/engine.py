@@ -42,10 +42,13 @@ a*b. Once every byte product is a*b, the cluster's byte passes, recombined
 and corrected for zero points, give the integer sum of products of centred
 codes, so the vector engine takes that sum as one matmul at 4, 8 and 16
 bits. engine="cluster" adds the zero points back, casts the unsigned codes
-to int64 once per layer and runs each of the operand_bytes(bits)**2 byte
-passes (four at 16 bits) through `mac8` in lockstep, one call per block of
-k with at most CLUSTER_LANES lanes unless a single k has more outputs; it
-shifts and sums the passes and applies the zero-point corrections in int64.
+to int64 once per layer, takes each operand byte once as uint8, and runs
+each of the operand_bytes(bits)**2 byte passes (four at 16 bits) through
+`mac8` in lockstep, one call per block of k with at most CLUSTER_LANES
+lanes unless a single k has more outputs. mac8 runs them as byte lanes in
+the MAC program's compiled kernel and widens each lane's product to int64;
+the engine shifts and sums the passes and applies the zero-point
+corrections in int64.
 Products are non-negative, so checking the running sums against the 32-bit
 accumulator after each block raises on exactly the inputs a per-MAC check
 does.
@@ -368,11 +371,13 @@ def _centered_dot_cluster(
 
     The unsigned codes ul = lhs + zl and ur = rhs + zr are cast once to
     C-ordered int64 (mac8's broadcast lanes ran about 1.15x slower on
-    transposed conv weights). A bits-bit MAC is operand_bytes(bits)**2 byte
-    passes: byte i of ul by byte j of ur, shifted left by 8*(i + j) bits and
-    summed. Each pass is one mac8 call per block of k: a call's lanes are
-    a[..., :, k0:k1, None] by b[..., None, k0:k1, :], each from a zero
-    accumulator, and the host sums the products over k. A block holds as many
+    transposed conv weights), and byte i of each is taken once as a uint8
+    array, so mac8 runs its byte lanes with no cast of its own. A bits-bit
+    MAC is operand_bytes(bits)**2 byte passes: byte i of ul by byte j of ur,
+    shifted left by 8*(i + j) bits and summed. Each pass is one mac8 call per
+    block of k: a call's lanes are a[..., :, k0:k1, None] by
+    b[..., None, k0:k1, :], each from a zero accumulator, and each returns
+    its lanes' products as int64; the host sums them over k. A block holds as many
     k as fit in CLUSTER_LANES lanes, and one k when a single k already has
     more outputs than that. The zero-point corrections, sum ul*ur - zr*sum ul
     - zl*(sum ur - K*zr), run in int64 too.
@@ -390,9 +395,9 @@ def _centered_dot_cluster(
     ul += zl
     ur += zr
     n = operand_bytes(bits)
-    # byte i of each operand, taken once; codes of at most 8 bits are their own byte
-    lbytes = [ul >> 8 * i & 255 for i in range(n)] if n > 1 else [ul]
-    rbytes = [ur >> 8 * i & 255 for i in range(n)] if n > 1 else [ur]
+    # byte i of each operand as mac8's uint8 lanes, taken once: the cast keeps the low byte
+    lbytes = [(ul >> 8 * i).astype(np.uint8) for i in range(n)]
+    rbytes = [(ur >> 8 * i).astype(np.uint8) for i in range(n)]
     acc = 0
     for (i, a), (j, b) in itertools.product(enumerate(lbytes), enumerate(rbytes)):
         total = 0

@@ -579,6 +579,9 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
     built, real_build = Counter(), cluster_module.build_function_table
     monkeypatch.setattr(cluster_module, "build_function_table", lambda tag: built.update([tag]) or real_build(tag))
     cluster_module._table.cache_clear()
+    compiled, real_compile = [], cluster_module._compile
+    monkeypatch.setattr(cluster_module, "_compile", lambda prog: compiled.append(prog) or real_compile(prog))
+    monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "kernel", raising=False)
     for a in range(5):
         cluster_module.mac8(Cluster(), a, 7)
     net = tiny_conv_net()
@@ -587,10 +590,10 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
     for _ in range(3):
         infer_lut(qm, rng.random(net.input_shape), engine="cluster")
     assert built == {OpTag.MUL4: 1, OpTag.ADD4: 1}
-    table, raw, gather = cluster_module._table(OpTag.MUL4)
-    assert gather.tolist() == list(raw) and raw == table.assembled_bytes()
-    with pytest.raises(ValueError):
-        gather[3] = 0
+    # the MAC program's lane kernel is compiled once, on the first lockstep call
+    assert compiled == [cluster_module._MAC_PROG]
+    table, raw = cluster_module._table(OpTag.MUL4)
+    assert isinstance(raw, bytes) and raw == table.assembled_bytes()
 
 
 @pytest.mark.parametrize(
