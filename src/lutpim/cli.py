@@ -314,7 +314,7 @@ def _loaded(data: bytes, network: str, bits: int):
 
 def cmd_simulate(args) -> int:
     net = _get_network(args.network)
-    cfg = _system_config(cluster_count=args.clusters, precision_bits=args.precision)
+    cfg = _system_config(cluster_count=args.clusters)
     if args.mode == "perf":
         report = perf.estimate(net, cfg, args.precision)
         print(perf.report_csv([report]), end="")

@@ -5,8 +5,10 @@ The MAC decomposes a*b into four 4x4-bit partial products computed in parallel
 6.4 ns / 0.8 ns-per-step budget exactly. A wider MAC runs as one 8-bit MAC per
 pair of operand bytes (`operand_bytes`).
 
-A program runs on one lane or on many in lockstep, as many clusters run the
-same step in hardware. Many lanes run through the program's kernel, compiled
+A program reads only cores that its own earlier steps wrote, so a run is a
+function of its inputs alone; any other program is refused when it is built.
+It runs on one lane or on many in lockstep, as many clusters run the same
+step in hardware. Many lanes run through the program's kernel, compiled
 once per program into straight-line Python over byte lanes: every lane holds
 one uint8 byte, and each core lookup is one bytes.translate through the
 core's 256-byte table. One lane runs in an interpreter on Python ints, where
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut_core import CORE_DELAY_NS, LutCore, OpTag, UnprogrammedCoreError, build_function_table
+from .lut_core import CORE_DELAY_NS, LutCore, OpTag, build_function_table
 
 CLUSTER_CORES = 9
 MAC_STEPS = 8
@@ -46,7 +48,7 @@ def check_accumulator(acc) -> None:
 
 
 class MicroprogramError(ValueError):
-    """Malformed microprogram: bad core index, step conflict, or operand source."""
+    """Malformed microprogram: bad core index, step conflict, operand source, or a read of an unwritten core."""
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,9 @@ MAC_ENERGY_NOMINAL_PJ = mac_energy_pj().nominal_pj
 
 
 # Operand sources: ("in", name) reads a nibble of the program inputs,
-# ("core", idx, "lo"|"hi") reads a nibble of core idx's last output,
-# ("imm", v) is a literal nibble.
+# ("core", idx, "lo"|"hi") reads a nibble of the output of core idx, which an
+# earlier step of the same program wrote, ("imm", v) is a literal nibble.
 Src = tuple
-
-
-def _check_src(src: Src) -> None:
-    if src[0] not in ("in", "core", "imm"):
-        raise MicroprogramError(f"unknown source {src!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +88,13 @@ class CoreOp:
 class ClusterMicroprogram:
     """Ordered schedule of parallel core lookups plus the output nibble list.
 
-    A run's cost is fixed by the text, so it is counted here once, per lane:
-    (core, lookups, last table) per core used, (src, dst) per operand
-    transfer, and the same transfers as ((src, dst), count) per route. What
-    a run reads is fixed too: `inputs` names its input operands in order of
-    first use, `live_in` the cores it reads before writing them, whose bytes
-    come from an earlier run. `kernel` is the program compiled for byte
+    Every core a step or the outputs read must have been written by an
+    earlier step; a program that reads any other core is refused here, so a
+    run depends on its inputs alone. A run's cost is fixed by the text, so it
+    is counted here once, per lane: (core, lookups, last table) per core
+    used, (src, dst) per operand transfer, and the same transfers as
+    ((src, dst), count) per route. `inputs` names the input operands a run
+    reads, in order of first use. `kernel` is the program compiled for byte
     lanes, built on first use and kept with the program.
     """
 
@@ -106,11 +104,9 @@ class ClusterMicroprogram:
     transfers: tuple = field(init=False, repr=False, compare=False)
     routes: tuple = field(init=False, repr=False, compare=False)
     inputs: tuple = field(init=False, repr=False, compare=False)
-    live_in: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lookups, last_table, transfers = Counter(), {}, []
-        inputs, live_in = {}, {}
+        lookups, last_table, transfers, inputs = Counter(), {}, [], {}
         for n, step in enumerate(self.steps):
             seen = set()
             for op in step:
@@ -120,33 +116,36 @@ class ClusterMicroprogram:
                     raise MicroprogramError(f"step {n}: core {op.core} used twice")
                 seen.add(op.core)
                 for src in (op.src_a, op.src_b):
-                    _check_src(src)
+                    _note_read(src, f"step {n}", inputs, lookups)
                     if src[0] == "core" and src[1] != op.core:
                         transfers.append((src[1], op.core))
-                    _note_read(src, inputs, live_in, lookups)
             for op in step:
                 lookups[op.core] += 1
                 last_table[op.core] = op.table
         for src in self.outputs:
-            _check_src(src)
-            _note_read(src, inputs, live_in, lookups)
+            _note_read(src, "outputs", inputs, lookups)
         object.__setattr__(self, "lookups", tuple((c, n, last_table[c]) for c, n in lookups.items()))
         object.__setattr__(self, "transfers", tuple(transfers))
         object.__setattr__(self, "routes", tuple(Counter(transfers).items()))
         object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "live_in", tuple(live_in))
 
     @functools.cached_property
     def kernel(self):
         return _compile(self)
 
 
-def _note_read(src: Src, inputs: dict, live_in: dict, written) -> None:
-    """Record an input name, or a core read before the program writes it, in first-use order."""
+def _note_read(src: Src, where: str, inputs: dict, written) -> None:
+    """Check one operand source read at `where`, recording an input name in first-use order.
+
+    A core source must name a core in `written`, the cores earlier steps wrote.
+    """
     if src[0] == "in":
         inputs.setdefault(src[1])
-    elif src[0] == "core" and src[1] not in written:
-        live_in.setdefault(src[1])
+    elif src[0] == "core":
+        if src[1] not in written:
+            raise MicroprogramError(f"{where}: core {src[1]} is read before any earlier step writes it")
+    elif src[0] != "imm":
+        raise MicroprogramError(f"unknown source {src!r}")
 
 
 @dataclass
@@ -170,21 +169,19 @@ def _table(tag: OpTag):
 def _compile(prog: ClusterMicroprogram):
     """prog as one straight-line Python function over byte lanes, built once per program (prog.kernel).
 
-    Its arguments bind by position: the uint8 input lanes in prog.inputs
-    order, then the latched bytes of prog.live_in. It returns the output
-    nibbles and the last byte of each core in prog.lookups order. Each lookup
-    is one bytes.translate of the uint8 index lanes through the core's
-    assembled table, and each operand nibble enters the index with one uint8
-    op: x * 16, x & 0xF0, x & 15 or x >> 4. (x * 16 is x << 4 wrapped to a
-    byte; numpy's uint8 shift took about 9x as long on 65,536 lanes.)
-    bytes.translate beat np.take on a uint8 table at every lane count
-    measured, 96 to 65,536. A value fixed by immediates alone folds to an int
-    while compiling; only such ints and table names enter the source, so no
-    operand name does.
+    It takes the uint8 input lanes in prog.inputs order and returns the
+    output nibbles. Each lookup is one bytes.translate of the uint8 index
+    lanes through the core's assembled table, and each operand nibble enters
+    the index with one uint8 op: x * 16, x & 0xF0, x & 15 or x >> 4. (x * 16
+    is x << 4 wrapped to a byte; numpy's uint8 shift took about 9x as long
+    on 65,536 lanes.) bytes.translate beat np.take on a uint8 table at every
+    lane count measured, 96 to 65,536. A value fixed by immediates alone
+    folds to an int while compiling; only such ints and table names enter
+    the source, so no operand name does.
     """
     tables = {tag: f"t{n}" for n, tag in enumerate(dict.fromkeys(op.table for step in prog.steps for op in step))}
     names = {name: f"i{n}" for n, name in enumerate(prog.inputs)}
-    value = {c: f"l{c}" for c in prog.live_in}  # core -> its current byte: a variable or a folded int
+    value = {}  # core -> its current byte: a variable or a folded int
     lines, temps = [], {}
 
     def temp(expr: str) -> str:
@@ -219,11 +216,7 @@ def _compile(prog: ClusterMicroprogram):
         # Latch only after every lookup of the step has read its operands.
         value.update((op.core, out) for op, out in zip(step, outs))
     outputs = [str(nibble(src, False)) for src in prog.outputs]
-    latched = [str(value[c]) for c, _, _ in prog.lookups]
-    args = [*names.values(), *(f"l{c}" for c in prog.live_in)]
-    source = "\n".join(
-        [f"def kernel({', '.join(args)}):", *lines, f"    return [{', '.join(outputs)}], [{', '.join(latched)}]"]
-    )
+    source = "\n".join([f"def kernel({', '.join(names.values())}):", *lines, f"    return [{', '.join(outputs)}]"])
     namespace = {"frombuffer": np.frombuffer, "uint8": np.uint8}
     namespace.update((name, _table(tag)[1]) for tag, name in tables.items())
     exec(compile(source, "<cluster kernel>", "exec"), namespace)
@@ -240,6 +233,50 @@ def _lanes(v):
     return np.asarray(v).astype(np.uint8, copy=False)
 
 
+def _execute(prog: ClusterMicroprogram, inputs: dict):
+    """(outputs, lanes) of one run of prog on 4-bit inputs; it reads nothing but its arguments and charges nothing.
+
+    A run has one lane per element of the broadcast of the array inputs that
+    prog reads (prog.inputs); an input it does not read adds no lane. With
+    none, one lane runs in the interpreter on Python ints, each lookup an
+    index into the core's table bytes; a single lane costs less there than a
+    kernel call's per-array set-up. Otherwise the inputs become uint8 lanes
+    and the program's compiled kernel runs them all (_compile).
+    """
+    try:
+        args = [inputs[name] for name in prog.inputs]
+    except KeyError as e:
+        raise MicroprogramError(f"undefined input operand {e.args[0]!r}") from None
+    arrays = [v for v in args if not isinstance(v, int)]
+    if not arrays:
+        return _interpret(prog, inputs), 1
+    return prog.kernel(*map(_lanes, args)), np.broadcast(*arrays).size
+
+
+def _interpret(prog: ClusterMicroprogram, inputs: dict) -> list:
+    """prog's outputs on one lane of int inputs; the cores' bytes live in a local list for this run only."""
+    read, table, cores = _read, _table, [0] * CLUSTER_CORES
+    for step in prog.steps:
+        outs = []
+        for op in step:
+            outs.append(table(op.table)[1][(read(op.src_a, inputs, cores) << 4) | read(op.src_b, inputs, cores)])
+        # Latch only after every lookup of the step has read its operands.
+        for op, out in zip(step, outs):
+            cores[op.core] = out
+    return [read(src, inputs, cores) for src in prog.outputs]
+
+
+def _read(src: Src, inputs: dict, cores: list):
+    """One operand nibble of the one-lane interpreter."""
+    kind = src[0]
+    if kind == "in":
+        return inputs[src[1]]
+    if kind == "core":
+        out = cores[src[1]]
+        return out >> 4 if src[2] == "hi" else out & 15
+    return src[1] & 15
+
+
 @dataclass
 class Cluster:
     """Nine LUT cores, a router, and a 32-bit accumulator register.
@@ -247,84 +284,28 @@ class Cluster:
     Inputs and the accumulator are ints (one lane) or arrays that broadcast
     to one lane per cluster, every lane in the same step. A lane holds one
     uint8 byte from input to output, and the accumulator takes int64 lanes.
+    A run keeps no core bytes: the cluster holds only the accumulator and
+    the counters.
     """
 
-    cores: list[LutCore] = field(default_factory=lambda: [LutCore() for _ in range(CLUSTER_CORES)])
-    router: RouterState = field(default_factory=RouterState)
+    cores: list[LutCore] = field(default_factory=lambda: [LutCore() for _ in range(CLUSTER_CORES)], init=False)
+    router: RouterState = field(default_factory=RouterState, init=False)
     accumulator: int | np.ndarray = 0
-    step_counter: int = 0
-    # each core's last output byte(s); None until the core's first lookup
-    _latched: list = field(default_factory=lambda: [None] * CLUSTER_CORES, init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.cores) != CLUSTER_CORES:
-            raise MicroprogramError(f"cluster requires exactly {CLUSTER_CORES} cores")
-
-    def _read(self, src: Src, inputs: dict):
-        """One operand nibble of the one-lane interpreter."""
-        kind = src[0]
-        if kind == "in":
-            try:
-                return inputs[src[1]]
-            except KeyError:
-                raise MicroprogramError(f"undefined input operand {src[1]!r}") from None
-        if kind == "core":
-            out = self._latched[src[1]]
-            if out is None:
-                raise UnprogrammedCoreError(f"core {src[1]} read before any lookup")
-            return out >> 4 if src[2] == "hi" else out & 15
-        return src[1] & 15
+    step_counter: int = field(default=0, init=False)
 
     def run_microprogram(self, prog: ClusterMicroprogram, inputs: dict) -> list:
         """Execute steps in order on every lane; within a step all lookups read pre-step state.
 
-        A run has one lane per element of the broadcast of the arrays it
-        reads: its array inputs and the latched bytes of its live-in cores.
-        With none, one lane runs in the interpreter on Python ints, each
-        lookup an index into the core's table bytes; a single lane costs less
-        there than a kernel call's per-array set-up. Otherwise the inputs
-        become uint8 lanes and the program's compiled kernel runs them all
-        (_compile). Either way, counts come from the program's precomputed
-        lookups and transfers, per lane, and _latched ends holding each
-        core's last output.
+        Every input passed must be 4-bit, read or not. The run itself is
+        _execute, and counts come from the program's precomputed lookups and
+        transfers, per lane.
         """
         for name, v in inputs.items():
             if _any((v < 0) | (v > 15)):
                 raise ValueError(f"input operand {name!r} must be 4-bit")
-        outputs, lanes = self._execute(prog, inputs)
+        outputs, lanes = _execute(prog, inputs)
         self._charge(prog, lanes)
         return outputs
-
-    def _execute(self, prog: ClusterMicroprogram, inputs: dict):
-        """(outputs, lanes) of one run on 4-bit inputs: latches each core's output and charges nothing."""
-        latched = self._latched
-        live = [latched[c] for c in prog.live_in]
-        arrays = [v for v in (*inputs.values(), *live) if not isinstance(v, int)]
-        if not arrays:
-            return self._interpret(prog, inputs), 1
-        try:
-            args = [_lanes(inputs[name]) for name in prog.inputs]
-        except KeyError as e:
-            raise MicroprogramError(f"undefined input operand {e.args[0]!r}") from None
-        for c, v in zip(prog.live_in, live):
-            if v is None:
-                raise UnprogrammedCoreError(f"core {c} read before any lookup")
-            args.append(_lanes(v))
-        outputs, last = prog.kernel(*args)
-        for (c, _, _), v in zip(prog.lookups, last):
-            latched[c] = v
-        return outputs, np.broadcast(*arrays).size
-
-    def _interpret(self, prog: ClusterMicroprogram, inputs: dict) -> list:
-        read, table, latched = self._read, _table, self._latched
-        for step in prog.steps:
-            outs = []
-            for op in step:
-                outs.append(table(op.table)[1][(read(op.src_a, inputs) << 4) | read(op.src_b, inputs)])
-            # Latch only after every lookup of the step has read its operands.
-            for op, out in zip(step, outs):
-                latched[op.core] = out
-        return [read(src, inputs) for src in prog.outputs]
 
     def _charge(self, prog: ClusterMicroprogram, lanes: int) -> None:
         """Count one run of prog on `lanes` lanes: steps, core lookups and tables, routed transfers."""
@@ -406,10 +387,7 @@ def mac8(cluster: Cluster, a, b):
         a = _lanes(a)
     if not isinstance(b, int):
         b = _lanes(b)
-    (n0, n1, n2, n3), lanes = cluster._execute(
-        _MAC_PROG,
-        {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15},
-    )
+    (n0, n1, n2, n3), lanes = _execute(_MAC_PROG, {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15})
     if isinstance(n0, int):
         product = n0 | n1 << 4 | n2 << 8 | n3 << 12
     else:

@@ -17,7 +17,7 @@ from lutpim.cluster import (
     mac8,
     mac_energy_pj,
 )
-from lutpim.lut_core import CORE_DELAY_NS, OpTag, UnprogrammedCoreError
+from lutpim.lut_core import CORE_DELAY_NS, OpTag
 
 
 def test_mac8_examples():
@@ -110,12 +110,11 @@ def test_max_tree_program():
 
 
 def test_parallel_step_reads_pre_step_state():
-    # Both ops in one step read core 0's old output, not each other's new one.
-    setup = ClusterMicroprogram(
-        steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=()
-    )
+    # The first step writes core 0. In the second, core 1 reads core 0's old
+    # output while core 0 is rewritten, not the new one.
     swap = ClusterMicroprogram(
         steps=(
+            (CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),
             (
                 CoreOp(0, OpTag.PASS, ("imm", 9), ("imm", 0)),
                 CoreOp(1, OpTag.PASS, ("core", 0, "lo"), ("imm", 0)),
@@ -123,9 +122,7 @@ def test_parallel_step_reads_pre_step_state():
         ),
         outputs=(("core", 0, "lo"), ("core", 1, "lo")),
     )
-    cl = Cluster()
-    cl.run_microprogram(setup, {"x": 5})
-    assert cl.run_microprogram(swap, {}) == [9, 5]
+    assert Cluster().run_microprogram(swap, {"x": 5}) == [9, 5]
 
 
 def test_microprogram_validation():
@@ -208,14 +205,41 @@ def test_undefined_input_operand():
 
 
 def test_unprogrammed_core_and_wide_input_refused():
-    read = ClusterMicroprogram(
-        steps=((CoreOp(1, OpTag.PASS, ("core", 0, "lo"), ("imm", 0)),),), outputs=()
-    )
-    with pytest.raises(UnprogrammedCoreError):
-        Cluster().run_microprogram(read, {})
+    with pytest.raises(MicroprogramError, match="step 0: core 0 is read before"):
+        ClusterMicroprogram(steps=((CoreOp(1, OpTag.PASS, ("core", 0, "lo"), ("imm", 0)),),), outputs=())
     prog = ClusterMicroprogram(
         steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=()
     )
     for x in (16, -1, np.array([3, 16])):
         with pytest.raises(ValueError):
             Cluster().run_microprogram(prog, {"x": x})
+
+
+WRITE_0 = (CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),)
+
+
+@pytest.mark.parametrize(
+    "steps, outputs, where",
+    [
+        # core 1 is written in the same step that reads it
+        (
+            (
+                WRITE_0,
+                (
+                    CoreOp(1, OpTag.PASS, ("imm", 1), ("imm", 0)),
+                    CoreOp(2, OpTag.ADD4, ("core", 0, "lo"), ("core", 1, "hi")),
+                ),
+            ),
+            (),
+            "step 1: core 1",
+        ),
+        # no step writes core 5
+        ((WRITE_0, (CoreOp(1, OpTag.ADD4, ("core", 5, "lo"), ("core", 0, "lo")),)), (), "step 1: core 5"),
+        # the outputs read core 3, which no step writes
+        ((WRITE_0,), (("core", 0, "lo"), ("core", 3, "hi")), "outputs: core 3"),
+    ],
+    ids=["same-step", "never-written", "outputs"],
+)
+def test_program_reading_an_unwritten_core_is_refused_when_built(steps, outputs, where):
+    with pytest.raises(MicroprogramError, match=f"^{where} is read before any earlier step writes it$"):
+        ClusterMicroprogram(steps=steps, outputs=outputs)

@@ -1,11 +1,11 @@
 """The byte-lane kernel against the one-lane interpreter, and its error paths.
 
 Random microprograms over MUL4, ADD4 and PASS run once on broadcast lanes and
-once per lane on Python ints. Outputs and latched bytes must match lane by
-lane, and counts must equal the one-lane runs summed over the lanes.
+once per lane on Python ints. Outputs must match lane by lane, and counts must
+equal the one-lane runs summed over the lanes. A run keeps no core bytes, so
+a program gives the same outputs after any other run as on a fresh cluster.
 """
 
-import copy
 from collections import Counter
 
 import numpy as np
@@ -23,10 +23,11 @@ from lutpim.cluster import (
     MicroprogramError,
     mac8,
 )
-from lutpim.lut_core import OpTag, UnprogrammedCoreError
+from lutpim.lut_core import OpTag
 
 NAMES = ("x", "y", "z")
 DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True)
+PASS_X = ClusterMicroprogram(steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=(("core", 0, "lo"),))
 
 
 def _sources(ready):
@@ -38,9 +39,9 @@ def _sources(ready):
 
 
 @st.composite
-def programs(draw, latched=frozenset()):
-    """A program that reads only cores in `latched` or written by one of its earlier steps."""
-    ready, steps = set(latched), []
+def programs(draw):
+    """A program that reads only cores written by one of its earlier steps."""
+    ready, steps = set(), []
     for _ in range(draw(st.integers(1, 5))):
         src = _sources(ready)
         op = st.builds(CoreOp, st.integers(0, 8), st.sampled_from(list(OpTag)), src, src)
@@ -49,10 +50,6 @@ def programs(draw, latched=frozenset()):
         ready |= {op.core for op in step}
     outputs = draw(st.lists(_sources(ready), max_size=4))
     return ClusterMicroprogram(steps=tuple(steps), outputs=tuple(outputs))
-
-
-def _written(prog):
-    return frozenset(c for c, _, _ in prog.lookups)
 
 
 @st.composite
@@ -73,12 +70,14 @@ def scalar_inputs():
     return st.fixed_dictionaries({name: st.integers(0, 15) for name in NAMES})
 
 
-def _lane_shape(inputs):
-    return np.broadcast(*[v for v in inputs.values() if not isinstance(v, int)]).shape
+def _lane_shape(prog, inputs):
+    """The broadcast shape of the array inputs prog reads; () when it reads none."""
+    return np.broadcast(*[inputs[n] for n in prog.inputs if not isinstance(inputs[n], int)]).shape
 
 
-def _lane(inputs, index, shape):
-    return {k: v if isinstance(v, int) else int(np.broadcast_to(v, shape)[index]) for k, v in inputs.items()}
+def _lane(prog, inputs, index, shape):
+    """The inputs prog reads, as ints: their values on the lane at index."""
+    return {k: v if isinstance(v := inputs[k], int) else int(np.broadcast_to(v, shape)[index]) for k in prog.inputs}
 
 
 def _at(value, index, shape):
@@ -94,26 +93,15 @@ def _counts(cl):
     )
 
 
-def _assert_lanes_match(cl, outputs, refs, shape):
-    """Each lane's outputs and latched bytes equal its one-lane run's."""
-    for index, (ref, ref_outputs) in zip(np.ndindex(shape), refs):
+def _exact(outputs):
+    """Outputs in a form that compares exactly: each int as it is, each array as its dtype, shape and bytes."""
+    return [v if isinstance(v, int) else (v.dtype, v.shape, v.tobytes()) for v in outputs]
+
+
+def _assert_lanes_match(outputs, refs, shape):
+    """Each lane's outputs equal its one-lane run's."""
+    for index, (_, ref_outputs) in zip(np.ndindex(shape), refs):
         assert [_at(v, index, shape) for v in outputs] == ref_outputs
-        for c, byte in enumerate(ref._latched):
-            assert (cl._latched[c] is None) if byte is None else _at(cl._latched[c], index, shape) == byte
-
-
-def _assert_counts(cl, base, runs):
-    """cl's counts are base's plus, for each (one-lane delta cluster pair, lanes), the one-lane run's counts times lanes."""
-    lookups, tables, log, steps = _counts(base)
-    for (before, after), lanes in runs:
-        for c in range(9):
-            lookups[c] += lanes * (after.cores[c].lookup_count - before.cores[c].lookup_count)
-        tables = [a.table or t for a, t in zip(after.cores, tables)]
-        delta = Counter(after.router.transfer_log)
-        delta.subtract(before.router.transfer_log)
-        log.update({route: lanes * n for route, n in delta.items() if n})
-        steps += after.step_counter - before.step_counter
-    assert _counts(cl) == (lookups, tables, log, steps)
 
 
 @DIFFERENTIAL
@@ -121,12 +109,12 @@ def _assert_counts(cl, base, runs):
 def test_lane_kernel_equals_one_lane_runs(prog, inputs):
     cl = Cluster()
     outputs = cl.run_microprogram(prog, inputs)
-    shape = _lane_shape(inputs)
+    shape = _lane_shape(prog, inputs)
     refs = []
     for index in np.ndindex(shape):
         ref = Cluster()
-        refs.append((ref, ref.run_microprogram(prog, _lane(inputs, index, shape))))
-    _assert_lanes_match(cl, outputs, refs, shape)
+        refs.append((ref, ref.run_microprogram(prog, _lane(prog, inputs, index, shape))))
+    _assert_lanes_match(outputs, refs, shape)
     # summed over lanes: lookups and routes per lane, steps once per lockstep run
     assert [core.lookup_count for core in cl.cores] == [
         sum(ref.cores[c].lookup_count for ref, _ in refs) for c in range(9)
@@ -137,48 +125,43 @@ def test_lane_kernel_equals_one_lane_runs(prog, inputs):
 
 
 @DIFFERENTIAL
-@given(data=st.data(), first=programs(), scalars=scalar_inputs(), inputs=lane_inputs())
-def test_lanes_after_a_one_lane_run(data, first, scalars, inputs):
-    second = data.draw(programs(latched=_written(first)))
-    cl = Cluster()
-    cl.run_microprogram(first, scalars)
-    base = copy.deepcopy(cl)
-    outputs = cl.run_microprogram(second, inputs)
-    shape = _lane_shape(inputs)
-    refs = []
-    for index in np.ndindex(shape):
-        ref = copy.deepcopy(base)
-        refs.append((ref, ref.run_microprogram(second, _lane(inputs, index, shape))))
-    _assert_lanes_match(cl, outputs, refs, shape)
-    _assert_counts(cl, base, [((base, refs[0][0]), len(refs))])
+@given(
+    first=programs(),
+    second=programs(),
+    first_inputs=st.one_of(lane_inputs(), scalar_inputs()),
+    second_inputs=st.one_of(lane_inputs(), scalar_inputs()),
+)
+def test_a_run_depends_only_on_its_inputs(first, second, first_inputs, second_inputs):
+    cl, alone = Cluster(), [Cluster(), Cluster()]
+    for prog, inputs, fresh in ((first, first_inputs, alone[0]), (second, second_inputs, alone[1])):
+        assert _exact(cl.run_microprogram(prog, inputs)) == _exact(fresh.run_microprogram(prog, inputs))
+    # every counter is the two runs' sum, and each core holds the table of its last lookup
+    (first_lookups, first_tables, log, _), (second_lookups, second_tables, second_log, _) = map(_counts, alone)
+    log.update(second_log)
+    assert _counts(cl) == (
+        [a + b for a, b in zip(first_lookups, second_lookups)],
+        [b or a for a, b in zip(first_tables, second_tables)],
+        log,
+        len(first.steps) + len(second.steps),
+    )
 
 
-@DIFFERENTIAL
-@given(data=st.data(), first=programs(), inputs=lane_inputs(), scalars=scalar_inputs())
-def test_one_lane_program_after_lanes(data, first, inputs, scalars):
-    # A program with int inputs still runs on every lane whose latched bytes it reads.
-    second = data.draw(programs(latched=_written(first)))
+def test_lanes_are_counted_from_the_inputs_the_program_reads():
+    # PASS_X reads x alone: an unused array input adds no lane and need not broadcast with x
     cl = Cluster()
-    cl.run_microprogram(first, inputs)
-    read = [cl._latched[c] for c in second.live_in if not isinstance(cl._latched[c], int)]
-    second_lanes = np.broadcast(*read).size if read else 1
-    outputs = cl.run_microprogram(second, scalars)
-    shape = _lane_shape(inputs)
-    refs = []
-    for index in np.ndindex(shape):
-        ref = Cluster()
-        ref.run_microprogram(first, _lane(inputs, index, shape))
-        mid = mid if refs else copy.deepcopy(ref)  # the first lane's state between the two runs
-        refs.append((ref, ref.run_microprogram(second, scalars)))
-    _assert_lanes_match(cl, outputs, refs, shape)
-    _assert_counts(cl, Cluster(), [((Cluster(), mid), len(refs)), ((mid, refs[0][0]), second_lanes)])
+    assert cl.run_microprogram(PASS_X, {"x": 3, "unused": np.arange(4)}) == [3]
+    assert cl.cores[0].lookup_count == 1
+    outputs = cl.run_microprogram(PASS_X, {"x": np.arange(3), "unused": np.arange(4)})
+    assert outputs[0].tolist() == [0, 1, 2]
+    assert cl.cores[0].lookup_count == 4
+    # every input passed is still checked as 4-bit
+    with pytest.raises(ValueError, match="'unused' must be 4-bit"):
+        cl.run_microprogram(PASS_X, {"x": 3, "unused": np.array([1, 16])})
+    assert cl.cores[0].lookup_count == 4
 
 
 # ---------------------------------------------------------------------------
 # Error paths on lanes, mirroring the one-lane ones
-
-
-PASS_X = ClusterMicroprogram(steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=(("core", 0, "lo"),))
 
 
 def _assert_untouched(cl, accumulator=0):
@@ -200,17 +183,11 @@ def test_out_of_range_lane_is_refused_before_the_uint8_cast(bad):
 
 
 def test_lane_program_reading_an_unlatched_core_is_refused():
-    read = ClusterMicroprogram(
-        steps=((CoreOp(1, OpTag.ADD4, ("core", 0, "lo"), ("in", "x")),),), outputs=(("core", 1, "lo"),)
-    )
-    cl = Cluster()
-    with pytest.raises(UnprogrammedCoreError):
-        cl.run_microprogram(read, {"x": np.arange(4)})
-    _assert_untouched(cl)
-    # once core 0 holds lanes, even an int input runs on them
-    cl.run_microprogram(PASS_X, {"x": np.arange(4)})
-    assert cl.run_microprogram(read, {"x": 1})[0].tolist() == [1, 2, 3, 4]
-    assert cl.cores[1].lookup_count == 4
+    # refused when built, before any cluster or lane sees it
+    with pytest.raises(MicroprogramError, match="step 0: core 0 is read before"):
+        ClusterMicroprogram(
+            steps=((CoreOp(1, OpTag.ADD4, ("core", 0, "lo"), ("in", "x")),),), outputs=(("core", 1, "lo"),)
+        )
 
 
 def test_lane_program_with_an_undefined_input_is_refused():
