@@ -72,7 +72,8 @@ MAC_ENERGY_NOMINAL_PJ = mac_energy_pj().nominal_pj
 
 # Operand sources: ("in", name) reads a nibble of the program inputs,
 # ("core", idx, "lo"|"hi") reads a nibble of the output of core idx, which an
-# earlier step of the same program wrote, ("imm", v) is a literal nibble.
+# earlier step of the same program wrote, ("imm", v) is a literal nibble,
+# 0 to 15. A program with any other source is refused when it is built.
 Src = tuple
 
 
@@ -133,19 +134,27 @@ class ClusterMicroprogram:
     def kernel(self):
         return _compile(self)
 
+    @functools.cached_property
+    def tables(self):
+        """lookups with each core's last table built (_table), resolved once per program as kernel is."""
+        return tuple((c, n, _table(tag)[0]) for c, n, tag in self.lookups)
+
 
 def _note_read(src: Src, where: str, inputs: dict, written) -> None:
     """Check one operand source read at `where`, recording an input name in first-use order.
 
-    A core source must name a core in `written`, the cores earlier steps wrote.
+    A source is ("in", name), ("core", idx, "lo" or "hi") with idx in
+    `written`, the cores earlier steps wrote, or ("imm", v) with v a nibble,
+    0 to 15; anything else raises MicroprogramError naming `where`.
     """
-    if src[0] == "in":
+    kind = src[0] if isinstance(src, tuple) and src else None
+    if kind == "in" and len(src) == 2:
         inputs.setdefault(src[1])
-    elif src[0] == "core":
+    elif kind == "core" and len(src) == 3 and src[2] in ("lo", "hi"):
         if src[1] not in written:
             raise MicroprogramError(f"{where}: core {src[1]} is read before any earlier step writes it")
-    elif src[0] != "imm":
-        raise MicroprogramError(f"unknown source {src!r}")
+    elif not (kind == "imm" and len(src) == 2 and isinstance(src[1], int) and 0 <= src[1] <= 15):
+        raise MicroprogramError(f"{where}: bad operand source {src!r}")
 
 
 @dataclass
@@ -195,7 +204,7 @@ def _compile(prog: ClusterMicroprogram):
         if src[0] == "in":
             return temp(f"{names[src[1]]} * 16") if high else names[src[1]]
         if src[0] == "imm":
-            x = src[1] & 15
+            x = src[1]
         elif isinstance(x := value[src[1]], int):
             x = x >> 4 if src[2] == "hi" else x & 15
         elif src[2] == "hi":
@@ -274,7 +283,7 @@ def _read(src: Src, inputs: dict, cores: list):
     if kind == "core":
         out = cores[src[1]]
         return out >> 4 if src[2] == "hi" else out & 15
-    return src[1] & 15
+    return src[1]
 
 
 @dataclass
@@ -310,11 +319,11 @@ class Cluster:
     def _charge(self, prog: ClusterMicroprogram, lanes: int) -> None:
         """Count one run of prog on `lanes` lanes: steps, core lookups and tables, routed transfers."""
         self.step_counter += len(prog.steps)
-        for idx, n, tag in prog.lookups:
+        for idx, n, table in prog.tables:
             core = self.cores[idx]
             core.lookup_count += n * lanes
-            if core.table is not (built := _table(tag)[0]):
-                core.program(built)
+            if core.table is not table:
+                core.program(table)
         log = self.router.transfer_log
         if lanes == 1:
             log.update(prog.transfers)  # counted in C: the scalar MAC's hot path
@@ -375,25 +384,34 @@ _MAC_PROG = mac_microprogram()
 def mac8(cluster: Cluster, a, b):
     """Accumulate a*b exactly in 8 core-steps on every lane; returns the new accumulator.
 
-    Array operands run as uint8 lanes, and only each lane's 16-bit product,
-    formed from its two result bytes, widens to int64 for the accumulator.
-    An overflowing lane fails the call and changes neither the accumulator
-    nor any count.
+    Two ints run as one lane in the interpreter. Otherwise the operands run
+    as uint8 lanes in the MAC program's kernel: uint8 arrays as they are,
+    any other operand range-checked and cast once. Each lane's 16-bit
+    product is assembled from its two result bytes straight into int64, and
+    it is the new accumulator when the old one is the int 0: a product of
+    two bytes is below 2**16, so no check is needed then. An overflowing lane
+    fails the call and changes neither the accumulator nor any count.
     """
-    # Operands other than uint8 arrays are range-checked before their cast.
-    if not (_is_bytes(a) and _is_bytes(b)) and _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
-        raise ValueError(f"mac8 operands must be 8-bit, got a={a}, b={b}")
-    if not isinstance(a, int):
-        a = _lanes(a)
-    if not isinstance(b, int):
-        b = _lanes(b)
-    (n0, n1, n2, n3), lanes = _execute(_MAC_PROG, {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15})
-    if isinstance(n0, int):
-        product = n0 | n1 << 4 | n2 << 8 | n3 << 12
+    if not (_is_bytes(a) and _is_bytes(b)):
+        if _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
+            raise ValueError(f"mac8 operands must be 8-bit, got a={a}, b={b}")
+        if not (isinstance(a, int) and isinstance(b, int)):
+            a, b = _lanes(a), _lanes(b)
+    nibbles = {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15}
+    if isinstance(a, int):  # and so is b
+        n0, n1, n2, n3 = _interpret(_MAC_PROG, nibbles)
+        product, lanes = n0 | n1 << 4 | n2 << 8 | n3 << 12, 1
     else:
-        product = ((n3 * 16 | n2).astype(np.uint16) * 256 | (n1 * 16 | n0)).astype(np.int64)
-    acc = cluster.accumulator + product
-    check_accumulator(acc)
+        n0, n1, n2, n3 = _MAC_PROG.kernel(*map(nibbles.get, _MAC_PROG.inputs))
+        product = np.left_shift(n3 * 16 | n2, 8, dtype=np.int64)
+        product |= n1 * 16 | n0
+        lanes = product.size
+    acc = cluster.accumulator
+    if isinstance(acc, int) and acc == 0:
+        acc = product
+    else:
+        acc = acc + product
+        check_accumulator(acc)
     cluster._charge(_MAC_PROG, lanes)
     cluster.accumulator = acc
     return acc

@@ -22,14 +22,15 @@ of the stored weights (`_weight_rows`) and its product is a real matmul.
 `_mac` receives each layer's input unpadded and walks its groups in blocks
 of at most WINDOW_BYTES of windows (at least one group, so a conv or dense
 layer is one block): it copies a block's channels into the interior of one
-scratch buffer whose border is zeroed once per call, windows it and takes
-that block's product. The blocks fill the layer's (N, G, O/G, P) product,
-which `_mac` returns before bias; each backend finishes it and adds the
-bias with `_add_bias`. Neither a layer's whole padded input nor its whole
-window tensor exists at once (cache blocking; Goto and van de Geijn, ACM
-TOMS 2008). A zero border serves both backends: the float pad is 0, and the
-integer step quantizes and centres its input before `_mac`, so its pad is
-0, the centred code of 0. Each `QuantizedLayer` holds its centred weight
+scratch buffer whose border is filled once per call with the code of real
+0, windows it and takes that block's product. The blocks fill the layer's
+(N, G, O/G, P) product, which `_mac` returns before bias; each backend
+finishes it and adds the bias with `_add_bias`. Neither a layer's whole
+padded input nor its whole window tensor exists at once (cache blocking;
+Goto and van de Geijn, ACM TOMS 2008). The float pad is 0. The vector
+engine quantizes and centres its input before `_mac`, so its pad is 0, the
+centred code of 0; the cluster engine keeps unsigned codes, so its pad is
+the activation zero point za. Each `QuantizedLayer` holds its centred weight
 codes once, as the rows `_mac` reads (`lhs`). The integer step's captures
 and scaling run once per layer on the assembled product, a
 layer's captured accumulators are written in one update, and the ledger's
@@ -41,33 +42,37 @@ vector engine's first run checks `mac8` over all 65,536 byte pairs against
 a*b. Once every byte product is a*b, the cluster's byte passes, recombined
 and corrected for zero points, give the integer sum of products of centred
 codes, so the vector engine takes that sum as one matmul at 4, 8 and 16
-bits. engine="cluster" adds the zero points back, casts the unsigned codes
-to int64 once per layer, takes each operand byte once as uint8, and runs
-each of the operand_bytes(bits)**2 byte passes (four at 16 bits) through
-`mac8` in lockstep, one call per block of k with at most CLUSTER_LANES
-lanes unless a single k has more outputs. mac8 runs them as byte lanes in
-the MAC program's compiled kernel and widens each lane's product to int64;
-the engine shifts and sums the passes and applies the zero-point
-corrections in int64.
+bits. engine="cluster" multiplies unsigned bytes, as the cluster does: its
+codes stay unsigned integers from `quantize` to `mac8`, uint8 at 4 and 8
+bits and uint16 at 16, and its weight codes are lhs + zw,
+cast once per call. Byte i of each operand is taken once as uint8, the
+codes themselves or a byte of their uint16 view, and each of the
+operand_bytes(bits)**2 byte passes (four at 16 bits) runs through `mac8` in
+lockstep, one call per block of k with at most CLUSTER_LANES lanes unless a
+single k has more outputs. mac8 runs them as byte lanes in the MAC
+program's compiled kernel and assembles each lane's product in int64; the
+engine shifts and sums the passes and applies the zero-point corrections in
+int64, and that int64 accumulator is what the layer captures and scales.
 Products are non-negative, so checking the running sums against the 32-bit
 accumulator after each block raises on exactly the inputs a per-MAC check
 does.
 
-Codes stay float integers from `quantize` to the accumulator, in one float
-type per MAC layer. Centred codes are at most q = 2^bits - 1 in magnitude,
-so every partial sum of a K-long dot product is at most K*q^2 in any
-summation order. A layer whose K*q^2 < 2^24 takes float32, which holds
-those integers exactly: K <= 258 at 8 bits, K <= 74,565 at 4 bits, never at
-16. Every other layer takes float64; building a layer with K*q^2 >= 2^53
-raises. `quantized_layer` makes that choice once (`_product_dtype`) and
-centres the weight codes into that type; `quantize` casts the activation
-codes into it, and centring, the scratch buffer, windows and the product
-stay in it.
+On the vector engine, codes stay float integers from `quantize` to the
+accumulator, in one float type per MAC layer. Centred codes are at most
+q = 2^bits - 1 in magnitude, so every partial sum of a K-long dot product
+is at most K*q^2 in any summation order. A layer whose K*q^2 < 2^24 takes
+float32, which holds those integers exactly: K <= 258 at 8 bits, K <= 74,565
+at 4 bits, never at 16. Every other layer takes float64; building a layer
+with K*q^2 >= 2^53 raises. `quantized_layer` makes that choice once
+(`_product_dtype`) and centres the weight codes into that type; `quantize`
+casts the activation codes into it, and centring, the scratch buffer,
+windows and the product stay in it.
 The accumulator is scaled in float64 in every layer, so outputs do not
 depend on the type. int64 appears only in captured accumulators (cast once
-per layer), in the cluster engine's product, and in the codes a weight
-container loads. Integer results are exact, so both engines, any batch and
-any direct integer oracle agree bit-for-bit, with or without captures.
+per layer from the vector engine's float product), in the cluster engine's
+product, and in the codes a weight container loads. Integer results are
+exact, so both engines, any batch and any direct integer oracle agree
+bit-for-bit, with or without captures.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view.reshape(n, c, kh * kw, oh * ow)
 
 
-def _mac(layer, x: np.ndarray, lhs: np.ndarray, product) -> np.ndarray:
+def _mac(layer, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.ndarray:
     """A MAC layer's (N, G, O/G, P) product from its unpadded (N, C, H, W) or (N, K) input, one block of groups at a time.
 
     lhs is the layer's (G, O/G, K/G) weight rows over its G groups
@@ -155,11 +160,12 @@ def _mac(layer, x: np.ndarray, lhs: np.ndarray, product) -> np.ndarray:
     the windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
     window per sample, so each sample is its own product and a stack's rows
     equal single calls. product(lhs, rhs) runs once per block of groups
-    (_window_blocks), and the blocks' (N, gb, O/G, P) results fill one
-    (N, G, O/G, P) array; a layer of one block returns that block's product.
+    (_window_blocks, whose border holds `pad`), and the blocks' (N, gb, O/G,
+    P) results fill one (N, G, O/G, P) array; a layer of one block returns
+    that block's product.
     """
     g = len(lhs)
-    blocks = [(0, x[:, None, :, None])] if layer.kind == "dense" else _window_blocks(layer, x)
+    blocks = [(0, x[:, None, :, None])] if layer.kind == "dense" else _window_blocks(layer, x, pad)
     out = None
     for g0, win in blocks:
         gb = win.shape[1]
@@ -179,13 +185,15 @@ def _add_bias(layer, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out.reshape(len(out), *layer.out_shape)
 
 
-def _window_blocks(layer, x: np.ndarray):
+def _window_blocks(layer, x: np.ndarray, pad=0):
     """(g0, windows) for each block of a conv layer's groups: the (N, gb, K/G, P) windows of groups g0 to g0 + gb.
 
     A block holds as many groups as fit WINDOW_BYTES of windows, and at least
     one, so a conv (G = 1) is one block. A padded layer copies each block's
-    channels into the interior of one scratch buffer, zeroed once per call,
-    and windows that: 0 is both the float pad and the centred code of 0. So
+    channels into the interior of one scratch buffer, whose border is filled
+    with `pad` once per call, and windows that: pad is 0 for the float input
+    and the vector engine's centred codes, and the zero-point code za for
+    the cluster engine's unsigned codes, in each case the code of real 0. So
     neither the whole padded input nor the whole window tensor exists at once.
     """
     n, c, h, w = x.shape
@@ -194,7 +202,8 @@ def _window_blocks(layer, x: np.ndarray):
     group_bytes = n * per_group * kh * kw * math.prod(layer.out_shape[1:]) * x.itemsize
     block = max(1, WINDOW_BYTES // group_bytes) * per_group  # channels per block
     if p:
-        scratch = np.zeros((n, min(block, c), h + 2 * p, w + 2 * p), x.dtype)
+        shape = (n, min(block, c), h + 2 * p, w + 2 * p)
+        scratch = np.full(shape, pad, x.dtype) if pad else np.zeros(shape, x.dtype)
     for c0 in range(0, c, block):
         xb = x[:, c0 : c0 + block]
         if p:
@@ -364,23 +373,24 @@ def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
     return lhs @ rhs
 
 
-def _centered_dot_cluster(
+def _unsigned_dot_cluster(
     lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, bits: int, cluster: Cluster
 ) -> np.ndarray:
-    """_raw_dot_vector's sum of zero-centred codes on the cluster, as float64, where mac8 multiplies unsigned bytes.
+    """sum_k (lhs - zl) * (rhs - zr) as int64 from unsigned codes, where mac8 multiplies unsigned bytes.
 
-    The unsigned codes ul = lhs + zl and ur = rhs + zr are cast once to
-    C-ordered int64 (mac8's broadcast lanes ran about 1.15x slower on
-    transposed conv weights), and byte i of each is taken once as a uint8
-    array, so mac8 runs its byte lanes with no cast of its own. A bits-bit
-    MAC is operand_bytes(bits)**2 byte passes: byte i of ul by byte j of ur,
+    lhs and rhs hold unsigned `bits`-bit codes of one type, uint8 at 4 and 8
+    bits and uint16 at 16, and zl and zr are their zero points.
+    Byte i of each is taken once as a uint8 array: the codes themselves
+    below 16 bits, and at 16 bits the two bytes of a little-endian uint16
+    view, so mac8 runs its byte lanes with no cast of its own. A bits-bit MAC
+    is operand_bytes(bits)**2 byte passes: byte i of lhs by byte j of rhs,
     shifted left by 8*(i + j) bits and summed. Each pass is one mac8 call per
     block of k: a call's lanes are a[..., :, k0:k1, None] by
     b[..., None, k0:k1, :], each from a zero accumulator, and each returns
-    its lanes' products as int64; the host sums them over k. A block holds as many
-    k as fit in CLUSTER_LANES lanes, and one k when a single k already has
-    more outputs than that. The zero-point corrections, sum ul*ur - zr*sum ul
-    - zl*(sum ur - K*zr), run in int64 too.
+    its lanes' products as int64; the host sums them over k. A block holds as
+    many k as fit in CLUSTER_LANES lanes, and one k when a single k already
+    has more outputs than that. The zero-point corrections, sum lhs*rhs -
+    zr*sum lhs - zl*(sum rhs - K*zr), run in int64 too.
 
     Each pass's running sums are checked against the 32-bit accumulator after
     every block. Products are non-negative, so a lane's sum never decreases as
@@ -391,25 +401,30 @@ def _centered_dot_cluster(
     k_len = lhs.shape[-1]
     per_k = math.prod(np.broadcast_shapes(lhs.shape[:-1] + (1,), rhs.shape[:-2] + (1, rhs.shape[-1])))
     block = max(1, CLUSTER_LANES // per_k)
-    ul, ur = lhs.astype(np.int64, order="C"), rhs.astype(np.int64, order="C")
-    ul += zl
-    ur += zr
     n = operand_bytes(bits)
-    # byte i of each operand as mac8's uint8 lanes, taken once: the cast keeps the low byte
-    lbytes = [(ul >> 8 * i).astype(np.uint8) for i in range(n)]
-    rbytes = [(ur >> 8 * i).astype(np.uint8) for i in range(n)]
-    acc = 0
-    for (i, a), (j, b) in itertools.product(enumerate(lbytes), enumerate(rbytes)):
+    for (i, a), (j, b) in itertools.product(enumerate(_byte_planes(lhs, n)), enumerate(_byte_planes(rhs, n))):
         total = 0
         for k0 in range(0, k_len, block):
             cluster.accumulator = 0
             products = mac8(cluster, a[..., :, k0 : k0 + block, None], b[..., None, k0 : k0 + block, :])
             total = total + products.sum(axis=-2)
             check_accumulator(total)
-        acc = acc + (total << 8 * (i + j))
-    acc -= zr * ul.sum(axis=-1, keepdims=True)
-    acc -= zl * (ur.sum(axis=-2, keepdims=True) - k_len * zr)
-    return acc.astype(np.float64)
+        acc = total if i + j == 0 else acc + (total << 8 * (i + j))  # the first pass is byte 0 by byte 0
+    acc -= zr * lhs.sum(axis=-1, keepdims=True, dtype=np.int64)
+    acc -= zl * (rhs.sum(axis=-2, keepdims=True, dtype=np.int64) - k_len * zr)
+    return acc
+
+
+def _byte_planes(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """Byte i of each unsigned code for i < n, low byte first, as uint8 arrays of codes' shape.
+
+    One byte is the uint8 codes themselves; two are the bytes of the codes'
+    little-endian uint16 view, with no shift.
+    """
+    if n == 1:
+        return [codes]
+    pairs = np.ascontiguousarray(codes, dtype="<u2").view(np.uint8).reshape(*codes.shape, 2)
+    return [pairs[..., 0], pairs[..., 1]]
 
 
 @dataclass(frozen=True)
@@ -417,9 +432,10 @@ class QuantizedLayer:
     """One MAC layer's weight operand and quantization parameters; build one with quantized_layer.
 
     lhs holds the layer's zero-centred weight codes once, read-only, as the
-    (G, O/G, K/G) rows _mac reads, in the float type the layer's codes and
-    product take in infer_lut (_product_dtype). It is the layer's only weight
-    array: the container's unsigned codes are derived from it (qweight).
+    (G, O/G, K/G) rows _mac reads, in the float type the vector engine's
+    codes and product take in infer_lut (_product_dtype). It is the layer's
+    only weight array: the container's unsigned codes are derived from it
+    (qweight), and so are the cluster engine's, once per infer_lut call.
     """
 
     name: str
@@ -513,11 +529,13 @@ def infer_lut(
 ):
     """Quantized forward pass on the LUT backend.
 
-    Each MAC layer quantizes its input once, centres the codes in place and
-    hands them to _mac unpadded, which pads each block of groups with 0, the
-    centred code of 0, and takes the block's product (_raw_dot_vector or
-    _centered_dot_cluster); the layer's captures and scaling run once on the
-    assembled product.
+    Each MAC layer quantizes its input once and hands the codes to _mac
+    unpadded, which pads each block of groups with the code of real 0 and
+    takes the block's product. The vector engine centres its float codes in
+    place, pads with 0 and takes _raw_dot_vector; the cluster engine keeps
+    unsigned uint8 or uint16 codes, pads with the zero point za and takes
+    _unsigned_dot_cluster's int64 accumulator. The layer's captures and
+    scaling run once on the assembled product.
 
     x is one (C, H, W) sample or an (N, C, H, W) stack. Returns (probabilities,
     ledger); a stack's probabilities are (N, classes). Integer accumulators per
@@ -539,29 +557,29 @@ def infer_lut(
     accs = captures.setdefault("acc", {}) if captures is not None else None
 
     def mac(layer, x):
-        """Quantize x once, centre it, and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
+        """Quantize x once and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
-        q = quantize(x, ql.act_params, ql.lhs.dtype)
-        q -= za  # centred in place; _mac pads with 0, the centred code of 0
-
-        def product(lhs, rhs):
-            """One block's integer product, from the module's products as they are at call time."""
-            if cluster is None:
-                return _raw_dot_vector(lhs, rhs, qm.bits)
-            return _centered_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster)
-
-        acc = _mac(layer, q, ql.lhs, product)
+        if cluster is None:
+            q = quantize(x, ql.act_params, ql.lhs.dtype)
+            q -= za  # centred in place; _mac pads with 0, the centred code of 0
+            acc = _mac(layer, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, qm.bits))
+        else:
+            # unsigned codes from quantize to mac8; _mac pads with za, the code of 0
+            codes = np.uint8 if operand_bytes(qm.bits) == 1 else np.uint16
+            q, w = quantize(x, ql.act_params, codes), (ql.lhs + zw).astype(codes)
+            acc = _mac(layer, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster), za)
         if accs is not None:
-            # cast once per layer, viewed group-major (G, N, P, O/G); captures are views of it
-            view = acc.astype(np.int64).transpose(1, 0, 3, 2)
+            # int64 once per layer (the cluster's product already is), viewed group-major (G, N, P, O/G);
+            # captures are views of it
+            view = acc.astype(np.int64, copy=False).transpose(1, 0, 3, 2)
             if single:
                 view = view[:, 0]
             if layer.kind == "depthwise_conv2d":  # one key per channel, written in one update
                 accs.update(zip(_channel_keys(layer.name, len(view)), view))
             else:
                 accs[layer.name] = view[0]
-        acc = acc.astype(np.float64, copy=False)  # a float32 product's integers are scaled in float64 too
+        acc = acc.astype(np.float64, copy=False)  # every product's integers are scaled in float64
         acc *= ql.act_params.scale * ql.wparams.scale
         return _add_bias(layer, acc, ql.bias)
 

@@ -69,8 +69,10 @@ def quantize(r, p: QuantParams, dtype=np.float64):
     `dtype` and of r's shape holding the integer codes. The division,
     rounding, zero point and clip run in float64 whatever the dtype, so a
     half-way r/S rounds as it does at float64; the clipped codes are then
-    cast to `dtype` once. float32 and float64 both hold every code up to
-    16 bits exactly. r is left unchanged. NaN or +-inf anywhere in r raises
+    cast to `dtype` once. float32 and float64 hold every code up to 16 bits
+    exactly, uint8 every 4- and 8-bit code and uint16 every 16-bit code;
+    the codes are clipped before the cast, so an unsigned cast never wraps.
+    r is left unchanged. NaN or +-inf anywhere in r raises
     ValueError; a finite r whose r/S overflows clips like any other value
     past the range.
     """

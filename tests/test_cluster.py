@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -242,4 +244,26 @@ WRITE_0 = (CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),)
 )
 def test_program_reading_an_unwritten_core_is_refused_when_built(steps, outputs, where):
     with pytest.raises(MicroprogramError, match=f"^{where} is read before any earlier step writes it$"):
+        ClusterMicroprogram(steps=steps, outputs=outputs)
+
+
+@pytest.mark.parametrize(
+    "steps, outputs, where, src",
+    [
+        # a nibble selector other than "lo" or "hi"
+        ((WRITE_0,), (("core", 0, "middle"),), "outputs", ("core", 0, "middle")),
+        # no nibble selector at all
+        ((WRITE_0,), (("core", 0),), "outputs", ("core", 0)),
+        ((WRITE_0, (CoreOp(1, OpTag.PASS, ("core", 0), ("imm", 0)),)), (), "step 1", ("core", 0)),
+        # an immediate past a nibble, which a run would otherwise mask to its low 4 bits
+        (((CoreOp(0, OpTag.ADD4, ("in", "x"), ("imm", 17)),),), (("core", 0, "lo"),), "step 0", ("imm", 17)),
+        (((CoreOp(0, OpTag.ADD4, ("in", "x"), ("imm", -1)),),), (), "step 0", ("imm", -1)),
+        ((WRITE_0,), (("imm", 16),), "outputs", ("imm", 16)),
+        # an unknown kind
+        (((CoreOp(0, OpTag.PASS, ("reg", 0), ("imm", 0)),),), (), "step 0", ("reg", 0)),
+    ],
+    ids=["selector", "no-selector-output", "no-selector-step", "imm-17", "imm-negative", "imm-output", "unknown-kind"],
+)
+def test_a_malformed_operand_source_is_refused_when_built(steps, outputs, where, src):
+    with pytest.raises(MicroprogramError, match=f"^{where}: bad operand source {re.escape(repr(src))}$"):
         ClusterMicroprogram(steps=steps, outputs=outputs)

@@ -26,13 +26,13 @@ from lutpim.cluster import (
 from lutpim.lut_core import OpTag
 
 NAMES = ("x", "y", "z")
-DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True)
+DIFFERENTIAL = settings(settings.get_profile("derandomized"), max_examples=60)
 PASS_X = ClusterMicroprogram(steps=((CoreOp(0, OpTag.PASS, ("in", "x"), ("imm", 0)),),), outputs=(("core", 0, "lo"),))
 
 
 def _sources(ready):
-    """An operand source: an input, an immediate (masked to its low nibble), or a nibble of a core in `ready`."""
-    options = [st.tuples(st.just("in"), st.sampled_from(NAMES)), st.tuples(st.just("imm"), st.integers(0, 31))]
+    """An operand source: an input, an immediate nibble, or a nibble of a core in `ready`."""
+    options = [st.tuples(st.just("in"), st.sampled_from(NAMES)), st.tuples(st.just("imm"), st.integers(0, 15))]
     if ready:
         options.append(st.tuples(st.just("core"), st.sampled_from(sorted(ready)), st.sampled_from(("lo", "hi"))))
     return st.one_of(options)

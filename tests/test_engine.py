@@ -322,16 +322,19 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
 
     def quantize(r, p, dtype, **kw):
         q = real_quantize(r, p, dtype, **kw)
-        codes.append(q.copy())  # mac_layer centres q in place
+        codes.append(q.copy())  # the vector engine centres q in place
         return q
 
     monkeypatch.setattr(engine_module, "quantize", quantize)
     x = rng.choice([-1.0, 1.0], size=net.input_shape) * (0.5 + rng.random(net.input_shape))
     captures = {}
     probs, _ = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
-    # K = 18, 9, 54 and 325: float32 holds K*255^2 for all but the dense layer at 8 bits
-    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
-    assert [q.dtype for q in codes] == {4: [f32] * 4, 8: [f32, f32, f32, f64], 16: [f64] * 4}[bits]
+    if engine == "vector":
+        # K = 18, 9, 54 and 325: float32 holds K*255^2 for all but the dense layer at 8 bits
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert [q.dtype for q in codes] == {4: [f32] * 4, 8: [f32, f32, f32, f64], 16: [f64] * 4}[bits]
+    else:  # unsigned integer codes from quantize to mac8
+        assert [q.dtype for q in codes] == [np.dtype(np.uint8 if bits <= 8 else np.uint16)] * 4
     for q in codes:
         assert q.min() == 0 and q.max() == qmax
     oprobs, oaccs = oracle_quantized_forward(qm, x)
@@ -499,17 +502,18 @@ def test_vector_engine_refuses_an_uncertified_byte_table(monkeypatch):
 def test_cluster_engine_32_bit_limit_at_the_boundary():
     # a (1, K) @ (K, 1) byte pass over two mac8 calls: 66,051 * 255*255 + 4*255 == 2**32 - 1
     k = 66_052
-    lhs, rhs = np.full((1, k), 255.0), np.full((k, 1), 255.0)
+    lhs, rhs = np.full((1, k), 255, np.uint8), np.full((k, 1), 255, np.uint8)
     lhs[0, -1] = 4
-    assert engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()).tolist() == [[2**32 - 1]]
+    acc = engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
+    assert acc.dtype == np.int64 and acc.tolist() == [[2**32 - 1]]
     lhs[0, -1], rhs[-1, 0] = 5, 205  # 2**32 + 4
     with pytest.raises(AccumulatorOverflowError):
-        engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
+        engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
 
 
 def _record_cluster_calls(monkeypatch):
-    """Per _centered_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
-    calls, real_dot, real_mac8 = [], engine_module._centered_dot_cluster, engine_module.mac8
+    """Per _unsigned_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
+    calls, real_dot, real_mac8 = [], engine_module._unsigned_dot_cluster, engine_module.mac8
 
     def dot(lhs, zl, rhs, zr, bits, cluster):
         calls.append([lhs.shape, rhs.shape, []])
@@ -519,7 +523,7 @@ def _record_cluster_calls(monkeypatch):
         calls[-1][2].append(np.broadcast(a, b).size)
         return real_mac8(cluster, a, b)
 
-    monkeypatch.setattr(engine_module, "_centered_dot_cluster", dot)
+    monkeypatch.setattr(engine_module, "_unsigned_dot_cluster", dot)
     monkeypatch.setattr(engine_module, "mac8", mac8)
     return calls
 
@@ -568,9 +572,10 @@ def test_cluster_engine_runs_the_mac_count_its_ledger_charges(make_net, bits, mo
 def test_cluster_engine_runs_one_k_per_call_past_the_lane_bound(monkeypatch):
     # one k of a (2, 3) @ (3, 40000) product already has 80,000 outputs
     rng = np.random.default_rng(14)
-    lhs, rhs = rng.integers(0, 256, (2, 3)).astype(np.float64), rng.integers(0, 256, (3, 40_000)).astype(np.float64)
+    lhs, rhs = rng.integers(0, 256, (2, 3), dtype=np.uint8), rng.integers(0, 256, (3, 40_000), dtype=np.uint8)
     calls = _record_cluster_calls(monkeypatch)
-    assert np.array_equal(engine_module._centered_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()), lhs @ rhs)
+    want = lhs.astype(np.int64) @ rhs.astype(np.int64)
+    assert np.array_equal(engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()), want)
     assert calls[0][2] == [80_000] * 3
     _assert_blocks_of_k(calls, passes=1)
 
@@ -582,6 +587,7 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
     compiled, real_compile = [], cluster_module._compile
     monkeypatch.setattr(cluster_module, "_compile", lambda prog: compiled.append(prog) or real_compile(prog))
     monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "kernel", raising=False)
+    monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "tables", raising=False)
     for a in range(5):
         cluster_module.mac8(Cluster(), a, 7)
     net = tiny_conv_net()
@@ -631,10 +637,11 @@ def test_saturated_float32_product_is_exact_at_the_largest_float32_k(bits, k_max
         ]:
             lhs, rhs = (lcodes - zl)[None, :], (rcodes - zr)[:, None]
             expect = lhs.astype(np.int64) @ rhs.astype(np.int64)
-            lhs32, rhs32 = lhs.astype(np.float32), rhs.astype(np.float32)
-            vector = engine_module._raw_dot_vector(lhs32, rhs32, bits)
-            cluster = engine_module._centered_dot_cluster(lhs32, zl, rhs32, zr, bits, Cluster())
-            assert vector.dtype == np.float32
+            vector = engine_module._raw_dot_vector(lhs.astype(np.float32), rhs.astype(np.float32), bits)
+            cluster = engine_module._unsigned_dot_cluster(
+                lcodes[None, :].astype(np.uint8), zl, rcodes[:, None].astype(np.uint8), zr, bits, Cluster()
+            )
+            assert vector.dtype == np.float32 and cluster.dtype == np.int64
             assert np.array_equal(vector, expect), (zl, zr)
             assert np.array_equal(cluster, expect), (zl, zr)
 
@@ -718,19 +725,21 @@ def test_vector_product_is_exact_at_the_16_bit_bound():
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_both_engines_take_the_same_product_of_centred_codes(bits):
-    """The vector engine's one product equals the cluster's byte passes and zero-point corrections."""
+    """The vector engine's product of centred codes equals the cluster's passes and corrections of unsigned codes."""
     rng = np.random.default_rng(600 + bits)
     qmax = (1 << bits) - 1
     zl, zr = 1 << (bits - 1), int(rng.integers(0, qmax + 1))
     for lhs_shape, rhs_shape in (((3, 7), (2, 7, 5)), ((4, 1, 9), (2, 4, 9, 6)), ((2, 1, 8), (8, 3))):
         for codes in ([0, qmax], range(qmax + 1)):  # saturated, then any code
-            lhs = rng.choice(codes, size=lhs_shape) - zl
-            rhs = rng.choice(codes, size=rhs_shape) - zr
+            ul, ur = rng.choice(codes, size=lhs_shape), rng.choice(codes, size=rhs_shape)
+            lhs, rhs = ul - zl, ur - zr
             expect = np.matmul(lhs.astype(np.int64), rhs.astype(np.int64))
             vector = engine_module._raw_dot_vector(lhs.astype(np.float64), rhs.astype(np.float64), bits)
-            cluster = engine_module._centered_dot_cluster(
-                lhs.astype(np.float64), zl, rhs.astype(np.float64), zr, bits, Cluster()
+            unsigned = np.uint8 if bits <= 8 else np.uint16
+            cluster = engine_module._unsigned_dot_cluster(
+                ul.astype(unsigned), zl, ur.astype(unsigned), zr, bits, Cluster()
             )
+            assert cluster.dtype == np.int64
             assert np.array_equal(vector, expect), (lhs_shape, rhs_shape)
             assert np.array_equal(cluster, expect), (lhs_shape, rhs_shape)
 

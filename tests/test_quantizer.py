@@ -85,7 +85,7 @@ def test_rms_error_decreases_with_bits():
     b=st.floats(-100, 100),
     bits=st.sampled_from([4, 8, 16]),
 )
-@settings(max_examples=200, deadline=None)
+@settings(settings.get_profile("derandomized"), max_examples=200)
 def test_quantize_monotone(a, b, bits):
     p = QuantParams(scale=0.37, zero_point=1 << (bits - 1), bits=bits)
     if a <= b:
@@ -137,27 +137,48 @@ def _ulps(v: float, d: int) -> float:
     return v
 
 
-@given(
+def _ties_and_both_ends(bits, scale, zero, codes, seed):
+    """(p, x): values within a few ulps of a half-way r/S, spread values, and one past each end of the range."""
+    p = QuantParams(scale=scale, zero_point=zero % (1 << bits), bits=bits)
+    halves = [(c % (1 << bits) - p.zero_point + 0.5) * scale for c in codes]  # k + 0.5 with k + Z a code
+    near = [_ulps(v, d) for v in halves for d in range(-4, 5)]
+    spread = np.random.default_rng(seed).uniform(-2.0, 2.0, 64) * (1 << bits) * scale
+    ends = np.array([-1.0, 1.0]) * (2 << bits) * scale  # twice the range from 0: clips to 0 and qmax
+    return p, np.concatenate([near, spread, ends])
+
+
+CODE_CASES = dict(
     bits=st.sampled_from([4, 8, 16]),
     scale=st.floats(1e-6, 1e3),
     zero=st.integers(0, 65535),
     codes=st.lists(st.integers(0, 65535), min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200, deadline=None)
+
+
+@given(**CODE_CASES)
+@settings(settings.get_profile("derandomized"), max_examples=200)
 def test_float32_codes_round_as_float64_codes(bits, scale, zero, codes, seed):
     """quantize(x, p, float32) equals quantize(x, p), also within a few ulps of a half-way r/S.
 
     Dividing in float32 instead would round some of those x/S to the other integer.
     """
-    p = QuantParams(scale=scale, zero_point=zero % (1 << bits), bits=bits)
-    halves = [(c % (1 << bits) - p.zero_point + 0.5) * scale for c in codes]  # k + 0.5 with k + Z a code
-    near = [_ulps(v, d) for v in halves for d in range(-4, 5)]
-    spread = np.random.default_rng(seed).uniform(-2.0, 2.0, 64) * (1 << bits) * scale
-    x = np.concatenate([near, spread])
+    p, x = _ties_and_both_ends(bits, scale, zero, codes, seed)
     q32, q64 = quantize(x, p, np.float32), quantize(x, p)
     assert q32.dtype == np.float32 and q64.dtype == np.float64
     assert np.array_equal(q32, q64)
+
+
+@given(**CODE_CASES)
+@settings(settings.get_profile("derandomized"), max_examples=200)
+def test_unsigned_codes_equal_float64_codes(bits, scale, zero, codes, seed):
+    """quantize(x, p, uint8) at 4 and 8 bits and quantize(x, p, uint16) at 16 equal quantize(x, p) code for code."""
+    p, x = _ties_and_both_ends(bits, scale, zero, codes, seed)
+    dtype = np.uint8 if bits <= 8 else np.uint16
+    q, q64 = quantize(x, p, dtype), quantize(x, p)
+    assert q.dtype == dtype
+    assert np.array_equal(q, q64)
+    assert q[-2] == 0 and q[-1] == p.qmax
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
