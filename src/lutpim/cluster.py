@@ -8,12 +8,12 @@ pair of operand bytes (`operand_bytes`).
 A program reads only cores that its own earlier steps wrote, so a run is a
 function of its inputs alone; any other program is refused when it is built.
 It runs on one lane or on many in lockstep, as many clusters run the same
-step in hardware. Many lanes run through the program's kernel, compiled
-once per program into straight-line Python over byte lanes: every lane holds
-one uint8 byte, and each core lookup is one bytes.translate through the
-core's 256-byte table. One lane runs in an interpreter on Python ints, where
-a lookup indexes the table's bytes; the kernel's per-array numpy calls cost
-more than that for a single lane.
+step in hardware: many through the program's kernel, compiled once into
+straight-line Python over uint8 byte lanes, each core lookup one
+bytes.translate through the core's 256-byte table; one in an interpreter on
+Python ints, cheaper for a single lane than the kernel's numpy calls. A run
+on n lanes counts as n one-lane runs: steps, lookups and transfers are summed
+from the cluster's tally of lanes run per program when they are read.
 """
 
 from __future__ import annotations
@@ -85,26 +85,24 @@ class CoreOp:
     src_b: Src
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterMicroprogram:
     """Ordered schedule of parallel core lookups plus the output nibble list.
 
     Every core a step or the outputs read must have been written by an
     earlier step; a program that reads any other core is refused here, so a
     run depends on its inputs alone. A run's cost is fixed by the text, so it
-    is counted here once, per lane: (core, lookups, last table) per core
-    used, (src, dst) per operand transfer, and the same transfers as
-    ((src, dst), count) per route. `inputs` names the input operands a run
-    reads, in order of first use. `kernel` is the program compiled for byte
-    lanes, built on first use and kept with the program.
+    is counted here once, per lane: (core, lookups, last table) per core used
+    and ((src, dst), transfers) per core route. `inputs` names the inputs a
+    run reads, in order of first use. `kernel` is the program compiled for
+    byte lanes on first use. Programs hash by identity, as Cluster.runs keys them.
     """
 
     steps: tuple[tuple[CoreOp, ...], ...]
     outputs: tuple[Src, ...]
-    lookups: tuple = field(init=False, repr=False, compare=False)
-    transfers: tuple = field(init=False, repr=False, compare=False)
-    routes: tuple = field(init=False, repr=False, compare=False)
-    inputs: tuple = field(init=False, repr=False, compare=False)
+    lookups: tuple = field(init=False, repr=False)
+    routes: tuple = field(init=False, repr=False)
+    inputs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lookups, last_table, transfers, inputs = Counter(), {}, [], {}
@@ -126,18 +124,12 @@ class ClusterMicroprogram:
         for src in self.outputs:
             _note_read(src, "outputs", inputs, lookups)
         object.__setattr__(self, "lookups", tuple((c, n, last_table[c]) for c, n in lookups.items()))
-        object.__setattr__(self, "transfers", tuple(transfers))
         object.__setattr__(self, "routes", tuple(Counter(transfers).items()))
         object.__setattr__(self, "inputs", tuple(inputs))
 
     @functools.cached_property
     def kernel(self):
         return _compile(self)
-
-    @functools.cached_property
-    def tables(self):
-        """lookups with each core's last table built (_table), resolved once per program as kernel is."""
-        return tuple((c, n, _table(tag)[0]) for c, n, tag in self.lookups)
 
 
 def _note_read(src: Src, where: str, inputs: dict, written) -> None:
@@ -159,9 +151,9 @@ def _note_read(src: Src, where: str, inputs: dict, written) -> None:
 
 @dataclass
 class RouterState:
-    """Any-to-any core interconnect; counts routed operand bytes per (src, dst) core."""
+    """Any-to-any core interconnect: routed operand transfers per (src, dst) core, as Cluster.router reads them."""
 
-    transfer_log: Counter = field(default_factory=Counter)
+    transfer_log: Counter
 
 
 def _any(flags) -> bool:
@@ -237,9 +229,11 @@ def _is_bytes(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype == np.uint8
 
 
-def _lanes(v):
-    """v as uint8 lanes: an int or any array of 0..255 becomes a uint8 array, a uint8 array stays as it is."""
-    return np.asarray(v).astype(np.uint8, copy=False)
+def _lanes(v, name: str):
+    """Operand `name`, an integer or integer-typed 0..255 array, as uint8 lanes; the cast would truncate a float."""
+    if not np.issubdtype((v := np.asarray(v)).dtype, np.integer):
+        raise ValueError(f"{name} must be an integer, got {v.dtype}")
+    return v.astype(np.uint8, copy=False)
 
 
 def _execute(prog: ClusterMicroprogram, inputs: dict):
@@ -259,7 +253,7 @@ def _execute(prog: ClusterMicroprogram, inputs: dict):
     arrays = [v for v in args if not isinstance(v, int)]
     if not arrays:
         return _interpret(prog, inputs), 1
-    return prog.kernel(*map(_lanes, args)), np.broadcast(*arrays).size
+    return prog.kernel(*(_lanes(v, f"input operand {n!r}") for n, v in zip(prog.inputs, args))), np.broadcast(*arrays).size
 
 
 def _interpret(prog: ClusterMicroprogram, inputs: dict) -> list:
@@ -293,42 +287,48 @@ class Cluster:
     Inputs and the accumulator are ints (one lane) or arrays that broadcast
     to one lane per cluster, every lane in the same step. A lane holds one
     uint8 byte from input to output, and the accumulator takes int64 lanes.
-    A run keeps no core bytes: the cluster holds only the accumulator and
-    the counters.
+    A run keeps no core bytes and adds its lanes to one tally, `runs`: lanes
+    per program, in order of each program's last run. Every counter is that
+    tally times the programs' per-lane counts, summed when it is read.
     """
 
-    cores: list[LutCore] = field(default_factory=lambda: [LutCore() for _ in range(CLUSTER_CORES)], init=False)
-    router: RouterState = field(default_factory=RouterState, init=False)
     accumulator: int | np.ndarray = 0
-    step_counter: int = field(default=0, init=False)
+    runs: dict[ClusterMicroprogram, int] = field(default_factory=dict, init=False)
+
+    @property
+    def step_counter(self) -> int:
+        """Lane-steps: len(steps) per lane of every run."""
+        return sum(len(prog.steps) * lanes for prog, lanes in self.runs.items())
+
+    @property
+    def cores(self) -> list[LutCore]:
+        """Each core's lookups so far and the table of its last lookup, as a LutCore built on this read."""
+        cores = [LutCore() for _ in range(CLUSTER_CORES)]
+        for prog, lanes in self.runs.items():
+            for idx, n, tag in prog.lookups:
+                cores[idx].lookup_count += n * lanes
+                cores[idx].table = _table(tag)[0]
+        return cores
+
+    @property
+    def router(self) -> RouterState:
+        """The router's operand transfers so far per (src, dst) core route."""
+        log = Counter()
+        for prog, lanes in self.runs.items():
+            log.update({route: n * lanes for route, n in prog.routes})
+        return RouterState(log)
 
     def run_microprogram(self, prog: ClusterMicroprogram, inputs: dict) -> list:
         """Execute steps in order on every lane; within a step all lookups read pre-step state.
 
-        Every input passed must be 4-bit, read or not. The run itself is
-        _execute, and counts come from the program's precomputed lookups and
-        transfers, per lane.
+        Every input passed must be 4-bit, read or not, and every one read integer-typed.
         """
         for name, v in inputs.items():
             if _any((v < 0) | (v > 15)):
                 raise ValueError(f"input operand {name!r} must be 4-bit")
         outputs, lanes = _execute(prog, inputs)
-        self._charge(prog, lanes)
+        self.runs[prog] = self.runs.pop(prog, 0) + lanes  # moved last: its tables are the cores' latest
         return outputs
-
-    def _charge(self, prog: ClusterMicroprogram, lanes: int) -> None:
-        """Count one run of prog on `lanes` lanes: steps, core lookups and tables, routed transfers."""
-        self.step_counter += len(prog.steps)
-        for idx, n, table in prog.tables:
-            core = self.cores[idx]
-            core.lookup_count += n * lanes
-            if core.table is not table:
-                core.program(table)
-        log = self.router.transfer_log
-        if lanes == 1:
-            log.update(prog.transfers)  # counted in C: the scalar MAC's hot path
-        else:
-            log.update({route: n * lanes for route, n in prog.routes})
 
 
 def mac_microprogram() -> ClusterMicroprogram:
@@ -386,17 +386,17 @@ def mac8(cluster: Cluster, a, b):
 
     Two ints run as one lane in the interpreter. Otherwise the operands run
     as uint8 lanes in the MAC program's kernel: uint8 arrays as they are,
-    any other operand range-checked and cast once. Each lane's 16-bit
-    product is assembled from its two result bytes straight into int64, and
-    it is the new accumulator when the old one is the int 0: a product of
-    two bytes is below 2**16, so no check is needed then. An overflowing lane
-    fails the call and changes neither the accumulator nor any count.
+    any other integer-typed operand range-checked and cast once. Each lane's
+    16-bit product is assembled from its two result bytes straight into
+    int64, and it is the new accumulator when the old one is the int 0: a
+    product of two bytes is below 2**16, so no check is needed then. An
+    overflowing lane fails the call and changes neither accumulator nor tally.
     """
     if not (_is_bytes(a) and _is_bytes(b)):
         if _any((a < 0) | (a > 255) | (b < 0) | (b > 255)):
             raise ValueError(f"mac8 operands must be 8-bit, got a={a}, b={b}")
         if not (isinstance(a, int) and isinstance(b, int)):
-            a, b = _lanes(a), _lanes(b)
+            a, b = _lanes(a, "mac8 operand 'a'"), _lanes(b, "mac8 operand 'b'")
     nibbles = {"AH": a >> 4, "AL": a & 15, "BH": b >> 4, "BL": b & 15}
     if isinstance(a, int):  # and so is b
         n0, n1, n2, n3 = _interpret(_MAC_PROG, nibbles)
@@ -412,7 +412,7 @@ def mac8(cluster: Cluster, a, b):
     else:
         acc = acc + product
         check_accumulator(acc)
-    cluster._charge(_MAC_PROG, lanes)
+    cluster.runs[_MAC_PROG] = cluster.runs.pop(_MAC_PROG, 0) + lanes
     cluster.accumulator = acc
     return acc
 

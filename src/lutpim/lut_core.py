@@ -91,7 +91,7 @@ def build_function_table(op_tag: OpTag) -> FunctionTable:
 class LutCore:
     """One LUT core: a programmable function table.
 
-    lookup_count feeds the timing ledger: each lookup is one 0.8 ns core-step.
+    Each lookup is one 0.8 ns core-step. Cluster.cores builds one per core from its tally when read.
     """
 
     table: FunctionTable | None = None

@@ -16,6 +16,7 @@ from lutpim.cluster import (
     ClusterMicroprogram,
     CoreOp,
     MicroprogramError,
+    _MAC_PROG,
     mac8,
     mac_energy_pj,
 )
@@ -167,10 +168,10 @@ def test_router_logs_cross_core_reads_only():
 
 
 def _assert_charged_per_lane(cl, lanes):
-    """cl ran one MAC over `lanes` lanes: 8 steps, and a scalar MAC's lookups and routes per lane."""
+    """cl ran one MAC over `lanes` lanes: a scalar MAC's 8 steps, lookups and routes per lane."""
     one = Cluster()
     mac8(one, 201, 199)
-    assert cl.step_counter == MAC_STEPS
+    assert cl.step_counter == lanes * MAC_STEPS
     assert [core.lookup_count for core in cl.cores] == [lanes * core.lookup_count for core in one.cores]
     assert cl.router.transfer_log == {route: lanes * n for route, n in one.router.transfer_log.items()}
 
@@ -195,6 +196,33 @@ def test_cores_hold_the_tables_of_their_last_lookup():
     cl = Cluster()
     mac8(cl, 99, 3)
     assert [core.table.op_tag for core in cl.cores] == [OpTag.MUL4] * 4 + [OpTag.ADD4] * 5
+
+
+@pytest.mark.parametrize(
+    "a, b, name",
+    [(3.5, 2, "a"), (np.array([3.9, 250.7]), np.array([2, 3]), "a"), (7, np.array([1.0]), "b"), (np.array([True]), 1, "a")],
+    ids=["float", "float-lanes", "float-b", "bool-lanes"],
+)
+def test_mac8_refuses_non_integer_operands(a, b, name):
+    # the uint8 cast would truncate them: 3.5 * 2 ran as 6, [3.9, 250.7] * [2, 3] as [6, 750]
+    cl = Cluster()
+    with pytest.raises(ValueError, match=f"^mac8 operand '{name}' must be an integer"):
+        mac8(cl, a, b)
+    assert cl.accumulator == 0 and not cl.runs
+
+
+def test_run_microprogram_refuses_non_integer_inputs():
+    cl = Cluster()
+    with pytest.raises(ValueError, match="^input operand 'AL' must be an integer"):
+        cl.run_microprogram(_MAC_PROG, {"AH": 0, "AL": 2.5, "BH": 0, "BL": 3})
+    assert not cl.runs
+
+
+def test_integer_typed_numpy_operands_are_accepted():
+    cl = Cluster()
+    assert mac8(cl, np.int64(3), np.uint16(2)) == 6
+    assert mac8(Cluster(), np.array([3, 250], dtype=np.int32), np.array([2, 3], dtype=np.uint64)).tolist() == [6, 750]
+    assert Cluster().run_microprogram(_MAC_PROG, {"AH": 0, "AL": np.int8(2), "BH": 0, "BL": 3}) == [6, 0, 0, 0]
 
 
 def test_undefined_input_operand():

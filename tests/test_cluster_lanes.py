@@ -1,9 +1,10 @@
 """The byte-lane kernel against the one-lane interpreter, and its error paths.
 
 Random microprograms over MUL4, ADD4 and PASS run once on broadcast lanes and
-once per lane on Python ints. Outputs must match lane by lane, and counts must
-equal the one-lane runs summed over the lanes. A run keeps no core bytes, so
-a program gives the same outputs after any other run as on a fresh cluster.
+once per lane on Python ints. Outputs must match lane by lane, and every
+count, steps included, must equal the one-lane runs summed over the lanes. A
+run keeps no core bytes, so a program gives the same outputs after any other
+run as on a fresh cluster.
 """
 
 from collections import Counter
@@ -115,13 +116,13 @@ def test_lane_kernel_equals_one_lane_runs(prog, inputs):
         ref = Cluster()
         refs.append((ref, ref.run_microprogram(prog, _lane(prog, inputs, index, shape))))
     _assert_lanes_match(outputs, refs, shape)
-    # summed over lanes: lookups and routes per lane, steps once per lockstep run
+    # summed over lanes: lookups, routes and steps per lane
     assert [core.lookup_count for core in cl.cores] == [
         sum(ref.cores[c].lookup_count for ref, _ in refs) for c in range(9)
     ]
     assert [core.table for core in cl.cores] == [core.table for core in refs[0][0].cores]
     assert cl.router.transfer_log == sum((ref.router.transfer_log for ref, _ in refs), Counter())
-    assert cl.step_counter == refs[0][0].step_counter == len(prog.steps)
+    assert cl.step_counter == sum(ref.step_counter for ref, _ in refs) == len(prog.steps) * len(refs)
 
 
 @DIFFERENTIAL
@@ -133,16 +134,19 @@ def test_lane_kernel_equals_one_lane_runs(prog, inputs):
 )
 def test_a_run_depends_only_on_its_inputs(first, second, first_inputs, second_inputs):
     cl, alone = Cluster(), [Cluster(), Cluster()]
-    for prog, inputs, fresh in ((first, first_inputs, alone[0]), (second, second_inputs, alone[1])):
+    runs = ((first, first_inputs, alone[0]), (second, second_inputs, alone[1]), (first, first_inputs, Cluster()))
+    for prog, inputs, fresh in runs:
         assert _exact(cl.run_microprogram(prog, inputs)) == _exact(fresh.run_microprogram(prog, inputs))
-    # every counter is the two runs' sum, and each core holds the table of its last lookup
-    (first_lookups, first_tables, log, _), (second_lookups, second_tables, second_log, _) = map(_counts, alone)
-    log.update(second_log)
+    # every counter is the three runs' sum, and each core holds the table of its last lookup:
+    # the first program's wherever it uses the core, since it ran last
+    (first_lookups, first_tables, first_log, first_steps), (second_lookups, second_tables, second_log, second_steps) = map(
+        _counts, alone
+    )
     assert _counts(cl) == (
-        [a + b for a, b in zip(first_lookups, second_lookups)],
-        [b or a for a, b in zip(first_tables, second_tables)],
-        log,
-        len(first.steps) + len(second.steps),
+        [2 * a + b for a, b in zip(first_lookups, second_lookups)],
+        [a or b for a, b in zip(first_tables, second_tables)],
+        first_log + first_log + second_log,
+        2 * first_steps + second_steps,
     )
 
 

@@ -12,6 +12,7 @@ ALLOWED = {
     "perf.layer_csv": "the per-layer CSV rendering that the one per-layer record will replace",
     "perf.compare_report": "acceptance criteria 6 and 9 render the paper comparison through it",
     "lut_core.LutCore.lookup": "acceptance criterion 1 drives each core through it",
+    "lut_core.LutCore.program": "acceptance criterion 1 drives each core through it",
     "cluster.Cluster.run_microprogram": "the entry for any program; mac8 runs its own in two halves, so an"
     " overflowing lane is counted nowhere",
 }

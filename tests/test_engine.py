@@ -569,6 +569,26 @@ def test_cluster_engine_runs_the_mac_count_its_ledger_charges(make_net, bits, mo
     assert [sum(lanes) for _, _, lanes in calls] == [n for cat, n, _, _ in ledger.events if cat == "mac"]
 
 
+@pytest.mark.parametrize("bits", [8, 16])
+def test_cluster_counts_do_not_follow_host_blocking(bits, monkeypatch):
+    """One sample's steps, lookups, tables and routes are the same however the host splits its layers into calls."""
+    net = tinymalnet()
+    rng = np.random.default_rng(60 + bits)
+    qm = prepare_quantized(net, init_random_weights(net, seed=60), random_inputs(net, rng, 2), bits)
+    x = rng.random(net.input_shape)
+    clusters, counts = [], []
+    monkeypatch.setattr(engine_module, "Cluster", lambda: clusters.append(Cluster()) or clusters[-1])
+    for lanes, window_bytes in itertools.product((65_536, 4_096, 512), (1, engine_module.WINDOW_BYTES)):
+        monkeypatch.setattr(engine_module, "CLUSTER_LANES", lanes)
+        monkeypatch.setattr(engine_module, "WINDOW_BYTES", window_bytes)
+        _, ledger = infer_lut(qm, x, engine="cluster")
+        cl = clusters.pop()
+        counts.append((cl.step_counter, [(c.lookup_count, c.table) for c in cl.cores], cl.router.transfer_log))
+    # lane-steps: the MAC program's 8 steps for every MAC pass the ledger charges
+    assert counts[0][0] == cluster_module.MAC_STEPS * ledger.mac_count
+    assert counts == [counts[0]] * len(counts)
+
+
 def test_cluster_engine_runs_one_k_per_call_past_the_lane_bound(monkeypatch):
     # one k of a (2, 3) @ (3, 40000) product already has 80,000 outputs
     rng = np.random.default_rng(14)
@@ -587,7 +607,6 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
     compiled, real_compile = [], cluster_module._compile
     monkeypatch.setattr(cluster_module, "_compile", lambda prog: compiled.append(prog) or real_compile(prog))
     monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "kernel", raising=False)
-    monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "tables", raising=False)
     for a in range(5):
         cluster_module.mac8(Cluster(), a, 7)
     net = tiny_conv_net()
