@@ -253,11 +253,13 @@ def _rebuild_qmodel(net, ws, bits):
 
     DataError names the first entry a MAC layer needs that the container
     lacks, or whose shape is not the layer's: (O, C/G, kh, kw) or (K, O) for
-    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`.
+    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`. Each
+    layer's precision is its entries' params; `bits` only checks the file:
+    DataError when a `.qw` or `act/` entry is at another precision.
     """
     quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
-    qm = engine.QuantizedModel(net=net, bits=bits) if quantized else None
+    qm = engine.QuantizedModel(net=net) if quantized else None
     for layer in nets.mac_layers(net):
         qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
         w_shape, out = nets.weight_shape(layer), layer.out_shape[0]

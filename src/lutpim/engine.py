@@ -32,10 +32,15 @@ engine quantizes and centres its input before `_mac`, so its pad is 0, the
 centred code of 0; the cluster engine keeps unsigned codes, so its pad is
 the activation zero point za. Each `QuantizedLayer` holds its centred weight
 codes once, as the rows `_mac` reads (`lhs`). The integer step's captures
-and scaling run once per layer on the assembled product, a
-layer's captured accumulators are written in one update, and the ledger's
-events are charged once per (net, cfg, bits) and copied into each call's
-fresh ledger.
+and scaling run once per layer on the assembled product, and a layer's
+captured accumulators are written in one update.
+
+Precision is stated once, in each layer's quantization params: a layer's
+precision (`QuantizedLayer.bits`) is the wider of its weight and activation
+params' bits. Each layer runs at its own precision, with its own code and
+product types, and is charged at it, so a model may mix 4-, 8- and 16-bit
+layers. The ledger's events are charged once per (net, cfg, per-layer
+precisions) and copied into each call's fresh ledger.
 
 Tables are certified once, then multiplies use the certified products: the
 vector engine's first run checks `mac8` over all 65,536 byte pairs against
@@ -43,8 +48,8 @@ a*b. Once every byte product is a*b, the cluster's byte passes, recombined
 and corrected for zero points, give the integer sum of products of centred
 codes, so the vector engine takes that sum as one matmul at 4, 8 and 16
 bits. engine="cluster" multiplies unsigned bytes, as the cluster does: its
-codes stay unsigned integers from `quantize` to `mac8`, uint8 at 4 and 8
-bits and uint16 at 16, and its weight codes are lhs + zw,
+codes stay unsigned integers from `quantize` to `mac8`, uint8 in a 4- or
+8-bit layer and uint16 in a 16-bit one, and its weight codes are lhs + zw,
 cast once per call. Byte i of each operand is taken once as uint8, the
 codes themselves or a byte of their uint16 view, and each of the
 operand_bytes(bits)**2 byte passes (four at 16 bits) runs through `mac8` in
@@ -86,7 +91,7 @@ import numpy as np
 
 from .cluster import Cluster, check_accumulator, mac8, operand_bytes
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
-from .nets import MAC_KINDS, NetworkSpec, groups, mac_layers, projection, weight_shape
+from .nets import MAC_KINDS, NetworkSpec, groups, mac_layers, own_mac_layers, projection, weight_shape
 from .perf import charge_layer
 from .quantizer import SUPPORTED_BITS, CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
@@ -373,19 +378,17 @@ def _raw_dot_vector(lhs: np.ndarray, rhs: np.ndarray, bits: int) -> np.ndarray:
     return lhs @ rhs
 
 
-def _unsigned_dot_cluster(
-    lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, bits: int, cluster: Cluster
-) -> np.ndarray:
+def _unsigned_dot_cluster(lhs: np.ndarray, zl: int, rhs: np.ndarray, zr: int, cluster: Cluster) -> np.ndarray:
     """sum_k (lhs - zl) * (rhs - zr) as int64 from unsigned codes, where mac8 multiplies unsigned bytes.
 
-    lhs and rhs hold unsigned `bits`-bit codes of one type, uint8 at 4 and 8
-    bits and uint16 at 16, and zl and zr are their zero points.
-    Byte i of each is taken once as a uint8 array: the codes themselves
-    below 16 bits, and at 16 bits the two bytes of a little-endian uint16
-    view, so mac8 runs its byte lanes with no cast of its own. A bits-bit MAC
-    is operand_bytes(bits)**2 byte passes: byte i of lhs by byte j of rhs,
-    shifted left by 8*(i + j) bits and summed. Each pass is one mac8 call per
-    block of k: a call's lanes are a[..., :, k0:k1, None] by
+    lhs and rhs hold unsigned codes of one type, uint8 at 4 and 8 bits and
+    uint16 at 16, and zl and zr are their zero points; the type's itemsize is
+    the codes' byte count. Byte i of each is taken once as a uint8 array: the
+    uint8 codes themselves, or the two bytes of a little-endian uint16 view,
+    so mac8 runs its byte lanes with no cast of its own. A MAC of n-byte
+    codes is n**2 byte passes, one at 4 and 8 bits and four at 16: byte i of
+    lhs by byte j of rhs, shifted left by 8*(i + j) bits and summed. Each
+    pass is one mac8 call per block of k: a call's lanes are a[..., :, k0:k1, None] by
     b[..., None, k0:k1, :], each from a zero accumulator, and each returns
     its lanes' products as int64; the host sums them over k. A block holds as
     many k as fit in CLUSTER_LANES lanes, and one k when a single k already
@@ -401,8 +404,7 @@ def _unsigned_dot_cluster(
     k_len = lhs.shape[-1]
     per_k = math.prod(np.broadcast_shapes(lhs.shape[:-1] + (1,), rhs.shape[:-2] + (1, rhs.shape[-1])))
     block = max(1, CLUSTER_LANES // per_k)
-    n = operand_bytes(bits)
-    for (i, a), (j, b) in itertools.product(enumerate(_byte_planes(lhs, n)), enumerate(_byte_planes(rhs, n))):
+    for (i, a), (j, b) in itertools.product(enumerate(_byte_planes(lhs)), enumerate(_byte_planes(rhs))):
         total = 0
         for k0 in range(0, k_len, block):
             cluster.accumulator = 0
@@ -415,13 +417,13 @@ def _unsigned_dot_cluster(
     return acc
 
 
-def _byte_planes(codes: np.ndarray, n: int) -> list[np.ndarray]:
-    """Byte i of each unsigned code for i < n, low byte first, as uint8 arrays of codes' shape.
+def _byte_planes(codes: np.ndarray) -> list[np.ndarray]:
+    """Each byte of the unsigned uint8 or uint16 codes, low byte first, as uint8 arrays of codes' shape.
 
-    One byte is the uint8 codes themselves; two are the bytes of the codes'
-    little-endian uint16 view, with no shift.
+    uint8 codes are their own one byte; uint16 codes give the two bytes of
+    their little-endian view, with no shift.
     """
-    if n == 1:
+    if codes.itemsize == 1:
         return [codes]
     pairs = np.ascontiguousarray(codes, dtype="<u2").view(np.uint8).reshape(*codes.shape, 2)
     return [pairs[..., 0], pairs[..., 1]]
@@ -443,6 +445,11 @@ class QuantizedLayer:
     wparams: QuantParams
     bias: np.ndarray
     act_params: QuantParams  # input activation quantization at this layer
+
+    @property
+    def bits(self) -> int:
+        """The layer's precision: the wider of its weight and activation params' bits, as quantized_layer reads it."""
+        return max(self.wparams.bits, self.act_params.bits)
 
     @property
     def qweight(self) -> np.ndarray:
@@ -470,8 +477,9 @@ def quantized_layer(layer, qweight, wparams: QuantParams, bias, act_params: Quan
 
 @dataclass
 class QuantizedModel:
+    """A network's QuantizedLayers by MAC layer name; each layer states its own precision (QuantizedLayer.bits)."""
+
     net: NetworkSpec
-    bits: int
     layers: dict[str, QuantizedLayer] = field(default_factory=dict)
 
 
@@ -493,7 +501,7 @@ def prepare_quantized(
 
     for xs in _chunks(net, cal_inputs):
         _forward(net, xs, False, mac, None)
-    qm = QuantizedModel(net=net, bits=bits)
+    qm = QuantizedModel(net=net)
     for layer in mac_layers(net):
         rows, b = _weight_rows(layer, ws)
         wmat = rows.reshape(-1, rows.shape[-1]).T  # a (K/G, O) view, the layout a container holds codes in
@@ -512,11 +520,19 @@ def _channel_keys(name: str, channels: int) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _ledger_events(net: NetworkSpec, cfg: SystemConfig, bits: int) -> tuple[tuple, ...]:
-    """The ledger events of one sample of `net`, charged once per (net, cfg, bits) by perf.charge_layer."""
+def _ledger_events(net: NetworkSpec, cfg: SystemConfig, precisions: tuple[tuple[str, int], ...]) -> tuple[tuple, ...]:
+    """The ledger events of one sample of `net`, charged by perf.charge_layer once per (net, cfg, precisions).
+
+    precisions holds (name, bits) for each MAC layer. Every layer is charged
+    at the precision of the MAC layer it runs (nets.own_mac_layers): itself,
+    or a projected shortcut's projection. A layer that runs none is charged
+    no MACs, which cost the same at every precision.
+    """
+    bits = dict(precisions)
     ledger = EnergyLedger()
     for layer in net.layers:
-        charge_layer(ledger, layer, cfg, bits)
+        runs = own_mac_layers(layer)
+        charge_layer(ledger, layer, cfg, bits[runs[0].name] if runs else SUPPORTED_BITS[0])
     return tuple(ledger.events)
 
 
@@ -529,11 +545,13 @@ def infer_lut(
 ):
     """Quantized forward pass on the LUT backend.
 
-    Each MAC layer quantizes its input once and hands the codes to _mac
-    unpadded, which pads each block of groups with the code of real 0 and
-    takes the block's product. The vector engine centres its float codes in
-    place, pads with 0 and takes _raw_dot_vector; the cluster engine keeps
-    unsigned uint8 or uint16 codes, pads with the zero point za and takes
+    Each MAC layer runs at its own precision (QuantizedLayer.bits), so one
+    model may mix 4-, 8- and 16-bit layers. It quantizes its input once and
+    hands the codes to _mac unpadded, which pads each block of groups with
+    the code of real 0 and takes the block's product. The vector engine
+    centres its float codes in place, pads with 0 and takes _raw_dot_vector;
+    the cluster engine keeps the layer's unsigned codes, uint8 at 4 and 8
+    bits and uint16 at 16, pads with the zero point za and takes
     _unsigned_dot_cluster's int64 accumulator. The layer's captures and
     scaling run once on the assembled product.
 
@@ -545,9 +563,11 @@ def infer_lut(
     (P, 1) under "name[c]" for each channel c of a depthwise layer, each with a
     leading N axis for a stack. The ledger prices one sample, which is what
     each sample of a stack costs: its events are charged by perf.charge_layer,
-    once per layer and once per (net, cfg, bits) (_ledger_events), so each
-    layer costs what perf.layer_cost says and the totals match
-    perf.estimate. Every call returns a fresh ledger with its own event list.
+    once per layer at the precision of the MAC layer it runs, and once per
+    (net, cfg, per-layer precisions) (_ledger_events). So each layer costs
+    what perf.layer_cost says at its precision, and a uniform model's totals
+    match perf.estimate at its bits. Every call returns a fresh ledger with
+    its own event list.
     """
     if engine not in ("vector", "cluster"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -563,12 +583,12 @@ def infer_lut(
         if cluster is None:
             q = quantize(x, ql.act_params, ql.lhs.dtype)
             q -= za  # centred in place; _mac pads with 0, the centred code of 0
-            acc = _mac(layer, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, qm.bits))
+            acc = _mac(layer, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, ql.bits))
         else:
-            # unsigned codes from quantize to mac8; _mac pads with za, the code of 0
-            codes = np.uint8 if operand_bytes(qm.bits) == 1 else np.uint16
+            # unsigned codes from quantize to mac8, at the layer's own precision; _mac pads with za, the code of 0
+            codes = np.uint8 if operand_bytes(ql.bits) == 1 else np.uint16
             q, w = quantize(x, ql.act_params, codes), (ql.lhs + zw).astype(codes)
-            acc = _mac(layer, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, qm.bits, cluster), za)
+            acc = _mac(layer, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, cluster), za)
         if accs is not None:
             # int64 once per layer (the cluster's product already is), viewed group-major (G, N, P, O/G);
             # captures are views of it
@@ -584,7 +604,8 @@ def infer_lut(
         return _add_bias(layer, acc, ql.bias)
 
     probs = _forward(qm.net, x, single, mac, captures)
-    return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, qm.bits)))
+    precisions = tuple((name, ql.bits) for name, ql in qm.layers.items())
+    return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, precisions)))
 
 
 # ---------------------------------------------------------------------------

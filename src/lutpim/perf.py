@@ -6,7 +6,7 @@ elements; each MAC layer charges one hop-1 inter-subarray transfer per
 subarray (`SystemConfig.clusters_per_subarray` clusters) it uses for weight
 distribution. `charge_layer` is the one place these costs are computed:
 `layer_cost` reads them back from a ledger, and `engine.infer_lut` charges
-its ledger through it once per layer, once per (net, cfg, bits).
+its ledger through it once per layer, at that layer's own precision.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Every function, class, method and module-level constant in lutpim has a reader outside the tests."""
+"""Every function, class, method and module-level constant in lutpim has a reader outside the tests,
+and every parameter of a lutpim function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -7,14 +8,16 @@ import lutpim
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# module.name -> why it stays without a caller
+# module.name, or module.function.parameter for a parameter, -> why it stays without a reader
 ALLOWED = {
     "perf.layer_csv": "the per-layer CSV rendering that the one per-layer record will replace",
     "perf.compare_report": "acceptance criteria 6 and 9 render the paper comparison through it",
     "lut_core.LutCore.lookup": "acceptance criterion 1 drives each core through it",
     "lut_core.LutCore.program": "acceptance criterion 1 drives each core through it",
-    "cluster.Cluster.run_microprogram": "the entry for any program; mac8 runs its own in two halves, so an"
-    " overflowing lane is counted nowhere",
+    "cluster.Cluster.run_microprogram": "the entry for any program; mac8 runs the MAC program once itself and"
+    " charges the tally only after its accumulator check passes",
+    "engine._raw_dot_vector.bits": "perfbench's corrupted-accumulator test wraps this function by its"
+    " three-argument form",
 }
 
 
@@ -58,3 +61,25 @@ def test_every_definition_has_a_caller():
         and qualified not in ALLOWED
     ]
     assert not dead, f"defined but never used outside the tests: {dead}"
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of each def below node, methods and nested defs included; lambdas are not defs."""
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else prefix
+        if isinstance(child, ast.FunctionDef):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "lutpim").glob("*.py")):
+        for qualified, fn in _functions(ast.parse(path.read_text()), path.stem):
+            body = [n for stmt in fn.body for n in ast.walk(stmt)]
+            read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            args = fn.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None and f"{qualified}.{arg.arg}" not in ALLOWED and arg.arg not in read:
+                    unread.append(f"{qualified}.{arg.arg}")
+    assert not unread, f"parameters never read in their function's body: {unread}"

@@ -427,8 +427,8 @@ def _assert_cluster_matches_vector(qm, x):
     _, oaccs = oracle_quantized_forward(qm, x)
     assert cv["acc"].keys() == cc["acc"].keys() == oaccs.keys()
     for name in cv["acc"]:
-        assert (cv["acc"][name] == cc["acc"][name]).all(), (qm.net.name, qm.bits, name)
-        assert (cc["acc"][name] == oaccs[name]).all(), (qm.net.name, qm.bits, name)
+        assert (cv["acc"][name] == cc["acc"][name]).all(), (qm.net.name, name)
+        assert (cc["acc"][name] == oaccs[name]).all(), (qm.net.name, name)
     assert pv == pytest.approx(pc, abs=0)
     assert lv.mac_count == lc.mac_count
 
@@ -453,6 +453,33 @@ def test_a_projected_shortcut_runs_as_a_mac_layer(bits):
     assert ledger.mac_count == sum(lc.macs_effective for lc in rep.layers)
     assert ledger.total_ns == pytest.approx(rep.latency_ns, rel=1e-12)
     assert ledger.total_pj == pytest.approx(rep.energy_pj, rel=1e-12)
+
+
+@pytest.mark.parametrize("engine", ["vector", "cluster"])
+def test_a_model_mixing_precisions_runs_and_charges_each_layer_at_its_own(engine):
+    """tinymalnet with conv1 at 8 bits, conv2 at 16 and dense at 4: the oracle's accumulators and per-layer charges."""
+    net = tinymalnet()
+    ws = init_random_weights(net, seed=90)
+    rng = np.random.default_rng(90)
+    cal = random_inputs(net, rng, 3)
+    by_bits = {bits: prepare_quantized(net, ws, cal, bits) for bits in (4, 8, 16)}
+    precisions = {"conv1": 8, "conv2": 16, "dense": 4}
+    qm = dataclasses.replace(by_bits[8], layers={name: by_bits[b].layers[name] for name, b in precisions.items()})
+    for name, b in precisions.items():
+        assert qm.layers[name].wparams.bits == qm.layers[name].act_params.bits == b
+    want = EnergyLedger()
+    for layer in net.layers:  # a layer without MACs costs the same at any precision
+        charge_layer(want, layer, SystemConfig(), precisions.get(layer.name, 8))
+    xs = np.stack(random_inputs(net, rng, 3))
+    for x in (xs[0], xs):
+        captures = {}
+        _, ledger = infer_lut(qm, x, SystemConfig(), engine=engine, captures=captures)
+        oracle = [oracle_quantized_forward(qm, sample)[1] for sample in xs[: len(x) if x.ndim == 4 else 1]]
+        assert captures["acc"].keys() == oracle[0].keys()
+        for name, acc in captures["acc"].items():
+            expect = np.stack([o[name] for o in oracle]) if x.ndim == 4 else oracle[0][name]
+            assert np.array_equal(acc, expect), (x.shape, name)
+        assert ledger.events == want.events
 
 
 @pytest.mark.parametrize("name", ["tinymalnet", "mobilenet_v2", "resnet18"])
@@ -504,20 +531,20 @@ def test_cluster_engine_32_bit_limit_at_the_boundary():
     k = 66_052
     lhs, rhs = np.full((1, k), 255, np.uint8), np.full((k, 1), 255, np.uint8)
     lhs[0, -1] = 4
-    acc = engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
+    acc = engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, Cluster())
     assert acc.dtype == np.int64 and acc.tolist() == [[2**32 - 1]]
     lhs[0, -1], rhs[-1, 0] = 5, 205  # 2**32 + 4
     with pytest.raises(AccumulatorOverflowError):
-        engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster())
+        engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, Cluster())
 
 
 def _record_cluster_calls(monkeypatch):
     """Per _unsigned_dot_cluster call: [lhs shape, rhs shape, lane count of each mac8 call it made]."""
     calls, real_dot, real_mac8 = [], engine_module._unsigned_dot_cluster, engine_module.mac8
 
-    def dot(lhs, zl, rhs, zr, bits, cluster):
+    def dot(lhs, zl, rhs, zr, cluster):
         calls.append([lhs.shape, rhs.shape, []])
-        return real_dot(lhs, zl, rhs, zr, bits, cluster)
+        return real_dot(lhs, zl, rhs, zr, cluster)
 
     def mac8(cluster, a, b):
         calls[-1][2].append(np.broadcast(a, b).size)
@@ -595,7 +622,7 @@ def test_cluster_engine_runs_one_k_per_call_past_the_lane_bound(monkeypatch):
     lhs, rhs = rng.integers(0, 256, (2, 3), dtype=np.uint8), rng.integers(0, 256, (3, 40_000), dtype=np.uint8)
     calls = _record_cluster_calls(monkeypatch)
     want = lhs.astype(np.int64) @ rhs.astype(np.int64)
-    assert np.array_equal(engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, 8, Cluster()), want)
+    assert np.array_equal(engine_module._unsigned_dot_cluster(lhs, 0, rhs, 0, Cluster()), want)
     assert calls[0][2] == [80_000] * 3
     _assert_blocks_of_k(calls, passes=1)
 
@@ -658,7 +685,7 @@ def test_saturated_float32_product_is_exact_at_the_largest_float32_k(bits, k_max
             expect = lhs.astype(np.int64) @ rhs.astype(np.int64)
             vector = engine_module._raw_dot_vector(lhs.astype(np.float32), rhs.astype(np.float32), bits)
             cluster = engine_module._unsigned_dot_cluster(
-                lcodes[None, :].astype(np.uint8), zl, rcodes[:, None].astype(np.uint8), zr, bits, Cluster()
+                lcodes[None, :].astype(np.uint8), zl, rcodes[:, None].astype(np.uint8), zr, Cluster()
             )
             assert vector.dtype == np.float32 and cluster.dtype == np.int64
             assert np.array_equal(vector, expect), (zl, zr)
@@ -755,9 +782,7 @@ def test_both_engines_take_the_same_product_of_centred_codes(bits):
             expect = np.matmul(lhs.astype(np.int64), rhs.astype(np.int64))
             vector = engine_module._raw_dot_vector(lhs.astype(np.float64), rhs.astype(np.float64), bits)
             unsigned = np.uint8 if bits <= 8 else np.uint16
-            cluster = engine_module._unsigned_dot_cluster(
-                ul.astype(unsigned), zl, ur.astype(unsigned), zr, bits, Cluster()
-            )
+            cluster = engine_module._unsigned_dot_cluster(ul.astype(unsigned), zl, ur.astype(unsigned), zr, Cluster())
             assert cluster.dtype == np.int64
             assert np.array_equal(vector, expect), (lhs_shape, rhs_shape)
             assert np.array_equal(cluster, expect), (lhs_shape, rhs_shape)
