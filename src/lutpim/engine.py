@@ -19,13 +19,25 @@ G = 1, a depthwise layer G = C and a dense layer is one window, so outputs
 come out NCHW with no transpose. The float step's rows are a free reshape
 of the stored weights (`_weight_rows`) and its product is a real matmul.
 
-`_mac` receives each layer's input unpadded and walks its groups in blocks
-of at most WINDOW_BYTES of windows (at least one group, so a conv or dense
-layer is one block): it copies a block's channels into the interior of one
-scratch buffer whose border is filled once per call with the code of real
-0, windows it and takes that block's product. The blocks fill the layer's
-(N, G, O/G, P) product, which `_mac` returns before bias; each backend
-finishes it and adds the bias with `_add_bias`. Neither a layer's whole
+The walk follows a plan (`_plan`), built once per (net, stack size N,
+WINDOW_BYTES) and kept in a bounded cache; equal nets share one, since a
+NetworkSpec caches its hash and the cache compares nets by value. The plan
+resolves what depends only on that key: each step's kind, the outputs a
+residual add reads, where ReLU may run in place, pool taps, flatten and
+output shapes, each projection's layer, and each MAC layer's weight keys and
+weight-row and bias shapes (`_MacStep`). A layer's block partition, scratch
+and window shapes depend on its input's itemsize too, so each is resolved
+on first use per itemsize and kept in the plan. The plan holds no array: no
+activation, scratch or weight, so a call keeps nothing and stays
+re-entrant. A call only runs each step's numpy operations.
+
+`_mac` receives each layer's input unpadded and walks its groups in the
+plan's blocks of at most WINDOW_BYTES of windows (at least one group, so a
+conv or dense layer is one block): it copies a block's channels into the
+interior of one scratch buffer whose border is filled once per call with
+the code of real 0, windows it and takes that block's product. The blocks
+fill the layer's (N, G, O/G, P) product, which `_mac` returns before bias;
+each backend finishes it and adds the bias with `_add_bias`. Neither a layer's whole
 padded input nor its whole window tensor exists at once (cache blocking;
 Goto and van de Geijn, ACM TOMS 2008). The float pad is 0. The vector
 engine quantizes and centres its input before `_mac`, so its pad is 0, the
@@ -86,6 +98,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,9 +121,10 @@ BATCH_ELEMENTS = 8192
 # certification byte table holds, so no call holds more lanes than it does.
 CLUSTER_LANES = 65_536
 
-# Window bytes per block of groups in a MAC step (_window_blocks): a depthwise
-# layer pads and windows this many bytes of its groups at a time instead of
-# the whole layer. On the 2-core VM above, one mobilenet_v2 infer_float sample took
+# Window bytes per block of groups in a MAC step (_MacStep.blocks): a
+# depthwise layer pads and windows this many bytes of its groups at a time
+# instead of the whole layer. It is read once per call, as part of the
+# layer plan's key, so a change between calls takes effect. On the 2-core VM above, one mobilenet_v2 infer_float sample took
 # 46-51 ms with 256 KiB to 1 MiB blocks, 49-56 ms with 128 KiB, 51-53 ms
 # with 2 MiB (the L2 size) and 80 ms with one block per layer.
 WINDOW_BYTES = 512 * 1024
@@ -138,25 +152,115 @@ def _chunks(net: NetworkSpec, inputs):
 
 
 # ---------------------------------------------------------------------------
-# the layer walk, the MAC step and the float reference backend
+# the layer plan, the layer walk, the MAC step and the float reference backend
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N,C,H,W) -> (N, C, kh*kw, P) windows with rows ordered (ki, kj); x already holds any padding (_window_blocks).
+class _MacStep:
+    """One MAC layer's geometry at one stack size N and window budget: what _mac, _weight_rows and _add_bias read.
 
-    One copy through a strided view of x (numpy checks that the view stays inside x's
-    buffer); a 1x1, stride-1 window needs no copy and stays a view of x.
+    keys are the layer's weight and bias entries in a WeightSet, rows the
+    (G, O/G, K/G) shape of its float weight rows (K/G as -1), bias_rows the
+    (G, O/G, 1) shape _add_bias broadcasts its bias to, and out its
+    (N, *out_shape) output. A conv layer's block partition depends on its
+    input's itemsize, so blocks resolves it once per itemsize and keeps it;
+    two calls that resolve one itemsize at once compute equal values, and
+    setdefault keeps one. No array is kept.
+    """
+
+    def __init__(self, layer, n: int, window_bytes: int):
+        g, o = groups(layer), layer.out_shape[0]
+        self.layer, self.window_bytes = layer, window_bytes
+        self.keys = f"{layer.name}.w", f"{layer.name}.b"
+        self.rows, self.bias_rows, self.out = (g, o // g, -1), (g, o // g, 1), (n, *layer.out_shape)
+        self.partitions = {}
+
+    def blocks(self, itemsize: int):
+        """(scratch shape, blocks) of a conv layer whose input has this itemsize; scratch shape is None when unpadded.
+
+        A block holds as many groups as fit window_bytes of windows, and at
+        least one, so a conv (G = 1) is one block. Each block is (c0, c1, g0,
+        g1, shapes): its channels c0 to c1, its groups g0 to g1, and the
+        shapes _windows gives its (N, c1 - c0, kh, kw, oh, ow) window view,
+        the (N, c1 - c0, kh*kw, P) windows and their (N, g1 - g0, K/G, P)
+        grouped form.
+        """
+        try:
+            return self.partitions[itemsize]
+        except KeyError:
+            pass
+        layer, n = self.layer, self.out[0]
+        (c, h, w), (kh, kw), (oh, ow), p = layer.in_shape, layer.kernel, layer.out_shape[1:], layer.padding
+        per_group = c // groups(layer)
+        block = max(1, self.window_bytes // (n * per_group * kh * kw * oh * ow * itemsize)) * per_group
+        blocks = []
+        for c0 in range(0, c, block):
+            cb = min(block, c - c0)
+            gb = cb // per_group
+            shapes = (n, cb, kh, kw, oh, ow), (n, cb, kh * kw, oh * ow), (n, gb, per_group * kh * kw, oh * ow)
+            blocks.append((c0, c0 + cb, c0 // per_group, c0 // per_group + gb, shapes))
+        scratch = (n, min(block, c), h + 2 * p, w + 2 * p) if p else None
+        return self.partitions.setdefault(itemsize, (scratch, tuple(blocks)))
+
+
+class _Plan(NamedTuple):
+    """A network's layer walk at one stack size: its steps, and its MAC steps in nets.mac_layers order."""
+
+    steps: tuple[tuple, ...]
+    macs: tuple[_MacStep, ...]
+
+
+# Enough for a few nets at a few stack sizes each: one sample, evaluate's full
+# and last chunks, and calibration's.
+@functools.lru_cache(maxsize=32)
+def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
+    """The layer walk of `net` over an (n, C, H, W) stack, resolved once per (net, n, window_bytes).
+
+    Each step is (kind, layer, arg, save). kind is "mac" for a MAC layer and
+    the layer's kind otherwise; save says whether a later residual_add reads
+    its output. arg holds what the step needs beyond the arrays: a MAC
+    layer's _MacStep, a projected shortcut's projection's _MacStep (None for
+    a plain shortcut), a pool's padding and taps, a ReLU's whether it may run
+    in place (only on an array of the pass's own, not the input or a saved
+    residual source) and a flatten's output shape. Equal nets share a plan:
+    NetworkSpec caches its hash, and lookups compare nets by value.
+    """
+    sources = {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
+    steps, owned = [], False  # owned: whether x is a temporary of the pass at this step
+    for layer in net.layers:
+        kind, arg = layer.kind, None
+        if kind in MAC_KINDS:
+            kind, arg = "mac", _MacStep(layer, n, window_bytes)
+        elif kind == "residual_add" and layer.proj:
+            arg = _MacStep(projection(layer), n, window_bytes)
+        elif kind == "maxpool2d":
+            k, s, (_, oh, ow) = layer.kernel[0], layer.stride, layer.out_shape
+            taps = [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s)) for i in range(k) for j in range(k)]
+            arg = layer.padding, tuple(taps)
+        elif kind == "relu":
+            arg = owned
+        elif kind == "flatten":
+            arg = (n, *layer.out_shape)
+        steps.append((kind, layer, arg, layer.name in sources))
+        if layer.name in sources:
+            owned = False
+        elif kind != "flatten":  # a flattened x is a view of the x before it
+            owned = True
+    return _Plan(tuple(steps), tuple(arg for _, _, arg, _ in steps if isinstance(arg, _MacStep)))
+
+
+def _windows(x: np.ndarray, stride: int, view, shape, grouped) -> np.ndarray:
+    """(N, c, H, W) -> (N, c/(C/G), K/G, P) windows, each group's rows ordered (c, ki, kj); x already holds any padding.
+
+    One copy through a strided view of x, shaped `view` (numpy checks that
+    the view stays inside x's buffer), reshaped to `shape` and then to
+    `grouped`; a 1x1, stride-1 window needs no copy and stays a view of x.
     """
     x = np.ascontiguousarray(x)
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
-    view = np.ndarray((n, c, kh, kw, oh, ow), x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride))
-    return view.reshape(n, c, kh * kw, oh * ow)
+    return np.ndarray(view, x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride)).reshape(shape).reshape(grouped)
 
 
-def _mac(layer, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.ndarray:
+def _mac(step: _MacStep, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.ndarray:
     """A MAC layer's (N, G, O/G, P) product from its unpadded (N, C, H, W) or (N, K) input, one block of groups at a time.
 
     lhs is the layer's (G, O/G, K/G) weight rows over its G groups
@@ -165,71 +269,51 @@ def _mac(layer, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.ndarray:
     the windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
     window per sample, so each sample is its own product and a stack's rows
     equal single calls. product(lhs, rhs) runs once per block of groups
-    (_window_blocks, whose border holds `pad`), and the blocks' (N, gb, O/G,
-    P) results fill one (N, G, O/G, P) array; a layer of one block returns
-    that block's product.
+    (_MacStep.blocks), and the blocks' (N, gb, O/G, P) results fill one
+    (N, G, O/G, P) array; a layer of one block returns that block's
+    product. A padded layer copies each block's channels into the interior
+    of one scratch buffer, whose border is filled with `pad` once per call,
+    and windows that: pad is 0 for the float input and the vector engine's
+    centred codes, and the zero-point code za for the cluster engine's
+    unsigned codes, in each case the code of real 0. So neither the whole
+    padded input nor the whole window tensor exists at once.
     """
-    g = len(lhs)
-    blocks = [(0, x[:, None, :, None])] if layer.kind == "dense" else _window_blocks(layer, x, pad)
+    layer = step.layer
+    if layer.kind == "dense":
+        return product(lhs, x[:, None, :, None])
+    shape, blocks = step.blocks(x.itemsize)
+    p = layer.padding
+    if p:
+        scratch = np.full(shape, pad, x.dtype) if pad else np.zeros(shape, x.dtype)
     out = None
-    for g0, win in blocks:
-        gb = win.shape[1]
-        acc = product(lhs[g0 : g0 + gb], win)
-        if gb == g:
+    for c0, c1, g0, g1, shapes in blocks:
+        xb = x[:, c0:c1]
+        if p:
+            padded = scratch[:, : c1 - c0]
+            padded[:, :, p:-p, p:-p] = xb
+            xb = padded
+        acc = product(lhs[g0:g1], _windows(xb, layer.stride, *shapes))
+        if len(blocks) == 1:
             return acc
         if out is None:
-            out = np.empty((len(acc), g, *acc.shape[2:]), acc.dtype)
-        out[:, g0 : g0 + gb] = acc
+            out = np.empty((len(acc), len(lhs), *acc.shape[2:]), acc.dtype)
+        out[:, g0:g1] = acc
     return out
 
 
-def _add_bias(layer, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _add_bias(step: _MacStep, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """A layer's (N, G, O/G, P) result plus its bias, added in place, as (N, *out_shape), NCHW."""
-    out = acc.reshape(len(acc), len(bias), -1)
-    out += bias[:, None]
-    return out.reshape(len(out), *layer.out_shape)
+    acc += bias.reshape(step.bias_rows)
+    return acc.reshape(step.out)
 
 
-def _window_blocks(layer, x: np.ndarray, pad=0):
-    """(g0, windows) for each block of a conv layer's groups: the (N, gb, K/G, P) windows of groups g0 to g0 + gb.
-
-    A block holds as many groups as fit WINDOW_BYTES of windows, and at least
-    one, so a conv (G = 1) is one block. A padded layer copies each block's
-    channels into the interior of one scratch buffer, whose border is filled
-    with `pad` once per call, and windows that: pad is 0 for the float input
-    and the vector engine's centred codes, and the zero-point code za for
-    the cluster engine's unsigned codes, in each case the code of real 0. So
-    neither the whole padded input nor the whole window tensor exists at once.
-    """
-    n, c, h, w = x.shape
-    kh, kw = layer.kernel
-    p, per_group = layer.padding, c // groups(layer)
-    group_bytes = n * per_group * kh * kw * math.prod(layer.out_shape[1:]) * x.itemsize
-    block = max(1, WINDOW_BYTES // group_bytes) * per_group  # channels per block
-    if p:
-        shape = (n, min(block, c), h + 2 * p, w + 2 * p)
-        scratch = np.full(shape, pad, x.dtype) if pad else np.zeros(shape, x.dtype)
-    for c0 in range(0, c, block):
-        xb = x[:, c0 : c0 + block]
-        if p:
-            padded = scratch[:, : xb.shape[1]]
-            padded[:, :, p:-p, p:-p] = xb
-            xb = padded
-        win = _windows(xb, kh, kw, layer.stride)
-        yield c0 // per_group, win.reshape(n, -1, per_group * kh * kw, win.shape[-1])
-
-
-def _pool2d(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Max pooling over the last two axes of (N, C, H, W)."""
+def _pool2d(x: np.ndarray, pad: int, taps) -> np.ndarray:
+    """Max pooling over the last two axes of (N, C, H, W): the maximum of its taps, each a strided slice of x."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
-    oh = (x.shape[-2] - k) // stride + 1
-    ow = (x.shape[-1] - k) // stride + 1
-    out = None
-    for i in range(k):
-        for j in range(k):
-            tap = x[..., i : i + stride * oh : stride, j : j + stride * ow : stride]
-            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+    out = x[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x[tap], out=out)
     return out
 
 
@@ -240,40 +324,36 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None):
-    """The one layer walk of both backends over an (N, C, H, W) stack; mac(layer, x) runs each MAC layer.
+    """The one layer walk of both backends over an (N, C, H, W) stack; mac(step, x) runs each MAC layer's _MacStep.
 
-    A projected shortcut runs as mac(projection, source). The walk runs every
-    other layer itself, keeps only the outputs a later residual_add reads, and
-    captures the logits. Returns x[0] for a single sample.
+    The walk follows the plan of (net, N, WINDOW_BYTES) (_plan). A projected
+    shortcut runs as mac(its projection's step, source). The walk runs every
+    other layer itself, keeps only the outputs a later residual_add reads,
+    and captures the logits. Returns x[0] for a single sample.
     """
-    sources = {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
     saved = {}
-    owned = False  # whether x is a temporary of this pass, not the input or a saved residual source
-    for layer in net.layers:
-        if layer.kind in MAC_KINDS:
-            x = mac(layer, x)
-        elif layer.kind == "maxpool2d":
-            x = _pool2d(x, layer.kernel[0], layer.stride, layer.padding)
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0, out=x if owned else None)
-        elif layer.kind == "flatten":
-            x = x.reshape(len(x), -1)
-        elif layer.kind == "residual_add":
+    for kind, layer, arg, save in _plan(net, len(x), WINDOW_BYTES).steps:
+        if kind == "mac":
+            x = mac(arg, x)
+        elif kind == "maxpool2d":
+            x = _pool2d(x, *arg)
+        elif kind == "relu":
+            x = np.maximum(x, 0.0, out=x if arg else None)
+        elif kind == "flatten":
+            x = x.reshape(arg)
+        elif kind == "residual_add":
             res = saved[layer.residual_from]
-            x = x + (mac(projection(layer), res) if layer.proj else res)
-        elif layer.kind == "softmax":
+            x = x + (mac(arg, res) if arg else res)
+        elif kind == "softmax":
             if captures is not None:
                 captures["logits"] = (x[0] if single else x).copy()
             x = softmax(x)
-        if layer.name in sources:
+        if save:
             saved[layer.name] = x
-            owned = False
-        elif layer.kind != "flatten":  # a flattened x is a view of the x before it
-            owned = True
     return x[0] if single else x
 
 
-def _weight_rows(layer, ws: WeightSet):
+def _weight_rows(step: _MacStep, ws: WeightSet):
     """A MAC layer's float64 (G, O/G, K/G) weight rows and its bias.
 
     The rows are a free reshape of the stored (O, C/G, kh, kw) tensor, each
@@ -281,19 +361,17 @@ def _weight_rows(layer, ws: WeightSet):
     dense layer's (K, O) matrix.
     """
     try:
-        w = np.asarray(ws[f"{layer.name}.w"].data, dtype=np.float64)
-        b = np.asarray(ws[f"{layer.name}.b"].data, dtype=np.float64)
+        w = np.asarray(ws[step.keys[0]].data, dtype=np.float64)
+        b = np.asarray(ws[step.keys[1]].data, dtype=np.float64)
     except KeyError:
-        raise KeyError(f"missing weights for layer {layer.name!r}") from None
-    if layer.kind == "dense":
-        return w.T[None], b
-    return w.reshape(groups(layer), layer.out_channels // groups(layer), -1), b
+        raise KeyError(f"missing weights for layer {step.layer.name!r}") from None
+    return (w.T[None] if step.layer.kind == "dense" else w.reshape(step.rows)), b
 
 
-def _float_mac(ws: WeightSet, layer, x: np.ndarray) -> np.ndarray:
+def _float_mac(ws: WeightSet, step: _MacStep, x: np.ndarray) -> np.ndarray:
     """The float backend's MAC step: a real-arithmetic matmul of the layer's weights with each block's windows, plus bias."""
-    rows, bias = _weight_rows(layer, ws)
-    return _add_bias(layer, _mac(layer, x, rows, np.matmul), bias)
+    rows, bias = _weight_rows(step, ws)
+    return _add_bias(step, _mac(step, x, rows, np.matmul), bias)
 
 
 def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict | None = None) -> np.ndarray:
@@ -307,10 +385,10 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
     x, single = _as_batch(net, x)
     inputs = captures.setdefault("layer_inputs", {}) if captures is not None else None
 
-    def mac(layer, x):
+    def mac(step, x):
         if inputs is not None:
-            inputs[layer.name] = (x[0] if single else x).copy()
-        return _float_mac(ws, layer, x)
+            inputs[step.layer.name] = (x[0] if single else x).copy()
+        return _float_mac(ws, step, x)
 
     return _forward(net, x, single, mac, captures)
 
@@ -491,19 +569,21 @@ def prepare_quantized(
         raise ValueError(f"precision must be {', '.join(map(str, SUPPORTED_BITS[:-1]))}, or {SUPPORTED_BITS[-1]} bits")
     extremes: dict[str, tuple] = {}  # running (lo, hi) of each MAC layer's input
 
-    def mac(layer, x):
+    def mac(step, x):
+        name = step.layer.name
         mn, mx = float(x.min()), float(x.max())
         if not (math.isfinite(mn) and math.isfinite(mx)):  # min/max below would drop a NaN
-            raise CalibrationError(f"calibration input to layer {layer.name!r} is not finite")
-        lo, hi = extremes.get(layer.name, (mn, mx))
-        extremes[layer.name] = (min(lo, mn), max(hi, mx))
-        return _float_mac(ws, layer, x)
+            raise CalibrationError(f"calibration input to layer {name!r} is not finite")
+        lo, hi = extremes.get(name, (mn, mx))
+        extremes[name] = (min(lo, mn), max(hi, mx))
+        return _float_mac(ws, step, x)
 
     for xs in _chunks(net, cal_inputs):
         _forward(net, xs, False, mac, None)
     qm = QuantizedModel(net=net)
-    for layer in mac_layers(net):
-        rows, b = _weight_rows(layer, ws)
+    for step in _plan(net, 1, WINDOW_BYTES).macs:  # the rows do not depend on the stack size
+        layer = step.layer
+        rows, b = _weight_rows(step, ws)
         wmat = rows.reshape(-1, rows.shape[-1]).T  # a (K/G, O) view, the layout a container holds codes in
         wp = calibrate(wmat, bits, symmetric=True)
         codes = quantize(wmat, wp)
@@ -576,19 +656,20 @@ def infer_lut(
     cluster = Cluster() if engine == "cluster" else None
     accs = captures.setdefault("acc", {}) if captures is not None else None
 
-    def mac(layer, x):
+    def mac(step, x):
         """Quantize x once and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
+        layer = step.layer
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
         if cluster is None:
             q = quantize(x, ql.act_params, ql.lhs.dtype)
             q -= za  # centred in place; _mac pads with 0, the centred code of 0
-            acc = _mac(layer, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, ql.bits))
+            acc = _mac(step, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, ql.bits))
         else:
             # unsigned codes from quantize to mac8, at the layer's own precision; _mac pads with za, the code of 0
             codes = np.uint8 if operand_bytes(ql.bits) == 1 else np.uint16
             q, w = quantize(x, ql.act_params, codes), (ql.lhs + zw).astype(codes)
-            acc = _mac(layer, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, cluster), za)
+            acc = _mac(step, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, cluster), za)
         if accs is not None:
             # int64 once per layer (the cluster's product already is), viewed group-major (G, N, P, O/G);
             # captures are views of it
@@ -601,7 +682,7 @@ def infer_lut(
                 accs[layer.name] = view[0]
         acc = acc.astype(np.float64, copy=False)  # every product's integers are scaled in float64
         acc *= ql.act_params.scale * ql.wparams.scale
-        return _add_bias(layer, acc, ql.bias)
+        return _add_bias(step, acc, ql.bias)
 
     probs = _forward(qm.net, x, single, mac, captures)
     precisions = tuple((name, ql.bits) for name, ql in qm.layers.items())
@@ -637,10 +718,10 @@ def fit_last_layer(net: NetworkSpec, ws: WeightSet, inputs, labels) -> WeightSet
     dense = [l for l in net.layers if l.kind == "dense"][-1]
     feats = []
 
-    def mac(layer, x):
-        if layer is dense:
+    def mac(step, x):
+        if step.layer.name == dense.name:  # the plan may hold an equal net's layers
             feats.append(x)  # nothing later in the pass writes to a MAC layer's input
-        return _float_mac(ws, layer, x)
+        return _float_mac(ws, step, x)
 
     for xs in _chunks(net, inputs):
         _forward(net, xs, False, mac, None)

@@ -41,19 +41,23 @@ class QuantParams:
 
 
 def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
-    """Min-max affine calibration; degenerate ranges fall back to scale 1."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
+    """Min-max affine calibration; degenerate ranges fall back to scale 1.
+
+    values are read in place, in any memory order: one min and one max, with
+    no copy of a non-contiguous view and no full-size temporary.
+    """
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise CalibrationError("cannot calibrate from an empty value set")
-    if not np.all(np.isfinite(arr)):
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max propagate NaN
         raise CalibrationError("calibration values must be finite")
     qmax = (1 << bits) - 1
     if symmetric:
-        peak = float(np.abs(arr).max())
+        peak = max(-lo, hi)  # the largest magnitude
         half = (1 << (bits - 1)) - 1
         scale = peak / half if peak > 0 else 1.0
         return QuantParams(scale=scale, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
-    lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         scale = 1.0
     else:

@@ -20,6 +20,14 @@ sections:
 Probabilities stay out: the oracle tests check them, and float results may
 move with numpy's exp. A change that moves a section on purpose regenerates
 the committed file and says which section moved and why.
+
+    PYTHONPATH=src python tests/digest.py --float
+
+prints instead one hash of infer_float's results over the same nets, inputs
+and WINDOW_BYTES: its probabilities, captures["logits"] and each
+captures["layer_inputs"] entry. Nothing is committed for it, since floats
+may move with the numpy or BLAS build; a change to the layer walk compares
+it with PYTHONPATH set to the parent's src and to the change's.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -77,6 +86,16 @@ def _engine_settings(window_bytes: int, clusters: list):
         engine.WINDOW_BYTES, engine.Cluster = saved
 
 
+def _nets():
+    """(net, weights, calibration inputs, a stack of 3 inputs) for each of NETS."""
+    for make_net in NETS:
+        made = make_net()
+        net, ws = made if isinstance(made, tuple) else (made, engine.init_random_weights(made, seed=90))
+        rng = np.random.default_rng(90)
+        calibration = [rng.random(net.input_shape) * 2 - 1 for _ in range(2)]
+        yield net, ws, calibration, rng.random((3, *net.input_shape)) * 2 - 1
+
+
 def compute() -> dict[str, str]:
     """Each section's SHA-256 hex digest."""
     h = {name: hashlib.sha256() for name in SECTIONS}
@@ -87,12 +106,7 @@ def compute() -> dict[str, str]:
         h["cluster_steps"].update(steps.encode())
 
     engine._certify_byte_products()  # before any Cluster is recorded: it runs once per process
-    for make_net in NETS:
-        made = make_net()
-        net, ws = made if isinstance(made, tuple) else (made, engine.init_random_weights(made, seed=90))
-        rng = np.random.default_rng(90)
-        calibration = [rng.random(net.input_shape) * 2 - 1 for _ in range(2)]
-        x = rng.random((3, *net.input_shape)) * 2 - 1
+    for net, ws, calibration, x in _nets():
         for bits in (4, 8, 16):
             qm = engine.prepare_quantized(net, ws, calibration, bits)
             for inputs in (x[0], x):
@@ -122,5 +136,21 @@ def compute() -> dict[str, str]:
     return {name: hh.hexdigest() for name, hh in h.items()}
 
 
+def compute_float() -> str:
+    """The SHA-256 hex digest of infer_float's probabilities, logits and layer inputs on each net and input."""
+    h = hashlib.sha256()
+    for net, ws, _, x in _nets():
+        for inputs in (x[0], x):
+            for window_bytes in (1, engine.WINDOW_BYTES):
+                captures = {}
+                with _engine_settings(window_bytes, []):
+                    probs = engine.infer_float(net, ws, inputs, captures=captures)
+                _array(h, f"{net.name}/probs", probs)
+                _array(h, f"{net.name}/logits", captures["logits"])
+                for key in sorted(captures["layer_inputs"]):
+                    _array(h, f"{net.name}/{key}", captures["layer_inputs"][key])
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
-    print(json.dumps(compute(), indent=2))
+    print(compute_float() if sys.argv[1:] == ["--float"] else json.dumps(compute(), indent=2))

@@ -13,6 +13,7 @@ from lutpim.cluster import AccumulatorOverflowError, Cluster
 from lutpim.engine import (
     CLUSTER_LANES,
     evaluate,
+    fit_last_layer,
     infer_float,
     infer_lut,
     init_random_weights,
@@ -864,8 +865,8 @@ def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
     real_windows = engine_module._windows
     sizes = []
 
-    def windows(x, kh, kw, stride):
-        win = real_windows(x, kh, kw, stride)
+    def windows(x, *geometry):
+        win = real_windows(x, *geometry)
         sizes.append((win.nbytes, len(x), x.itemsize))
         return win
 
@@ -881,6 +882,79 @@ def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
                 assert nbytes <= max(engine_module.WINDOW_BYTES, n * per_sample * itemsize)
             _, n, itemsize = sizes[0]
             assert sum(nbytes for nbytes, _, _ in sizes) == channels * n * per_sample * itemsize  # every group, once
+
+
+def _record_plan_builds(monkeypatch):
+    """The (stack size, window budget) of each layer plan built from now on; earlier plans are dropped first."""
+    builds, real_plan = [], engine_module._Plan
+
+    def plan(steps, macs):
+        builds.append((macs[0].out[0], macs[0].window_bytes))
+        return real_plan(steps, macs)
+
+    engine_module._plan.cache_clear()
+    monkeypatch.setattr(engine_module, "_Plan", plan)
+    return builds
+
+
+def test_every_pass_builds_one_plan_per_net_stack_size_and_window_budget(monkeypatch):
+    net = tinymalnet()
+    rng = np.random.default_rng(19)
+    ws = init_random_weights(net, seed=19)
+    cal, labels = random_inputs(net, rng, 3), [0, 1, 1]  # one chunk of 3
+    x, xs = rng.random(net.input_shape), np.stack(random_inputs(net, rng, 3))
+    builds = _record_plan_builds(monkeypatch)
+    for _ in range(3):
+        qm = prepare_quantized(net, ws, cal, 8)  # a chunk of 3, and the plan of one sample for the weight rows
+        fit_last_layer(net, ws, cal, labels)
+        for inputs in (x, xs):
+            infer_float(net, ws, inputs)
+            for engine in ("vector", "cluster"):
+                infer_lut(qm, inputs, engine=engine)
+    assert Counter(builds) == {(3, engine_module.WINDOW_BYTES): 1, (1, engine_module.WINDOW_BYTES): 1}
+
+
+def test_a_window_budget_change_between_calls_takes_effect(monkeypatch):
+    net = wide_depthwise_network()
+    ws = init_random_weights(net, seed=72)
+    x = np.random.default_rng(72).random(net.input_shape)
+    calls, real_windows = [], engine_module._windows
+    monkeypatch.setattr(engine_module, "_windows", lambda *a: calls.append(1) or real_windows(*a))
+    builds = _record_plan_builds(monkeypatch)
+    default, blocks, probs = engine_module.WINDOW_BYTES, [], []
+    for budget in (default, 1, default, 1):
+        monkeypatch.setattr(engine_module, "WINDOW_BYTES", budget)
+        calls.clear()
+        probs.append(infer_float(net, ws, x))
+        blocks.append(len(calls))
+    # 12 of the 50 groups' float64 windows (41,472 bytes each) fit the default budget, one group fits 1 byte
+    assert blocks == [5, 50, 5, 50]
+    assert builds == [(1, default), (1, 1)]
+    assert all(np.array_equal(p, probs[0]) for p in probs)
+
+
+def test_equal_networks_share_one_plan(monkeypatch):
+    """Two equal nets built apart share one plan, and every pass runs on either with the other's plan."""
+    net, twin = tinymalnet(), tinymalnet()
+    assert net == twin and net is not twin
+    rng = np.random.default_rng(73)
+    ws = init_random_weights(net, seed=73)
+    cal, x = random_inputs(net, rng, 3), rng.random(net.input_shape)
+    builds = _record_plan_builds(monkeypatch)
+    want = infer_float(net, ws, x)
+    assert np.array_equal(infer_float(twin, ws, x), want)
+    budget = engine_module.WINDOW_BYTES
+    assert engine_module._plan(twin, 1, budget) is engine_module._plan(net, 1, budget)
+    fitted = fit_last_layer(net, init_random_weights(net, seed=73), cal, [0, 1, 1])
+    fitted_twin = fit_last_layer(twin, init_random_weights(twin, seed=73), cal, [0, 1, 1])
+    for key in ("dense.w", "dense.b"):
+        assert np.array_equal(fitted[key].data, fitted_twin[key].data)
+    for engine in ("vector", "cluster"):
+        caps, twin_caps = {}, {}
+        infer_lut(prepare_quantized(net, ws, cal, 8), x, engine=engine, captures=caps)
+        infer_lut(prepare_quantized(twin, ws, cal, 8), x, engine=engine, captures=twin_caps)
+        _assert_same_outputs(caps, twin_caps, (engine,))
+    assert builds == [(1, budget), (3, budget)]
 
 
 def test_calibration_from_running_extremes_matches_concatenated_inputs():

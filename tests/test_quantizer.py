@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lutpim.quantizer import (
+    SUPPORTED_BITS,
     CalibrationError,
     QuantParams,
     calibrate,
@@ -42,6 +45,39 @@ def test_degenerate_range():
     assert dequantize(quantize(7.0, p), p) == pytest.approx(7.0)
     z = calibrate(np.zeros(3), bits=8, symmetric=True)
     assert z.scale == 1.0
+
+
+@pytest.mark.parametrize("shift", [0.0, 5.0, -5.0])  # mixed signs, all positive, all negative
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_calibrate_reads_a_transposed_view_as_its_contiguous_copy(symmetric, shift):
+    w = np.random.default_rng(30).normal(size=(48, 64)) + shift
+    view = w.T  # (K, O) of (O, K) weights, as prepare_quantized passes a conv layer's
+    for bits in SUPPORTED_BITS:
+        p = calibrate(view, bits, symmetric=symmetric)
+        assert p == calibrate(np.ascontiguousarray(view), bits, symmetric=symmetric)
+        if symmetric:
+            assert p.scale == float(np.abs(w).max()) / ((1 << (bits - 1)) - 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibrate_refuses_a_non_finite_value_in_a_view(bad):
+    w = np.zeros((5, 7))
+    w[3, 2] = bad
+    for symmetric in (False, True):
+        with pytest.raises(CalibrationError, match="finite"):
+            calibrate(w.T, 8, symmetric=symmetric)
+
+
+def test_calibrate_makes_no_full_size_temporary():
+    view = np.random.default_rng(31).normal(size=(1000, 1000)).T  # 1 M float64 (8 MB), not C-contiguous
+    tracemalloc.start()
+    try:
+        for symmetric in (False, True):
+            calibrate(view, 8, symmetric=symmetric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_round_half_even():
