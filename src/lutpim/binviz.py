@@ -191,10 +191,16 @@ def generate_corpus(n_benign: int, n_malware: int, seed: int) -> list[CorpusSamp
     return [samples[i] for i in order]
 
 
+def image_to_input(img: GrayImage, side: int) -> np.ndarray:
+    """Scale into [0, 1] model input of shape (1, side, side), resizing an image not side x side already."""
+    if (img.height, img.width) != (side, side):
+        img = resize_to(img, side)
+    return (img.pixels.astype(np.float64) / 255.0)[None, :, :]
+
+
 def sample_to_input(sample_bytes: bytes, side: int = 32) -> np.ndarray:
     """Convert + resize + scale into [0, 1] model input of shape (1, side, side)."""
-    img = resize_to(bytes_to_image(sample_bytes), side)
-    return (img.pixels.astype(np.float64) / 255.0)[None, :, :]
+    return image_to_input(bytes_to_image(sample_bytes), side)
 
 
 def write_manifest(samples, paths, seed: int, out_path) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binviz, engine, nets, perf
-from .quantizer import SUPPORTED_BITS, QuantParams
+from .quantizer import SUPPORTED_BITS
 from .system import SystemConfig
 from .weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
 
@@ -66,7 +66,7 @@ def _parser():
     p.add_argument("--weights", help="required in functional mode")
     p.add_argument("--input", help="binary or .pgm input (functional mode)")
     p.add_argument("--mode", choices=("functional", "perf"), default="functional")
-    p.add_argument("--precision", type=int, choices=SUPPORTED_BITS, default=8)
+    p.add_argument("--precision", type=int, choices=SUPPORTED_BITS, default=8, help="perf mode only")
     p.add_argument("--clusters", type=int, default=256)
 
     p = sub.add_parser("bench", help="perf-model sweep -> CSV")
@@ -233,29 +233,31 @@ def cmd_quantize(args) -> int:
         raise DataError("corpus is empty")
     X, _ = _inputs_labels(samples, side)
     qm = engine.prepare_quantized(net, ws, X, args.precision)
-    out = WeightSet()
-    for name, entry in ws.entries.items():
-        out.add(name, entry.data, entry.params)
-    for lname, ql in qm.layers.items():
-        out.add(f"{lname}.qw", ql.qweight, ql.wparams)
-        out.add(
-            f"act/{lname}",
-            np.zeros(0, dtype=np.int64),
-            ql.act_params,
-        )
-    save_weights(out, args.out)
+    save_weights(_quantized_container(ws, qm), args.out)
     print(f"quantized {len(qm.layers)} layers at {args.precision}-bit -> {args.out}")
     return 0
 
 
-def _rebuild_qmodel(net, ws, bits):
+def _quantized_container(ws, qm) -> WeightSet:
+    """The container `quantize` writes: every float entry, then each MAC layer's `.qw` codes and `act/` params."""
+    out = WeightSet()
+    for name, entry in ws.entries.items():
+        out.add(name, entry.data, entry.params)
+    for name, ql in qm.layers.items():
+        out.add(f"{name}.qw", ql.qweight, ql.wparams)
+        out.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
+    return out
+
+
+def _rebuild_qmodel(net, ws):
     """The QuantizedModel a quantized container holds; None for a float-only container.
 
     DataError names the first entry a MAC layer needs that the container
     lacks, or whose shape is not the layer's: (O, C/G, kh, kw) or (K, O) for
-    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`. Each
-    layer's precision is its entries' params; `bits` only checks the file:
-    DataError when a `.qw` or `act/` entry is at another precision.
+    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`, or a
+    `.qw` or `act/` entry stored unquantized. The container states each
+    layer's precision: the layer runs at the wider of its two params' bits
+    (engine.QuantizedLayer.bits), so one container may mix precisions.
     """
     quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
@@ -281,24 +283,14 @@ def _rebuild_qmodel(net, ws, bits):
         for name in (qw_name, act_name):
             if ws[name].params is None:
                 raise DataError(f"quantized container entry {name!r} is stored unquantized")
-        qw, act_params = ws[qw_name], ws[act_name].params
-        if qw.params.bits != bits:
-            raise DataError(
-                f"weight container is {qw.params.bits}-bit; rerun quantize or pass --precision {qw.params.bits}"
-            )
-        if act_params.bits != bits:
-            raise DataError(
-                f"quantized container entry {act_name!r} is {act_params.bits}-bit, "
-                f"but its layer's weights are {bits}-bit"
-            )
-        bias = np.asarray(ws[b_name].data, dtype=np.float64)
-        qm.layers[layer.name] = engine.quantized_layer(layer, qw.data, qw.params, bias, act_params)
+        qw, bias = ws[qw_name], np.asarray(ws[b_name].data, dtype=np.float64)
+        qm.layers[layer.name] = engine.quantized_layer(layer, qw.data, qw.params, bias, ws[act_name].params)
     return qm
 
 
 @functools.lru_cache(maxsize=1)
-def _loaded(data: bytes, network: str, bits: int):
-    """The (WeightSet, QuantizedModel or None) that container bytes `data` hold for `network` at `bits`.
+def _loaded(data: bytes, network: str):
+    """The (WeightSet, QuantizedModel or None) that container bytes `data` hold for `network`.
 
     Keyed by the bytes themselves, so a changed container is parsed again and
     nothing goes stale; an error is raised on every call, never cached. One
@@ -311,7 +303,7 @@ def _loaded(data: bytes, network: str, bits: int):
         raise DataError(str(e)) from e
     for entry in ws.entries.values():
         entry.data.flags.writeable = False
-    return ws, _rebuild_qmodel(nets.get_network(network), ws, bits)
+    return ws, _rebuild_qmodel(nets.get_network(network), ws)
 
 
 def cmd_simulate(args) -> int:
@@ -331,14 +323,11 @@ def cmd_simulate(args) -> int:
             data = f.read()
     except OSError as e:
         raise DataError(str(e)) from e
-    ws, qm = _loaded(data, net.name, args.precision)
+    ws, qm = _loaded(data, net.name)
     in_path = Path(args.input)
     try:
         if in_path.suffix == ".pgm":
-            img = binviz.read_pgm(in_path)
-            if (img.height, img.width) != (side, side):
-                img = binviz.resize_to(img, side)
-            x = (img.pixels.astype(np.float64) / 255.0)[None, :, :]
+            x = binviz.image_to_input(binviz.read_pgm(in_path), side)
         else:
             x = binviz.sample_to_input(in_path.read_bytes(), side)
     except (OSError, ValueError) as e:
@@ -350,7 +339,8 @@ def cmd_simulate(args) -> int:
         return 0
     probs, ledger = engine.infer_lut(qm, x, cfg)
     s = ledger.summary()
-    print(f"backend: lut-{args.precision}bit  class: {'malware' if probs.argmax() else 'benign'}")
+    bits = "/".join(map(str, sorted({ql.bits for ql in qm.layers.values()})))  # the precisions the model holds
+    print(f"backend: lut-{bits}bit  class: {'malware' if probs.argmax() else 'benign'}")
     print("probabilities:", " ".join(f"{p:.6f}" for p in probs))
     print(f"mac_count: {ledger.mac_count}")
     print(f"latency_ns: {s['total_ns']!r}")

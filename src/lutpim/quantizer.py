@@ -23,7 +23,6 @@ class QuantParams:
     scale: float
     zero_point: int
     bits: int
-    symmetric: bool = False
 
     def __post_init__(self):
         if self.bits not in SUPPORTED_BITS:
@@ -32,8 +31,6 @@ class QuantParams:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not 0 <= self.zero_point <= self.qmax:
             raise ValueError(f"zero_point {self.zero_point} outside [0, {self.qmax}]")
-        if self.symmetric and self.zero_point != 1 << (self.bits - 1):
-            raise ValueError("symmetric params require mid-range zero_point")
 
     @property
     def qmax(self) -> int:
@@ -41,7 +38,7 @@ class QuantParams:
 
 
 def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
-    """Min-max affine calibration; degenerate ranges fall back to scale 1.
+    """Min-max affine calibration, or symmetric (Z at mid-range); degenerate ranges fall back to scale 1.
 
     values are read in place, in any memory order: one min and one max, with
     no copy of a non-contiguous view and no full-size temporary.
@@ -57,13 +54,13 @@ def calibrate(values, bits: int, symmetric: bool = False) -> QuantParams:
         peak = max(-lo, hi)  # the largest magnitude
         half = (1 << (bits - 1)) - 1
         scale = peak / half if peak > 0 else 1.0
-        return QuantParams(scale=scale, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
+        return QuantParams(scale=scale, zero_point=1 << (bits - 1), bits=bits)
     if hi == lo:
         scale = 1.0
     else:
         scale = (hi - lo) / qmax
     zp = int(min(max(round(-lo / scale), 0), qmax))
-    return QuantParams(scale=scale, zero_point=zp, bits=bits, symmetric=False)
+    return QuantParams(scale=scale, zero_point=zp, bits=bits)
 
 
 def quantize(r, p: QuantParams, dtype=np.float64):

@@ -119,8 +119,7 @@ def parse_weights(buf: bytes) -> WeightSet:
             if bits != want_bits:
                 raise WeightFormatError(f"{name}: dtype/bits mismatch")
             try:
-                params = QuantParams(scale=scale, zero_point=zp, bits=bits,
-                                     symmetric=zp == 1 << (bits - 1))
+                params = QuantParams(scale=scale, zero_point=zp, bits=bits)
             except ValueError as e:
                 raise WeightFormatError(f"{name}: bad quant params: {e}") from None
             raw = take(store.itemsize * n, f"{name}: data")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from lutpim import binviz
 from lutpim.binviz import (
     FAMILIES,
     FAMILY_MOTIFS,
     GrayImage,
     bytes_to_image,
     generate_corpus,
+    image_to_input,
     read_pgm,
     resize_to,
     sample_to_input,
@@ -183,6 +185,23 @@ def test_sample_to_input():
     x = sample_to_input(samples[0].payload)
     assert x.shape == (1, 32, 32)
     assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+def test_image_to_input_resizes_only_an_image_of_another_side(monkeypatch):
+    rng = np.random.default_rng(4)
+    payload = rng.integers(0, 256, size=5000, dtype=np.uint8).tobytes()
+    square = resize_to(bytes_to_image(payload), 32)
+    resized = []
+
+    def counting_resize(img, side):
+        resized.append((img.height, img.width, side))
+        return resize_to(img, side)
+
+    monkeypatch.setattr(binviz, "resize_to", counting_resize)
+    x = image_to_input(square, 32)
+    assert resized == [] and x.shape == (1, 32, 32) and np.array_equal(x[0] * 255.0, square.pixels)
+    assert np.array_equal(sample_to_input(payload), x)
+    assert resized == [(157, 32, 32)]
 
 
 def test_manifest_format(tmp_path):

@@ -13,7 +13,7 @@ from lutpim.nets import ZOO, tinymalnet
 from lutpim.perf import CSV_HEADER
 from lutpim.quantizer import QuantParams
 from lutpim.weights import WeightFormatError, WeightSet, load_weights, parse_weights, save_weights
-from tests.helpers import projected_shortcut_net, random_inputs, strided_depthwise_network
+from tests.helpers import oracle_quantized_forward, projected_shortcut_net, random_inputs, strided_depthwise_network
 
 
 def run(argv):
@@ -94,7 +94,7 @@ def test_corpus_then_pipeline(tmp_path):
 
     sample = corp / lines[1].split(",")[0]
     code = run([
-        "simulate", "--weights", str(w8), "--input", str(sample), "--precision", "8",
+        "simulate", "--weights", str(w8), "--input", str(sample),
     ])
     assert code == 0
 
@@ -119,17 +119,14 @@ def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
     ws = init_random_weights(net, seed=2)
     blob = tmp_path / "x.bin"
     blob.write_bytes(bytes(range(256)) * 8)
-    argv = ["simulate", "--input", str(blob), "--precision", "8", "--weights"]
+    argv = ["simulate", "--input", str(blob), "--weights"]
     # a container without quantized entries still runs the float backend
     save_weights(ws, tmp_path / "float.pimw")
     assert run(argv + [str(tmp_path / "float.pimw")]) == 0
     assert "backend: float" in capsys.readouterr().out
-    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], 8)
-    for name, ql in qm.layers.items():
-        if name != "dense":
-            ws.add(f"{name}.qw", ql.qweight, ql.wparams)
-        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
-    save_weights(ws, tmp_path / "partial.pimw")
+    partial = cli._quantized_container(ws, prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], 8))
+    del partial.entries["dense.qw"]
+    save_weights(partial, tmp_path / "partial.pimw")
     assert run(argv + [str(tmp_path / "partial.pimw")]) == 3
     captured = capsys.readouterr()
     assert "'dense.qw'" in captured.err
@@ -137,41 +134,84 @@ def test_simulate_refuses_a_partly_quantized_container(tmp_path, capsys):
 
 
 def _quantized_weights(seed, blob, bits=8):
-    """The tinymalnet container `quantize` would write for weights of `seed` calibrated on `blob`."""
+    """The tinymalnet container `quantize` writes for weights of `seed` calibrated on `blob`."""
     net = tinymalnet()
     ws = init_random_weights(net, seed=seed)
-    qm = prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], bits)
-    for name, ql in qm.layers.items():
-        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
-        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
-    return ws
+    return cli._quantized_container(ws, prepare_quantized(net, ws, [sample_to_input(blob.read_bytes())], bits))
 
 
 @pytest.mark.parametrize(
-    "entry, params, message",
+    "entry, message",
     [
-        # 16-bit activation codes, which the 8-bit byte pass cannot take
-        (
-            "act/conv1",
-            QuantParams(scale=0.5, zero_point=0, bits=16, symmetric=False),
-            "quantized container entry 'act/conv1' is 16-bit, but its layer's weights are 8-bit",
-        ),
-        ("act/conv1", None, "quantized container entry 'act/conv1' is stored unquantized"),
-        ("conv1.qw", None, "quantized container entry 'conv1.qw' is stored unquantized"),
+        ("act/conv1", "quantized container entry 'act/conv1' is stored unquantized"),
+        ("conv1.qw", "quantized container entry 'conv1.qw' is stored unquantized"),
     ],
-    ids=["act-16-bit", "act-unquantized", "qw-unquantized"],
+    ids=["act-unquantized", "qw-unquantized"],
 )
-def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, params, message):
+def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, message):
     blob = tmp_path / "x.bin"
     blob.write_bytes(bytes(range(256)) * 8)
     ws = _quantized_weights(2, blob)
-    data = ws[entry].data
-    ws.add(entry, data if params else data.astype(np.float32), params)
+    ws.add(entry, ws[entry].data.astype(np.float32))
     save_weights(ws, tmp_path / "q.pimw")
-    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "q.pimw")]) == 3
+    assert run(["simulate", "--input", str(blob), "--weights", str(tmp_path / "q.pimw")]) == 3
     captured = capsys.readouterr()
     assert message in captured.err
     assert "backend" not in captured.out
+
+
+def test_a_layer_with_16_bit_activations_under_8_bit_weights_runs_at_16_bits(tmp_path, capsys):
+    # a container of 8-bit layers whose act/conv1 params come from a 16-bit calibration
+    net = tinymalnet()
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    x = sample_to_input(blob.read_bytes())
+    ws = init_random_weights(net, seed=2)
+    container = cli._quantized_container(ws, prepare_quantized(net, ws, [x], 8))
+    act16 = prepare_quantized(net, ws, [x], 16).layers["conv1"].act_params
+    container.add("act/conv1", container["act/conv1"].data, act16)
+    save_weights(container, weights)
+    assert _simulate_out(capsys, ["simulate", "--input", str(blob), "--weights", str(weights)]).startswith(
+        "backend: lut-8/16bit  class: "
+    )
+    qm = cli._rebuild_qmodel(net, load_weights(weights))
+    conv1 = qm.layers["conv1"]
+    assert (conv1.wparams.bits, conv1.act_params.bits, conv1.bits) == (8, 16, 16)
+    xs = np.stack([x, *random_inputs(net, np.random.default_rng(2), 1)])
+    oracle = [oracle_quantized_forward(qm, sample) for sample in xs]
+    for engine_name in ("vector", "cluster"):
+        captures = {}
+        probs, _ = engine.infer_lut(qm, xs, engine=engine_name, captures=captures)
+        assert captures["acc"].keys() == oracle[0][1].keys()
+        for i, (want_probs, want_acc) in enumerate(oracle):
+            assert probs[i] == pytest.approx(want_probs, abs=1e-12), (engine_name, i)
+            for name, acc in captures["acc"].items():
+                assert np.array_equal(acc[i], want_acc[name]), (engine_name, i, name)
+
+
+def test_simulate_runs_a_container_mixing_precisions(tmp_path, capsys):
+    """conv1 at 8 bits, conv2 at 16 and dense at 4, from three prepare_quantized calls, saved by quantize's writer."""
+    net = tinymalnet()
+    blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
+    blob.write_bytes(bytes(range(256)) * 8)
+    x = sample_to_input(blob.read_bytes())
+    ws = init_random_weights(net, seed=5)
+    by_bits = {bits: prepare_quantized(net, ws, [x], bits) for bits in (4, 8, 16)}
+    precisions = {"conv1": 8, "conv2": 16, "dense": 4}
+    qm = engine.QuantizedModel(net, {name: by_bits[b].layers[name] for name, b in precisions.items()})
+    save_weights(cli._quantized_container(ws, qm), weights)
+    probs, ledger = engine.infer_lut(qm, x)
+    s = ledger.summary()
+    want = [
+        f"backend: lut-4/8/16bit  class: {'malware' if probs.argmax() else 'benign'}",
+        "probabilities: " + " ".join(f"{p:.6f}" for p in probs),
+        f"mac_count: {ledger.mac_count}",
+        f"latency_ns: {s['total_ns']!r}",
+        f"energy_pj: {s['total_pj']!r}",
+    ]
+    argv = ["simulate", "--input", str(blob), "--weights", str(weights)]
+    assert _simulate_out(capsys, argv).splitlines() == want
+    assert _simulate_out(capsys, argv + ["--precision", "16"]).splitlines() == want  # a perf-mode flag
 
 
 def test_simulate_refuses_a_4_bit_code_past_its_maximum(tmp_path, capsys):
@@ -179,7 +219,7 @@ def test_simulate_refuses_a_4_bit_code_past_its_maximum(tmp_path, capsys):
     blob, weights = tmp_path / "x.bin", tmp_path / "q.pimw"
     blob.write_bytes(bytes(range(256)) * 8)
     ws = _quantized_weights(2, blob, bits=4)
-    argv = ["simulate", "--input", str(blob), "--precision", "4", "--weights", str(weights)]
+    argv = ["simulate", "--input", str(blob), "--weights", str(weights)]
     for code, rc in ((15, 0), (16, 3), (200, 3)):
         codes = ws["conv1.qw"].data.copy()
         codes.flat[0] = code
@@ -199,16 +239,14 @@ def test_a_projected_shortcut_container_rebuilds_its_projection():
     net, ws = projected_shortcut_net()
     rng = np.random.default_rng(9)
     qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), 8)
-    for name, ql in qm.layers.items():
-        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
-        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
-    rebuilt = cli._rebuild_qmodel(net, ws, 8)
+    ws = cli._quantized_container(ws, qm)
+    rebuilt = cli._rebuild_qmodel(net, ws)
     assert rebuilt.layers.keys() == qm.layers.keys() == {"conv", "conv_s2", "add.proj", "dense"}
     x = rng.random(net.input_shape)
     assert np.array_equal(engine.infer_lut(rebuilt, x)[0], engine.infer_lut(qm, x)[0])
     del ws.entries["act/add.proj"]
     with pytest.raises(cli.DataError, match="'act/add.proj' for proj layer 'add.proj'"):
-        cli._rebuild_qmodel(net, ws, 8)
+        cli._rebuild_qmodel(net, ws)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +263,7 @@ def test_simulate_refuses_a_container_missing_a_layer_entry(tmp_path, capsys, qu
     ws = _quantized_weights(2, blob) if quantized else init_random_weights(tinymalnet(), seed=2)
     del ws.entries[entry]
     save_weights(ws, tmp_path / "w.pimw")
-    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "w.pimw")]) == 3
+    assert run(["simulate", "--input", str(blob), "--weights", str(tmp_path / "w.pimw")]) == 3
     captured = capsys.readouterr()
     assert message in captured.err
     assert "backend" not in captured.out
@@ -267,7 +305,7 @@ def test_simulate_refuses_a_container_entry_of_the_wrong_shape(tmp_path, capsys,
     ws = _quantized_weights(2, blob) if quantized else init_random_weights(tinymalnet(), seed=2)
     ws.add(entry, np.ascontiguousarray(reshape(ws[entry].data)), ws[entry].params)
     save_weights(ws, tmp_path / "w.pimw")
-    assert run(["simulate", "--input", str(blob), "--precision", "8", "--weights", str(tmp_path / "w.pimw")]) == 3
+    assert run(["simulate", "--input", str(blob), "--weights", str(tmp_path / "w.pimw")]) == 3
     captured = capsys.readouterr()
     assert message in captured.err
     assert "backend" not in captured.out
@@ -276,6 +314,16 @@ def test_simulate_refuses_a_container_entry_of_the_wrong_shape(tmp_path, capsys,
 def _simulate_out(capsys, argv):
     assert run(argv) == 0
     return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("resize", ["0", "32"])
+def test_simulate_reads_a_pgm_as_the_binary_it_shows(tmp_path, capsys, resize):
+    blob, pgm, weights = tmp_path / "x.bin", tmp_path / "x.pgm", tmp_path / "q.pimw"
+    blob.write_bytes(np.random.default_rng(6).integers(0, 256, size=3000, dtype=np.uint8).tobytes())
+    save_weights(_quantized_weights(2, blob), weights)
+    assert run(["convert", "--input", str(blob), "--out", str(pgm), "--resize", resize]) == 0
+    argv = ["simulate", "--weights", str(weights), "--input"]
+    assert _simulate_out(capsys, argv + [str(pgm)]) == _simulate_out(capsys, argv + [str(blob)])
 
 
 def test_simulate_follows_a_container_overwritten_in_place(tmp_path, capsys):
@@ -318,7 +366,7 @@ def test_warm_requests_parse_the_container_once(tmp_path, monkeypatch, capsys):
     cli._loaded.cache_clear()
     assert set(warm) == {_simulate_out(capsys, argv)}
     assert len(parsed) == 2
-    ws, qm = cli._loaded(weights.read_bytes(), "tinymalnet", 8)  # what every request shares is read-only
+    ws, qm = cli._loaded(weights.read_bytes(), "tinymalnet")  # what every request shares is read-only
     assert not any(entry.data.flags.writeable for entry in ws.entries.values())
     assert len(parsed) == 2
 
@@ -453,7 +501,7 @@ def test_fit_refuses_a_bad_manifest(tmp_path, capsys, row, message):
 def test_simulate_refuses_a_corrupt_container(tmp_path, capsys, kind, message):
     # a one-tensor q8 container, then its name made non-UTF-8 or its scale 0
     ws = WeightSet()
-    ws.add("ab", np.array([1, 2], dtype=np.int64), QuantParams(scale=0.5, zero_point=128, bits=8, symmetric=True))
+    ws.add("ab", np.array([1, 2], dtype=np.int64), QuantParams(scale=0.5, zero_point=128, bits=8))
     weights = tmp_path / "w.pimw"
     save_weights(ws, weights)
     buf = bytearray(weights.read_bytes())
@@ -582,17 +630,44 @@ def test_binary_input_refuses_a_network_of_another_shape(tmp_path, monkeypatch, 
     assert not (tmp_path / "out.pimw").exists()
 
 
-@pytest.mark.parametrize("bits", ["4", "8", "16"])
-def test_a_rebuilt_container_model_infers_like_the_in_memory_model(tmp_path, bits):
+def _quantize_a_corpus(tmp_path, bits):
+    """(float container, calibration inputs, in-memory model, quantized container) of `quantize` on 6 samples."""
     corp, w, q = tmp_path / "corp", tmp_path / "w.pimw", tmp_path / "q.pimw"
     assert run(["corpus", "--out", str(corp), "--benign", "3", "--malware", "3", "--seed", "4"]) == 0
     manifest = str(corp / "manifest.csv")
     assert run(["fit", "--corpus", manifest, "--out", str(w), "--seed", "1"]) == 0
     assert run(["quantize", "--weights", str(w), "--corpus", manifest, "--precision", bits, "--out", str(q)]) == 0
-    net = tinymalnet()
     xs, _ = cli._inputs_labels(cli._load_manifest(manifest), 32)
-    in_memory = prepare_quantized(net, load_weights(w), xs, int(bits))  # the model `quantize` wrote
-    rebuilt = cli._rebuild_qmodel(net, load_weights(q), int(bits))
+    return w, xs, prepare_quantized(tinymalnet(), load_weights(w), xs, int(bits)), q
+
+
+@pytest.mark.parametrize("bits", ["4", "8", "16"])
+def test_a_quantize_container_loads_back_equal_to_what_was_saved(tmp_path, bits):
+    w, _, in_memory, q = _quantize_a_corpus(tmp_path, bits)
+    saved = cli._quantized_container(load_weights(w), in_memory)
+    save_weights(saved, tmp_path / "again.pimw")
+    assert (tmp_path / "again.pimw").read_bytes() == q.read_bytes()  # saved is what `quantize` wrote
+    back = load_weights(q)
+    assert list(back.entries) == list(saved.entries)
+    for name, entry in saved.entries.items():
+        assert back[name].params == entry.params and np.array_equal(back[name].data, entry.data), name
+
+
+def test_an_asymmetric_param_with_a_mid_range_zero_point_loads_back_equal(tmp_path):
+    ws = WeightSet()
+    ws.add("act/x", np.zeros(0, dtype=np.int64), QuantParams(scale=0.5, zero_point=128, bits=8))
+    save_weights(ws, tmp_path / "w.pimw")
+    assert load_weights(tmp_path / "w.pimw")["act/x"].params == ws["act/x"].params
+
+
+@pytest.mark.parametrize("bits", ["4", "8", "16"])
+def test_a_rebuilt_container_model_infers_like_the_in_memory_model(tmp_path, capsys, bits):
+    _, xs, in_memory, q = _quantize_a_corpus(tmp_path, bits)
+    rebuilt = cli._rebuild_qmodel(tinymalnet(), load_weights(q))
+    sample = next((tmp_path / "corp").glob("*.bin"))
+    capsys.readouterr()  # what the set-up commands printed
+    out = _simulate_out(capsys, ["simulate", "--weights", str(q), "--input", str(sample)])
+    assert out.startswith(f"backend: lut-{bits}bit  class: ")
     want, got = {}, {}
     want_probs, _ = engine.infer_lut(in_memory, np.stack(xs), captures=want)
     got_probs, _ = engine.infer_lut(rebuilt, np.stack(xs), captures=got)
@@ -609,12 +684,9 @@ def test_a_depthwise_container_rebuilds_the_in_memory_weight_rows(tmp_path, bits
     ws = init_random_weights(net, seed=21)
     rng = np.random.default_rng(21 + bits)
     qm = prepare_quantized(net, ws, random_inputs(net, rng, 2), bits)
-    for name, ql in qm.layers.items():
-        ws.add(f"{name}.qw", ql.qweight, ql.wparams)
-        ws.add(f"act/{name}", np.zeros(0, dtype=np.int64), ql.act_params)
-    save_weights(ws, tmp_path / "q.pimw")
+    save_weights(cli._quantized_container(ws, qm), tmp_path / "q.pimw")
     container = load_weights(tmp_path / "q.pimw")
-    rebuilt = cli._rebuild_qmodel(net, container, bits)
+    rebuilt = cli._rebuild_qmodel(net, container)
     assert rebuilt.layers.keys() == qm.layers.keys()
     assert rebuilt.layers["dw"].lhs.shape == (3, 1, 9)
     for name, ql in rebuilt.layers.items():

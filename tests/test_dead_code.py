@@ -1,10 +1,11 @@
 """Every function, class, method and module-level constant in lutpim has a reader outside the tests,
-and every parameter of a lutpim function is read in its body."""
+every parameter of a lutpim function is read in its body, and every flag of a lutpim command is read."""
 
 import ast
 from pathlib import Path
 
 import lutpim
+from lutpim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +84,37 @@ def test_every_parameter_is_read():
                 if arg is not None and f"{qualified}.{arg.arg}" not in ALLOWED and arg.arg not in read:
                     unread.append(f"{qualified}.{arg.arg}")
     assert not unread, f"parameters never read in their function's body: {unread}"
+
+
+def _unread_flags(flags):
+    """`command --dest` for each flag in a {command: {dest: action}} table that its command never reads.
+
+    A command reads a flag as args.<dest> in its cmd_* function; --config is
+    read by _apply_config, for every command.
+    """
+    tree = ast.parse((ROOT / "src" / "lutpim" / "cli.py").read_text())
+    reads = {
+        fn.name: {
+            n.attr for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    return [
+        f"{command} --{dest}"
+        for command, table in flags.items()
+        for dest in table
+        if dest != "help"
+        and dest not in reads["_apply_config" if dest == "config" else cli.COMMANDS[command].__name__]
+    ]
+
+
+def test_every_flag_is_read_by_its_command():
+    assert not _unread_flags(cli._parser()[1]), "flags their command never reads"
+
+
+def test_a_flag_no_command_reads_is_found():
+    flags = {command: dict(table) for command, table in cli._parser()[1].items()}
+    flags["simulate"]["scratch"] = None
+    assert _unread_flags(flags) == ["simulate --scratch"]

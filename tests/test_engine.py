@@ -313,7 +313,7 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
         qm.layers[layer.name] = quantized_layer(
             layer,
             rng.choice([0, qmax], size=ql.qweight.shape),
-            QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits, symmetric=True),
+            QuantParams(scale=1.0, zero_point=1 << (bits - 1), bits=bits),
             ql.bias,
             # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
             QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits),
@@ -1103,7 +1103,7 @@ def test_weights_round_trip(tmp_path):
     q = rng.integers(0, 255, size=(10, 3), dtype=np.int64)
     ws.add("conv.qw", q, params=QuantParams(scale=0.05, zero_point=7, bits=8))
     q4 = rng.integers(0, 15, size=(6,), dtype=np.int64)
-    ws.add("d.q4", q4, params=QuantParams(scale=0.3, zero_point=8, bits=4, symmetric=True))
+    ws.add("d.q4", q4, params=QuantParams(scale=0.3, zero_point=8, bits=4))
     q16 = rng.integers(0, 65535, size=(3, 2), dtype=np.int64)
     ws.add("d.q16", q16, params=QuantParams(scale=1e-3, zero_point=11, bits=16))
     p = tmp_path / "w.pimw"
@@ -1126,7 +1126,7 @@ def test_float64_and_int64_codes_save_to_the_same_bytes(bits, tmp_path):
     rng = np.random.default_rng(bits)
     codes = rng.integers(0, 1 << bits, size=(7, 5))
     codes[0, :2] = 0, (1 << bits) - 1
-    params = QuantParams(scale=0.01, zero_point=1 << (bits - 1), bits=bits, symmetric=True)
+    params = QuantParams(scale=0.01, zero_point=1 << (bits - 1), bits=bits)
     for dtype in (np.int64, np.float64):
         ws = WeightSet()
         ws.add("layer.qw", codes.astype(dtype), params)

@@ -92,7 +92,7 @@ def test_saturation():
     p = QuantParams(scale=0.1, zero_point=0, bits=8)
     assert quantize(1e9, p) == 255
     assert quantize(-1e9, p) == 0
-    p4 = QuantParams(scale=0.1, zero_point=8, bits=4, symmetric=True)
+    p4 = QuantParams(scale=0.1, zero_point=8, bits=4)
     assert quantize(1e9, p4) == 15
 
 
@@ -146,8 +146,6 @@ def test_errors():
         QuantParams(scale=-1.0, zero_point=0, bits=8)
     with pytest.raises(ValueError):
         QuantParams(scale=1.0, zero_point=300, bits=8)
-    with pytest.raises(ValueError):
-        QuantParams(scale=1.0, zero_point=0, bits=8, symmetric=True)
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
