@@ -15,7 +15,11 @@ sections:
 - cluster_steps: the same runs' step counts, kept apart so that a change to
   how steps are counted moves this section alone;
 - byte_table: mac8's 65,536-lane table of byte products;
-- mac8_sweep: the running accumulator of a fixed sweep of scalar mac8 calls.
+- mac8_sweep: the running accumulator of a fixed sweep of scalar mac8 calls;
+- zoo: every zoo net's specs (each layer's name, kind, kernel, stride,
+  padding, shapes, residual source and proj; each MAC layer's name, weight
+  shape, groups and shapes) and the repr of its perf.estimate at 4, 8 and
+  16 bits on 256 and 512 clusters.
 
 Probabilities stay out: the oracle tests check them, and float results may
 move with numpy's exp. A change that moves a section on purpose regenerates
@@ -40,8 +44,10 @@ import sys
 import numpy as np
 
 import lutpim.engine as engine
+from lutpim import perf
 from lutpim.cluster import Cluster, mac8
-from lutpim.nets import tinymalnet
+from lutpim.nets import ZOO, get_network, groups, mac_layers, tinymalnet, weight_shape
+from lutpim.system import SystemConfig
 
 from helpers import (
     depthwise_residual_network,
@@ -51,7 +57,7 @@ from helpers import (
     wide_depthwise_network,
 )
 
-SECTIONS = ("acc", "ledger", "cluster_counts", "cluster_steps", "byte_table", "mac8_sweep")
+SECTIONS = ("acc", "ledger", "cluster_counts", "cluster_steps", "byte_table", "mac8_sweep", "zoo")
 NETS = (
     tinymalnet,
     depthwise_residual_network,
@@ -133,6 +139,17 @@ def compute() -> dict[str, str]:
             accs.append(mac8(cluster, a, b))
     _array(h["mac8_sweep"], "acc", np.array(accs, dtype=np.int64))
     count(cluster)
+
+    for name in sorted(ZOO):
+        net = get_network(name)
+        for l in net.layers:
+            fields = l.name, l.kind, l.kernel, l.stride, l.padding, l.in_shape, l.out_shape, l.residual_from, l.proj
+            h["zoo"].update(repr(fields).encode())
+        for m in mac_layers(net):
+            h["zoo"].update(repr((m.name, weight_shape(m), groups(m), m.in_shape, m.out_shape)).encode())
+        for bits in (4, 8, 16):
+            for clusters in (256, 512):
+                h["zoo"].update(repr(perf.estimate(net, SystemConfig(cluster_count=clusters), bits)).encode())
     return {name: hh.hexdigest() for name, hh in h.items()}
 
 
