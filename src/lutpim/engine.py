@@ -11,25 +11,27 @@ One layer walk, `_forward`, serves every pass: inference on both backends,
 calibration and the last-layer fit. It runs pooling, ReLU (in place only on
 arrays the pass made itself), flatten, residual adds and softmax, and hands
 each MAC layer to the backend's MAC step. A projected shortcut is a MAC
-layer too: the 1x1 strided conv "{name}.proj" of the residual source, as
-`nets.mac_layers` lists it. Every MAC step is one grouped conv (`_mac`),
-channel-major: the product (G, O/G, K/G) weight rows @ (N, G, K/G, P)
-windows over the batch axis, weight rows always on the left. A conv has
-G = 1, a depthwise layer G = C and a dense layer is one window, so outputs
-come out NCHW with no transpose. The float step's rows are a free reshape
-of the stored weights (`_weight_rows`) and its product is a real matmul.
+layer too: the 1x1 strided conv "{name}.proj" of the residual source, which
+the add holds (`LayerSpec.shortcut`) and `nets.mac_layers` lists. Every MAC
+step is one grouped conv (`_mac`), channel-major: the product (G, O/G, K/G)
+weight rows @ (N, G, K/G, P) windows over the batch axis, weight rows
+always on the left. A conv has G = 1, a depthwise layer G = C and a dense
+layer is one window, so outputs come out NCHW with no transpose. The float
+step's rows are a free reshape of the stored weights (`_weight_rows`) and
+its product is a real matmul.
 
 The walk follows a plan (`_plan`), built once per (net, stack size N,
 WINDOW_BYTES) and kept in a bounded cache; equal nets share one, since a
 NetworkSpec caches its hash and the cache compares nets by value. The plan
 resolves what depends only on that key: each step's kind, the outputs a
 residual add reads, where ReLU may run in place, pool taps, flatten and
-output shapes, each projection's layer, and each MAC layer's weight keys and
-weight-row and bias shapes (`_MacStep`). A layer's block partition, scratch
-and window shapes depend on its input's itemsize too, so each is resolved
-on first use per itemsize and kept in the plan. The plan holds no array: no
-activation, scratch or weight, so a call keeps nothing and stays
-re-entrant. A call only runs each step's numpy operations.
+output shapes, and each MAC layer's weight keys and weight-row and bias
+shapes (`_MacStep`), a projected add's stored shortcut conv included. A
+layer's block partition, scratch and window shapes depend on its input's
+itemsize too, so each is resolved on first use per itemsize and kept in
+the plan. The plan holds no array: no activation, scratch or weight, so a
+call keeps nothing and stays re-entrant. A call only runs each step's
+numpy operations.
 
 `_mac` receives each layer's input unpadded and walks its groups in the
 plan's blocks of at most WINDOW_BYTES of windows (at least one group, so a
@@ -104,7 +106,7 @@ import numpy as np
 
 from .cluster import Cluster, check_accumulator, mac8, operand_bytes
 from .lut_core import build_function_table  # noqa: F401 - perfbench's tracer wraps engine.build_function_table
-from .nets import MAC_KINDS, NetworkSpec, groups, mac_layers, own_mac_layers, projection, weight_shape
+from .nets import MAC_KINDS, NetworkSpec, groups, mac_layers, own_mac_layers, weight_shape
 from .perf import charge_layer
 from .quantizer import SUPPORTED_BITS, CalibrationError, QuantParams, calibrate, quantize
 from .system import EnergyLedger, SystemConfig
@@ -218,7 +220,7 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
     Each step is (kind, layer, arg, save). kind is "mac" for a MAC layer and
     the layer's kind otherwise; save says whether a later residual_add reads
     its output. arg holds what the step needs beyond the arrays: a MAC
-    layer's _MacStep, a projected shortcut's projection's _MacStep (None for
+    layer's _MacStep, a projected add's shortcut conv's _MacStep (None for
     a plain shortcut), a pool's padding and taps, a ReLU's whether it may run
     in place (only on an array of the pass's own, not the input or a saved
     residual source) and a flatten's output shape. Equal nets share a plan:
@@ -231,7 +233,7 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
         if kind in MAC_KINDS:
             kind, arg = "mac", _MacStep(layer, n, window_bytes)
         elif kind == "residual_add" and layer.proj:
-            arg = _MacStep(projection(layer), n, window_bytes)
+            arg = _MacStep(layer.shortcut, n, window_bytes)
         elif kind == "maxpool2d":
             k, s, (_, oh, ow) = layer.kernel[0], layer.stride, layer.out_shape
             taps = [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s)) for i in range(k) for j in range(k)]
@@ -327,7 +329,7 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
     """The one layer walk of both backends over an (N, C, H, W) stack; mac(step, x) runs each MAC layer's _MacStep.
 
     The walk follows the plan of (net, N, WINDOW_BYTES) (_plan). A projected
-    shortcut runs as mac(its projection's step, source). The walk runs every
+    shortcut runs as mac(its shortcut conv's step, source). The walk runs every
     other layer itself, keeps only the outputs a later residual_add reads,
     and captures the logits. Returns x[0] for a single sample.
     """
@@ -379,7 +381,7 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
 
     x is one (C, H, W) sample, which returns a (classes,) vector, or an
     (N, C, H, W) stack, which returns (N, classes). captures["layer_inputs"]
-    holds each MAC layer's input, a projection's under "{name}.proj", with
+    holds each MAC layer's input, a shortcut conv's under "{name}.proj", with
     the leading N axis for a stack; captures["logits"] the pre-softmax scores.
     """
     x, single = _as_batch(net, x)
@@ -518,7 +520,6 @@ class QuantizedLayer:
     (qweight), and so are the cluster engine's, once per infer_lut call.
     """
 
-    name: str
     lhs: np.ndarray
     wparams: QuantParams
     bias: np.ndarray
@@ -550,7 +551,7 @@ def quantized_layer(layer, qweight, wparams: QuantParams, bias, act_params: Quan
     lhs = np.subtract(qweight.T, wparams.zero_point, dtype=dtype, order="C")
     lhs = lhs.reshape(groups(layer), -1, len(qweight))
     lhs.flags.writeable = False
-    return QuantizedLayer(layer.name, lhs, wparams, bias, act_params)
+    return QuantizedLayer(lhs, wparams, bias, act_params)
 
 
 @dataclass
@@ -605,7 +606,7 @@ def _ledger_events(net: NetworkSpec, cfg: SystemConfig, precisions: tuple[tuple[
 
     precisions holds (name, bits) for each MAC layer. Every layer is charged
     at the precision of the MAC layer it runs (nets.own_mac_layers): itself,
-    or a projected shortcut's projection. A layer that runs none is charged
+    or a projected add's shortcut conv. A layer that runs none is charged
     no MACs, which cost the same at every precision.
     """
     bits = dict(precisions)

@@ -7,7 +7,8 @@ floor((in + 2*pad - k) / stride) + 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 LAYER_KINDS = (
     "conv2d",
@@ -27,22 +28,27 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer: what its spec asks for, plus the shapes build_network derives.
+
+    out_channels and out_features are the widths a conv and a dense layer ask
+    for; every other reader takes widths from in_shape[0] and out_shape[0].
+    A projected residual_add (proj) asks for a 1x1 conv of its residual source
+    at its stride and out_channels; build_network resolves that conv once,
+    named "{name}.proj", into shortcut.
+    """
+
     name: str
     kind: str
     kernel: tuple[int, int] = (0, 0)
     stride: int = 1
     padding: int = 0
-    in_channels: int = 0
     out_channels: int = 0
-    in_features: int = 0
     out_features: int = 0
     in_shape: tuple[int, ...] = ()
     out_shape: tuple[int, ...] = ()
     residual_from: str = ""  # name of the earlier layer whose output is added
-    # Shortcut branch of a residual_add: optional 1x1 projection conv applied to
-    # the residual source (its stride/out_channels ride on this layer's fields).
     proj: bool = False
-    proj_in_shape: tuple[int, ...] = ()
+    shortcut: LayerSpec | None = None
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -51,9 +57,32 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A chain of layers, checked when it is made: each check refuses with a ShapeError naming the layer."""
+
     name: str
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
+
+    def __post_init__(self):
+        shape, out_shapes = self.input_shape, {}
+        for layer in self.layers:
+            where = f"{self.name}/{layer.name}"
+            if layer.in_shape != shape:
+                raise ShapeError(f"{where}: expected input {shape}, spec says {layer.in_shape}")
+            if layer.kind == "residual_add":
+                if layer.residual_from not in out_shapes:
+                    raise ShapeError(f"{where}: unknown residual source {layer.residual_from!r}")
+                src, sc = out_shapes[layer.residual_from], layer.shortcut
+                if not layer.proj and src != shape:
+                    raise ShapeError(f"{where}: residual shapes differ: {src} and {shape}")
+                if layer.proj and sc is None:
+                    raise ShapeError(f"{where}: projected shortcut has no conv")
+                if layer.proj and (sc.in_shape, sc.out_shape) != (src, shape):
+                    raise ShapeError(f"{where}: shortcut {sc.in_shape} -> {sc.out_shape} does not fit {src} -> {shape}")
+            out_shapes[layer.name] = shape = layer.out_shape
+        if len(shape) != 1:
+            last = self.layers[-1].name if self.layers else "input"
+            raise ShapeError(f"{self.name}/{last}: final layer must yield a score vector, got {shape}")
 
     def __hash__(self) -> int:
         """The fields' hash, computed once per instance: a cache keyed on the net rehashes no LayerSpec."""
@@ -62,27 +91,6 @@ class NetworkSpec:
         except KeyError:
             h = self.__dict__["_hash"] = hash((self.name, self.input_shape, self.layers))
             return h
-
-    def validate(self) -> None:
-        shape = self.input_shape
-        seen = {}
-        for layer in self.layers:
-            if layer.in_shape != shape:
-                raise ShapeError(
-                    f"{self.name}/{layer.name}: expected input {shape}, spec says {layer.in_shape}"
-                )
-            if layer.kind == "residual_add":
-                src = seen.get(layer.residual_from)
-                if src is None:
-                    raise ShapeError(f"{layer.name}: unknown residual source {layer.residual_from!r}")
-                if not layer.proj and src.out_shape != shape:
-                    raise ShapeError(f"{layer.name}: residual shapes differ")
-                if layer.proj and layer.proj_in_shape != src.out_shape:
-                    raise ShapeError(f"{layer.name}: projection input shape mismatch")
-            shape = layer.out_shape
-            seen[layer.name] = layer
-        if len(shape) != 1:
-            raise ShapeError(f"{self.name}: final layer must yield a score vector, got {shape}")
 
 
 # Every MAC layer is a grouped convolution: G groups, each of O/G output
@@ -93,95 +101,79 @@ MAC_KINDS = ("conv2d", "depthwise_conv2d", "dense")
 
 def groups(layer: LayerSpec) -> int:
     """A MAC layer's groups G: C for a depthwise layer, 1 otherwise."""
-    return layer.in_channels if layer.kind == "depthwise_conv2d" else 1
+    return layer.in_shape[0] if layer.kind == "depthwise_conv2d" else 1
 
 
 def weight_shape(layer: LayerSpec) -> tuple[int, ...]:
     """A MAC layer's stored weight shape: (O, C/G, kh, kw) for a conv, (K, O) for a dense layer."""
+    c, o = layer.in_shape[0], layer.out_shape[0]
     if layer.kind == "dense":
-        return (layer.in_features, layer.out_features)
-    return (layer.out_channels, layer.in_channels // groups(layer), *layer.kernel)
-
-
-def projection(layer: LayerSpec) -> LayerSpec:
-    """A projected shortcut's 1x1 strided conv of the residual source, named "{layer.name}.proj"."""
-    return LayerSpec(
-        name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
-        in_channels=layer.proj_in_shape[0], out_channels=layer.out_channels,
-        in_shape=layer.proj_in_shape, out_shape=layer.out_shape,
-    )
+        return (c, o)
+    return (o, c // groups(layer), *layer.kernel)
 
 
 def own_mac_layers(layer: LayerSpec) -> tuple[LayerSpec, ...]:
-    """The MAC layers one layer runs: itself if it is one, its projection if it is a projected shortcut."""
+    """The MAC layers one layer runs: itself if it is one, its shortcut conv if it is a projected add."""
     if layer.kind in MAC_KINDS:
         return (layer,)
-    return (projection(layer),) if layer.proj else ()
+    return (layer.shortcut,) if layer.proj else ()
 
 
 def mac_layers(net: NetworkSpec):
-    """Every layer that holds weights, in order: the MAC layers, and each projected shortcut as its 1x1 conv."""
+    """Every layer that holds weights, in order: the MAC layers, and each projected add's shortcut conv."""
     for layer in net.layers:
         yield from own_mac_layers(layer)
 
 
-def _conv_out(side: int, k: int, stride: int, pad: int) -> int:
-    out = (side + 2 * pad - k) // stride + 1
+# The rank of the input each kind takes; the other kinds take any rank.
+_INPUT_RANK = {"conv2d": 3, "depthwise_conv2d": 3, "maxpool2d": 3, "dense": 1}
+
+
+def _conv_out(layer: LayerSpec, side: int, k: int) -> int:
+    out = (side + 2 * layer.padding - k) // layer.stride + 1
     if out < 1:
-        raise ShapeError(f"conv/pool reduces dimension {side} below 1")
+        raise ShapeError(f"{layer.name}: conv/pool reduces dimension {side} below 1")
     return out
 
 
 def _infer(layer: LayerSpec, in_shape: tuple[int, ...]) -> LayerSpec:
-    kind = layer.kind
+    """`layer` with the in_shape given and the out_shape its kind makes of it."""
+    kind, rank = layer.kind, _INPUT_RANK.get(layer.kind)
+    if rank is not None and len(in_shape) != rank:
+        raise ShapeError(f"{layer.name}: a {kind} layer takes a rank-{rank} input, got {in_shape}")
     if kind in ("conv2d", "depthwise_conv2d", "maxpool2d"):
         c, h, w = in_shape
         kh, kw = layer.kernel
-        oh = _conv_out(h, kh, layer.stride, layer.padding)
-        ow = _conv_out(w, kw, layer.stride, layer.padding)
-        if kind == "conv2d":
-            out_c = layer.out_channels
-            layer = replace(layer, in_channels=c)
-        elif kind == "depthwise_conv2d":
-            out_c = c
-            layer = replace(layer, in_channels=c, out_channels=c)
-        else:
-            out_c = c
-        return replace(layer, in_shape=in_shape, out_shape=(out_c, oh, ow))
-    if kind in ("relu", "softmax", "residual_add"):
-        return replace(layer, in_shape=in_shape, out_shape=in_shape)
-    if kind == "flatten":
-        n = 1
-        for d in in_shape:
-            n *= d
-        return replace(layer, in_shape=in_shape, out_shape=(n,))
-    if kind == "dense":
-        (n,) = in_shape
-        return replace(layer, in_features=n, in_shape=in_shape, out_shape=(layer.out_features,))
-    raise ShapeError(f"unknown layer kind {kind!r}")
+        out_shape = (layer.out_channels if kind == "conv2d" else c, _conv_out(layer, h, kh), _conv_out(layer, w, kw))
+    elif kind == "flatten":
+        out_shape = (math.prod(in_shape),)
+    elif kind == "dense":
+        out_shape = (layer.out_features,)
+    else:  # relu, softmax and residual_add keep their input's shape
+        out_shape = in_shape
+    return replace(layer, in_shape=in_shape, out_shape=out_shape)
 
 
 def build_network(name: str, input_shape: tuple[int, ...], layers) -> NetworkSpec:
-    """Chain shapes through partially specified layers and validate the result."""
+    """Chain shapes through partially specified layers; the NetworkSpec checks the result.
+
+    A projected residual_add gets its shortcut: the 1x1 conv "{name}.proj" of
+    its residual source, at its stride and out_channels.
+    """
     chained = []
     shape = tuple(input_shape)
-    by_name: dict[str, tuple[int, ...]] = {}
+    out_shapes: dict[str, tuple[int, ...]] = {}
     for layer in layers:
         layer = _infer(layer, shape)
-        if layer.kind == "residual_add" and layer.proj:
-            src_shape = by_name.get(layer.residual_from, ())
-            layer = replace(layer, proj_in_shape=src_shape)
-            if src_shape:
-                _, sh, sw = src_shape
-                proj_out = (layer.out_channels, _conv_out(sh, 1, layer.stride, 0), _conv_out(sw, 1, layer.stride, 0))
-                if proj_out != layer.out_shape:
-                    raise ShapeError(f"{layer.name}: projected shortcut {proj_out} != main path {layer.out_shape}")
+        if layer.kind == "residual_add" and layer.proj and layer.residual_from in out_shapes:
+            conv = LayerSpec(
+                name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
+                out_channels=layer.out_channels,
+            )
+            layer = replace(layer, shortcut=_infer(conv, out_shapes[layer.residual_from]))
         chained.append(layer)
-        by_name[layer.name] = layer.out_shape
-        shape = layer.out_shape
-    net = NetworkSpec(name=name, input_shape=tuple(input_shape), layers=tuple(chained))
-    net.validate()
-    return net
+        out_shapes[layer.name] = shape = layer.out_shape
+    return NetworkSpec(name=name, input_shape=tuple(input_shape), layers=tuple(chained))
 
 
 def _conv(name, out_c, k, stride=1, pad=0):
@@ -261,42 +253,29 @@ def vgg16() -> NetworkSpec:
     return build_network("vgg16", (3, 224, 224), layers)
 
 
-def _resnet_basic(layers, name, in_c, channels, stride):
-    """Basic block: two 3x3 convs plus identity/projection shortcut."""
+def _residual_block(layers, name, in_c, convs):
+    """Append one residual block; return its output channels.
+
+    convs holds each conv's (channels, kernel, stride), padded to keep its
+    side. A ReLU follows every conv but the last, then the add of the
+    block's input and a last ReLU. The shortcut is projected when the block
+    changes the channels or the side.
+    """
     src = f"{name}_in"
-    layers.append(LayerSpec(name=src, kind="relu"))  # marker for the shortcut source
+    layers.append(_relu(src))  # marker for the shortcut source
+    for i, (c, k, stride) in enumerate(convs, start=1):
+        if i > 1:
+            layers.append(_relu(f"{name}_relu{i - 1}"))
+        layers.append(_conv(f"{name}_conv{i}", c, k, stride, k // 2))
+    out, stride = convs[-1][0], math.prod(s for _, _, s in convs)
+    proj = stride != 1 or in_c != out
     layers += [
-        _conv(f"{name}_conv1", channels, 3, stride, 1), _relu(f"{name}_relu1"),
-        _conv(f"{name}_conv2", channels, 3, 1, 1),
-    ]
-    needs_proj = stride != 1 or in_c != channels
-    layers.append(
         LayerSpec(
             name=f"{name}_add", kind="residual_add", residual_from=src,
-            proj=needs_proj, stride=stride, out_channels=channels if needs_proj else 0,
-        )
-    )
-    layers.append(_relu(f"{name}_relu2"))
-    return channels
-
-
-def _resnet_bottleneck(layers, name, in_c, mid, stride):
-    out = mid * 4
-    src = f"{name}_in"
-    layers.append(LayerSpec(name=src, kind="relu"))
-    layers += [
-        _conv(f"{name}_conv1", mid, 1), _relu(f"{name}_relu1"),
-        _conv(f"{name}_conv2", mid, 3, stride, 1), _relu(f"{name}_relu2"),
-        _conv(f"{name}_conv3", out, 1),
+            proj=proj, stride=stride, out_channels=out if proj else 0,
+        ),
+        _relu(f"{name}_relu{len(convs)}"),
     ]
-    needs_proj = stride != 1 or in_c != out
-    layers.append(
-        LayerSpec(
-            name=f"{name}_add", kind="residual_add", residual_from=src,
-            proj=needs_proj, stride=stride, out_channels=out if needs_proj else 0,
-        )
-    )
-    layers.append(_relu(f"{name}_relu3"))
     return out
 
 
@@ -307,10 +286,9 @@ def _resnet(name, block_counts, bottleneck):
     for stage, (c, n) in enumerate(zip(channels, block_counts), start=1):
         for b in range(n):
             stride = 2 if stage > 1 and b == 0 else 1
-            if bottleneck:
-                in_c = _resnet_bottleneck(layers, f"s{stage}b{b}", in_c, c, stride)
-            else:
-                in_c = _resnet_basic(layers, f"s{stage}b{b}", in_c, c, stride)
+            # a bottleneck block widens its last 1x1 conv to 4c
+            convs = [(c, 1, 1), (c, 3, stride), (4 * c, 1, 1)] if bottleneck else [(c, 3, stride), (c, 3, 1)]
+            in_c = _residual_block(layers, f"s{stage}b{b}", in_c, convs)
     layers += [
         _pool("avgpool", 7, 7),  # global average pool, modeled as pooling for cost
         LayerSpec(name="flatten", kind="flatten"),

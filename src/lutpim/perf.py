@@ -131,7 +131,6 @@ def estimate(net: NetworkSpec, cfg: SystemConfig, precision_bits: int) -> PerfRe
     """Sequential per-layer cost model (no inter-layer pipelining)."""
     if precision_bits not in SUPPORTED_BITS:
         raise ValueError(f"precision_bits must be one of {list(SUPPORTED_BITS)}")
-    net.validate()
     layers = tuple(layer_cost(layer, cfg, precision_bits) for layer in net.layers)
     notes = []
     if net.name == "resnet50":

@@ -711,9 +711,9 @@ def float32_edge_network() -> NetworkSpec:
 def _dot_length(layer) -> int:
     """K of a MAC layer from its spec: the length of each of its dot products."""
     if layer.kind == "dense":
-        return layer.in_features
+        return layer.in_shape[0]
     kh, kw = layer.kernel
-    return kh * kw * (1 if layer.kind == "depthwise_conv2d" else layer.in_channels)
+    return kh * kw * (1 if layer.kind == "depthwise_conv2d" else layer.in_shape[0])
 
 
 def _run_bytes(qm, x, engine):

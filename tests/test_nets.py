@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from lutpim import nets
 from lutpim.nets import (
     ZOO,
     LayerSpec,
+    NetworkSpec,
     ShapeError,
     build_network,
     get_network,
@@ -21,7 +23,7 @@ def test_tinymalnet_shapes():
     assert by_name["pool1"].out_shape == (8, 15, 15)
     assert by_name["conv2"].out_shape == (16, 13, 13)
     assert by_name["pool2"].out_shape == (16, 6, 6)
-    assert by_name["dense"].in_features == 16 * 6 * 6
+    assert by_name["dense"].in_shape == (16 * 6 * 6,)
     assert by_name["dense"].out_features == 2
     assert net.layers[-1].kind == "softmax"
 
@@ -29,7 +31,6 @@ def test_tinymalnet_shapes():
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_zoo_networks_validate(name):
     net = get_network(name)
-    net.validate()
     expected = (1, 32, 32) if name == "tinymalnet" else (3, 224, 224)
     assert net.input_shape == expected
     assert net.layers[-1].kind == "softmax"
@@ -45,8 +46,9 @@ def test_resnet_projection_bookkeeping():
     net = get_network("resnet50")
     projected = [l for l in net.layers if l.kind == "residual_add" and l.proj]
     assert projected  # bottleneck stages need projected shortcuts
-    for l in projected:
-        assert l.proj_in_shape  # captured source shape for the 1x1 projection
+    out_shapes = {l.name: l.out_shape for l in net.layers}
+    for l in projected:  # the 1x1 strided conv of the residual source, resolved once
+        assert l.shortcut.name == f"{l.name}.proj" and l.shortcut.in_shape == out_shapes[l.residual_from]
 
 
 def test_conv_shape_arithmetic():
@@ -84,6 +86,92 @@ def test_unknown_residual_source():
                 LayerSpec(name="add", kind="residual_add", residual_from="nope"),
             ],
         )
+
+
+@pytest.mark.parametrize(
+    "layers, culprit, shape",
+    [
+        ([LayerSpec(name="d", kind="dense", out_features=2)], "d", (1, 4, 4)),
+        (
+            [LayerSpec(name="f", kind="flatten"), LayerSpec(name="c", kind="conv2d", kernel=(1, 1), out_channels=2)],
+            "c",
+            (16,),
+        ),
+        ([LayerSpec(name="f", kind="flatten"), LayerSpec(name="p", kind="maxpool2d", kernel=(1, 1))], "p", (16,)),
+    ],
+    ids=["dense-on-3d", "conv-after-flatten", "pool-after-flatten"],
+)
+def test_a_layer_on_an_input_of_the_wrong_rank_is_refused_by_name(layers, culprit, shape):
+    with pytest.raises(ShapeError, match=rf"^{culprit}: .*{re.escape(str(shape))}$"):
+        build_network("bad", (1, 4, 4), layers)
+
+
+def _projected_net():
+    """A strided conv beside the projected shortcut of its input, then a dense head."""
+    return build_network(
+        "p",
+        (2, 6, 6),
+        [
+            LayerSpec(name="in", kind="relu"),
+            LayerSpec(name="c", kind="conv2d", kernel=(3, 3), stride=2, padding=1, out_channels=4),
+            LayerSpec(name="add", kind="residual_add", residual_from="in", proj=True, stride=2, out_channels=4),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+        ],
+    )
+
+
+def _remade(net, i, **changes):
+    """net made again by hand, with layer i's fields changed."""
+    layers = list(net.layers)
+    layers[i] = dataclasses.replace(layers[i], **changes)
+    return NetworkSpec(net.name, net.input_shape, tuple(layers))
+
+
+def test_the_projected_add_holds_its_one_shortcut_conv():
+    net = _projected_net()
+    add = net.layers[2]
+    assert add.shortcut == LayerSpec(
+        name="add.proj", kind="conv2d", kernel=(1, 1), stride=2, out_channels=4, in_shape=(2, 6, 6), out_shape=(4, 3, 3)
+    )
+    assert list(nets.mac_layers(net)) == [net.layers[1], add.shortcut, net.layers[4]]
+    assert _remade(net, 2) == net  # made again by hand unchanged, it passes its checks
+
+
+@pytest.mark.parametrize(
+    "make, culprit",
+    [
+        (
+            lambda net: NetworkSpec(
+                "bad", (1, 4, 4), (LayerSpec(name="flatten", kind="flatten", in_shape=(2, 4, 4), out_shape=(32,)),)
+            ),
+            "flatten",
+        ),
+        (lambda net: _remade(net, 3, in_shape=(4, 3, 2)), "flatten"),
+        (lambda net: _remade(net, 2, residual_from="nope"), "add"),
+        (lambda net: _remade(net, 2, residual_from="flatten"), "add"),
+        (lambda net: _remade(net, 2, shortcut=None), "add"),
+        (lambda net: _remade(net, 2, shortcut=dataclasses.replace(net.layers[2].shortcut, in_shape=(4, 3, 3))), "add"),
+        (lambda net: _remade(net, 2, shortcut=dataclasses.replace(net.layers[2].shortcut, out_shape=(2, 3, 3))), "add"),
+        (lambda net: _remade(net, 2, proj=False, shortcut=None), "add"),
+        (lambda net: NetworkSpec(net.name, net.input_shape, net.layers[:3]), "add"),
+    ],
+    ids=[
+        "flatten-after-another-input",
+        "broken-chain",
+        "unknown-residual-source",
+        "later-residual-source",
+        "projected-add-without-conv",
+        "conv-off-the-source",
+        "conv-off-the-main-path",
+        "identity-add-of-another-shape",
+        "last-layer-not-rank-1",
+    ],
+)
+def test_a_hand_built_network_is_checked_when_made(make, culprit):
+    net = _projected_net()
+    with pytest.raises(ShapeError, match=rf"/{culprit}: "):
+        make(net)
 
 
 def test_unknown_network():
