@@ -69,6 +69,7 @@ class NetworkSpec:
             where = f"{self.name}/{layer.name}"
             if layer.in_shape != shape:
                 raise ShapeError(f"{where}: expected input {shape}, spec says {layer.in_shape}")
+            _check_rank(where, layer.kind, shape)
             if layer.kind == "residual_add":
                 if layer.residual_from not in out_shapes:
                     raise ShapeError(f"{where}: unknown residual source {layer.residual_from!r}")
@@ -129,6 +130,13 @@ def mac_layers(net: NetworkSpec):
 _INPUT_RANK = {"conv2d": 3, "depthwise_conv2d": 3, "maxpool2d": 3, "dense": 1}
 
 
+def _check_rank(where: str, kind: str, in_shape: tuple[int, ...]) -> None:
+    """Refuse an input that is not of the rank a layer of this kind takes."""
+    rank = _INPUT_RANK.get(kind)
+    if rank is not None and len(in_shape) != rank:
+        raise ShapeError(f"{where}: a {kind} layer takes a rank-{rank} input, got {in_shape}")
+
+
 def _conv_out(layer: LayerSpec, side: int, k: int) -> int:
     out = (side + 2 * layer.padding - k) // layer.stride + 1
     if out < 1:
@@ -138,9 +146,8 @@ def _conv_out(layer: LayerSpec, side: int, k: int) -> int:
 
 def _infer(layer: LayerSpec, in_shape: tuple[int, ...]) -> LayerSpec:
     """`layer` with the in_shape given and the out_shape its kind makes of it."""
-    kind, rank = layer.kind, _INPUT_RANK.get(layer.kind)
-    if rank is not None and len(in_shape) != rank:
-        raise ShapeError(f"{layer.name}: a {kind} layer takes a rank-{rank} input, got {in_shape}")
+    kind = layer.kind
+    _check_rank(layer.name, kind, in_shape)
     if kind in ("conv2d", "depthwise_conv2d", "maxpool2d"):
         c, h, w = in_shape
         kh, kw = layer.kernel
@@ -166,10 +173,7 @@ def build_network(name: str, input_shape: tuple[int, ...], layers) -> NetworkSpe
     for layer in layers:
         layer = _infer(layer, shape)
         if layer.kind == "residual_add" and layer.proj and layer.residual_from in out_shapes:
-            conv = LayerSpec(
-                name=f"{layer.name}.proj", kind="conv2d", kernel=(1, 1), stride=layer.stride,
-                out_channels=layer.out_channels,
-            )
+            conv = _conv(f"{layer.name}.proj", layer.out_channels, 1, layer.stride)
             layer = replace(layer, shortcut=_infer(conv, out_shapes[layer.residual_from]))
         chained.append(layer)
         out_shapes[layer.name] = shape = layer.out_shape
@@ -256,8 +260,8 @@ def vgg16() -> NetworkSpec:
 def _residual_block(layers, name, in_c, convs):
     """Append one residual block; return its output channels.
 
-    convs holds each conv's (channels, kernel, stride), padded to keep its
-    side. A ReLU follows every conv but the last, then the add of the
+    convs holds each conv's (channels, kernel, stride), each padded by
+    kernel // 2. A ReLU follows every conv but the last, then the add of the
     block's input and a last ReLU. The shortcut is projected when the block
     changes the channels or the side.
     """

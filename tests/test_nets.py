@@ -147,7 +147,12 @@ def test_the_projected_add_holds_its_one_shortcut_conv():
             ),
             "flatten",
         ),
-        (lambda net: _remade(net, 3, in_shape=(4, 3, 2)), "flatten"),
+        (
+            lambda net: NetworkSpec(
+                "bad", (1, 4, 4), (LayerSpec(name="dense", kind="dense", in_shape=(1, 4, 4), out_shape=(2,)),)
+            ),
+            "dense",
+        ),
         (lambda net: _remade(net, 2, residual_from="nope"), "add"),
         (lambda net: _remade(net, 2, residual_from="flatten"), "add"),
         (lambda net: _remade(net, 2, shortcut=None), "add"),
@@ -158,7 +163,7 @@ def test_the_projected_add_holds_its_one_shortcut_conv():
     ],
     ids=[
         "flatten-after-another-input",
-        "broken-chain",
+        "dense-on-3d-input",
         "unknown-residual-source",
         "later-residual-source",
         "projected-add-without-conv",
