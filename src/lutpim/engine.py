@@ -68,13 +68,14 @@ cast once per call. Byte i of each operand is taken once as uint8, the
 codes themselves or a byte of their uint16 view, and each of the
 operand_bytes(bits)**2 byte passes (four at 16 bits) runs through `mac8` in
 lockstep, one call per block of k with at most CLUSTER_LANES lanes unless a
-single k has more outputs. mac8 runs them as byte lanes in the MAC
-program's compiled kernel and assembles each lane's product in int64; the
-engine shifts and sums the passes and applies the zero-point corrections in
-int64, and that int64 accumulator is what the layer captures and scales.
-Products are non-negative, so checking the running sums against the 32-bit
-accumulator after each block raises on exactly the inputs a per-MAC check
-does.
+single k has more outputs. The MAC program runs once per process on every
+byte pair, and mac8 reads each lane's int64 product from that table, so
+the certification above checks the very table the cluster's lanes read;
+each lane still counts as one run of the program. The engine shifts and
+sums the passes and applies the zero-point corrections in int64, and that
+int64 accumulator is what the layer captures and scales. Products are
+non-negative, so checking the running sums against the 32-bit accumulator
+after each block raises on exactly the inputs a per-MAC check does.
 
 On the vector engine, codes stay float integers from `quantize` to the
 accumulator, in one float type per MAC layer. Centred codes are at most
@@ -119,16 +120,18 @@ from .weights import WeightSet
 # windows alone (4 MB) far past the L2 cache.
 BATCH_ELEMENTS = 8192
 
-# Lanes per lockstep mac8 call on the cluster engine: as many as the
-# certification byte table holds, so no call holds more lanes than it does.
+# Lanes per lockstep mac8 call on the cluster engine: as many as the MAC
+# program's byte table holds, so no call gathers more lanes than the one run
+# that built it.
 CLUSTER_LANES = 65_536
 
 # Window bytes per block of groups in a MAC step (_MacStep.blocks): a
 # depthwise layer pads and windows this many bytes of its groups at a time
 # instead of the whole layer. It is read once per call, as part of the
-# layer plan's key, so a change between calls takes effect. On the 2-core VM above, one mobilenet_v2 infer_float sample took
-# 46-51 ms with 256 KiB to 1 MiB blocks, 49-56 ms with 128 KiB, 51-53 ms
-# with 2 MiB (the L2 size) and 80 ms with one block per layer.
+# layer plan's key, so a change between calls takes effect. On the 2-core
+# VM above, one mobilenet_v2 infer_float sample took 46-51 ms with 256 KiB
+# to 1 MiB blocks, 49-56 ms with 128 KiB, 51-53 ms with 2 MiB (the L2 size)
+# and 80 ms with one block per layer.
 WINDOW_BYTES = 512 * 1024
 
 

@@ -1,10 +1,10 @@
-"""The byte-lane kernel against the one-lane interpreter, and its error paths.
+"""The microprogram runner on byte lanes against its runs on one lane of ints, and its error paths.
 
-Random microprograms over MUL4, ADD4 and PASS run once on broadcast lanes and
-once per lane on Python ints. Outputs must match lane by lane, and every
-count, steps included, must equal the one-lane runs summed over the lanes. A
-run keeps no core bytes, so a program gives the same outputs after any other
-run as on a fresh cluster.
+Random microprograms over MUL4, ADD4 and PASS run once on broadcast uint8
+lanes and once per lane on Python ints, both through the one runner. Outputs
+must match lane by lane, and every count, steps included, must equal the
+one-lane runs summed over the lanes. A run keeps no core bytes, so a program
+gives the same outputs after any other run as on a fresh cluster.
 """
 
 from collections import Counter
@@ -107,7 +107,7 @@ def _assert_lanes_match(outputs, refs, shape):
 
 @DIFFERENTIAL
 @given(prog=programs(), inputs=lane_inputs())
-def test_lane_kernel_equals_one_lane_runs(prog, inputs):
+def test_lane_runs_equal_one_lane_runs(prog, inputs):
     cl = Cluster()
     outputs = cl.run_microprogram(prog, inputs)
     shape = _lane_shape(prog, inputs)

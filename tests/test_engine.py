@@ -1,12 +1,17 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lutpim
 import lutpim.cluster as cluster_module
 import lutpim.engine as engine_module
 from lutpim.cluster import AccumulatorOverflowError, Cluster
@@ -632,21 +637,70 @@ def test_cluster_function_tables_are_built_once_per_process(monkeypatch):
     built, real_build = Counter(), cluster_module.build_function_table
     monkeypatch.setattr(cluster_module, "build_function_table", lambda tag: built.update([tag]) or real_build(tag))
     cluster_module._table.cache_clear()
-    compiled, real_compile = [], cluster_module._compile
-    monkeypatch.setattr(cluster_module, "_compile", lambda prog: compiled.append(prog) or real_compile(prog))
-    monkeypatch.delitem(cluster_module._MAC_PROG.__dict__, "kernel", raising=False)
+    cluster_module._mac_table.cache_clear()
     for a in range(5):
         cluster_module.mac8(Cluster(), a, 7)
+    # scalar calls run the MAC program step by step and build no byte table
+    assert cluster_module._mac_table.cache_info().currsize == 0
+    cluster_module.mac8(Cluster(), np.arange(3, dtype=np.uint8), 7)
+    info = cluster_module._mac_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     net = tiny_conv_net()
     rng = np.random.default_rng(15)
     qm = prepare_quantized(net, init_random_weights(net, seed=15), random_inputs(net, rng, 2), 8)
     for _ in range(3):
         infer_lut(qm, rng.random(net.input_shape), engine="cluster")
     assert built == {OpTag.MUL4: 1, OpTag.ADD4: 1}
-    # the MAC program's lane kernel is compiled once, on the first lockstep call
-    assert compiled == [cluster_module._MAC_PROG]
-    table, raw = cluster_module._table(OpTag.MUL4)
-    assert isinstance(raw, bytes) and raw == table.assembled_bytes()
+    # the MAC program's byte table is built once, on the first lane mac8 call
+    assert cluster_module._mac_table.cache_info().misses == 1
+    (table, raw, lanes), products = cluster_module._table(OpTag.MUL4), cluster_module._mac_table()
+    assert isinstance(raw, bytes) and raw == table.assembled_bytes() == lanes.tobytes()
+    assert not lanes.flags.writeable and not products.flags.writeable
+    assert products.dtype == np.int64 and products.shape == (65_536,)
+
+
+def test_cluster_lanes_read_the_programs_products_not_a_times_b(monkeypatch):
+    real_build = cluster_module.build_function_table
+
+    def build_with_one_wrong_mul4_entry(tag):
+        table = real_build(tag)
+        if tag is not OpTag.MUL4:
+            return table
+        words = list(table.words)
+        words[0] ^= 1 << 0x35  # 3 * 5 reads 14, not 15
+        return dataclasses.replace(table, words=tuple(words))
+
+    monkeypatch.setattr(cluster_module, "build_function_table", build_with_one_wrong_mul4_entry)
+    caches = (cluster_module._table, cluster_module._mac_table, engine_module._certify_byte_products)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        byte = np.arange(256, dtype=np.uint8)
+        lanes = cluster_module.mac8(Cluster(), byte[:, None], byte[None, :])
+        one_lane = [[cluster_module.mac8(Cluster(), a, b) for b in range(256)] for a in range(256)]
+        assert lanes.tolist() == one_lane
+        assert (lanes != np.outer(byte.astype(np.int64), byte)).any()
+        net = tiny_conv_net()
+        rng = np.random.default_rng(16)
+        qm = prepare_quantized(net, init_random_weights(net, seed=16), random_inputs(net, rng, 2), 8)
+        with pytest.raises(engine_module.CertificationError, match=r"\(3, 5\): 14, not 15"):
+            infer_lut(qm, rng.random(net.input_shape))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_importing_lutpim_builds_no_cluster_table():
+    # the tables are built on first use, so a cold start does not pay for them
+    code = (
+        "import lutpim, lutpim.cli, lutpim.engine\n"
+        "from lutpim import cluster\n"
+        "print(cluster._table.cache_info().currsize, cluster._mac_table.cache_info().currsize)"
+    )
+    src = str(Path(lutpim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize(
