@@ -232,7 +232,10 @@ def cmd_quantize(args) -> int:
     if not samples:
         raise DataError("corpus is empty")
     X, _ = _inputs_labels(samples, side)
-    qm = engine.prepare_quantized(net, ws, X, args.precision)
+    try:
+        qm = engine.prepare_quantized(net, ws, X, args.precision)
+    except engine.BiasError as e:
+        raise DataError(f"float container: {e}") from None
     save_weights(_quantized_container(ws, qm), args.out)
     print(f"quantized {len(qm.layers)} layers at {args.precision}-bit -> {args.out}")
     return 0
@@ -254,8 +257,9 @@ def _rebuild_qmodel(net, ws):
 
     DataError names the first entry a MAC layer needs that the container
     lacks, or whose shape is not the layer's: (O, C/G, kh, kw) or (K, O) for
-    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`, or a
-    `.qw` or `act/` entry stored unquantized. The container states each
+    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`, a
+    `.qw` or `act/` entry stored unquantized, or a `.b` entry the layer
+    refuses (engine.BiasError). The container states each
     layer's precision: the layer runs at the wider of its two params' bits
     (engine.QuantizedLayer.bits), so one container may mix precisions.
     """
@@ -284,7 +288,10 @@ def _rebuild_qmodel(net, ws):
             if ws[name].params is None:
                 raise DataError(f"quantized container entry {name!r} is stored unquantized")
         qw, bias = ws[qw_name], np.asarray(ws[b_name].data, dtype=np.float64)
-        qm.layers[layer.name] = engine.quantized_layer(layer, qw.data, qw.params, bias, ws[act_name].params)
+        try:
+            qm.layers[layer.name] = engine.quantized_layer(layer, qw.data, qw.params, bias, ws[act_name].params)
+        except engine.BiasError as e:
+            raise DataError(f"quantized container: {e}") from None
     return qm
 
 

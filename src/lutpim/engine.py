@@ -25,8 +25,9 @@ WINDOW_BYTES) and kept in a bounded cache; equal nets share one, since a
 NetworkSpec caches its hash and the cache compares nets by value. The plan
 resolves what depends only on that key: each step's kind, the outputs a
 residual add reads, where ReLU may run in place, pool taps, flatten and
-output shapes, and each MAC layer's weight keys and weight-row and bias
-shapes (`_MacStep`), a projected add's stored shortcut conv included. A
+output shapes, each MAC layer's weight keys and weight-row and bias
+shapes (`_MacStep`), a projected add's stored shortcut conv included, and
+which MAC steps of the integer backend requantize their input. A
 layer's block partition, scratch and window shapes depend on its input's
 itemsize too, so each is resolved on first use per itemsize and kept in
 the plan. The plan holds no array: no activation, scratch or weight, so a
@@ -42,12 +43,30 @@ fill the layer's (N, G, O/G, P) product, which `_mac` returns before bias;
 each backend finishes it and adds the bias with `_add_bias`. Neither a layer's whole
 padded input nor its whole window tensor exists at once (cache blocking;
 Goto and van de Geijn, ACM TOMS 2008). The float pad is 0. The vector
-engine quantizes and centres its input before `_mac`, so its pad is 0, the
-centred code of 0; the cluster engine keeps unsigned codes, so its pad is
+engine's codes are centred before `_mac`, so its pad is 0, the centred code
+of 0; the cluster engine keeps unsigned codes, so its pad is
 the activation zero point za. Each `QuantizedLayer` holds its centred weight
 codes once, as the rows `_mac` reads (`lhs`). The integer step's captures
 and scaling run once per layer on the assembled product, and a layer's
 captured accumulators are written in one update.
+
+Between MAC layers the integer backend hands each layer the codes of its
+input, as a LUT-based PIM accelerator passes codes, not real numbers. Where
+a MAC layer's input is the output of the MAC layer before it through
+nothing but ReLU, max pooling and flatten, with no residual source on the
+way (`_plan`), that input is finite: `quantized_layer` refuses a bias that
+could make a scaled output otherwise, and `nets` a max pool with a window
+of padding alone. The layer then requantizes it in the float64 buffer the
+pass made (`_requantize`): quantize's division, rounding and zero point in
+quantize's order, then one clip straight into the layer's code type, with
+no finiteness scan. A ReLU on the way becomes the clip's lower bound, the
+zero point, and the walk skips it; a ReLU commutes with max pooling, so
+the pool runs first, on floats, and leaves fewer values to requantize. The
+codes are those that quantize would give, so every accumulator, capture and
+probability is as before. Every other MAC layer quantizes its input: the
+first, one that reads a residual add's output or a residual source's, and
+each projected shortcut. `infer_float`, calibration and the last-layer fit
+walk floats throughout.
 
 Precision is stated once, in each layer's quantization params: a layer's
 precision (`QuantizedLayer.bits`) is the wider of its weight and activation
@@ -62,31 +81,33 @@ a*b. Once every byte product is a*b, the cluster's byte passes, recombined
 and corrected for zero points, give the integer sum of products of centred
 codes, so the vector engine takes that sum as one matmul at 4, 8 and 16
 bits. engine="cluster" multiplies unsigned bytes, as the cluster does: its
-codes stay unsigned integers from `quantize` to `mac8`, uint8 in a 4- or
-8-bit layer and uint16 in a 16-bit one, and its weight codes are lhs + zw,
-cast once per call. Byte i of each operand is taken once as uint8, the
-codes themselves or a byte of their uint16 view, and each of the
-operand_bytes(bits)**2 byte passes (four at 16 bits) runs through `mac8` in
-lockstep, one call per block of k with at most CLUSTER_LANES lanes unless a
-single k has more outputs. The MAC program runs once per process on every
-byte pair, and mac8 reads each lane's int64 product from that table, so
-the certification above checks the very table the cluster's lanes read;
-each lane still counts as one run of the program. The engine shifts and
-sums the passes and applies the zero-point corrections in int64, and that
-int64 accumulator is what the layer captures and scales. Products are
-non-negative, so checking the running sums against the 32-bit accumulator
-after each block raises on exactly the inputs a per-MAC check does.
+codes stay unsigned integers from `quantize` or `_requantize` to `mac8`,
+uint8 in a 4- or 8-bit layer and uint16 in a 16-bit one, and its weight
+codes are lhs + zw, cast once per call. Byte i of each operand is taken
+once as uint8, the codes themselves or a byte of their uint16 view, and
+each of the operand_bytes(bits)**2 byte passes (four at 16 bits) runs
+through `mac8` in lockstep, one call per block of k with at most
+CLUSTER_LANES lanes unless a single k has more outputs. The MAC program
+runs once per process on every byte pair, and mac8 reads each lane's int64
+product from that table, so the certification above checks the very table
+the cluster's lanes read; each lane still counts as one run of the program.
+The engine shifts and sums the passes and applies the zero-point
+corrections in int64, and that int64 accumulator is what the layer captures
+and scales. Products are non-negative, so checking the running sums against
+the 32-bit accumulator after each block raises on exactly the inputs a
+per-MAC check does.
 
-On the vector engine, codes stay float integers from `quantize` to the
-accumulator, in one float type per MAC layer. Centred codes are at most
-q = 2^bits - 1 in magnitude, so every partial sum of a K-long dot product
-is at most K*q^2 in any summation order. A layer whose K*q^2 < 2^24 takes
-float32, which holds those integers exactly: K <= 258 at 8 bits, K <= 74,565
-at 4 bits, never at 16. Every other layer takes float64; building a layer
-with K*q^2 >= 2^53 raises. `quantized_layer` makes that choice once
-(`_product_dtype`) and centres the weight codes into that type; `quantize`
-casts the activation codes into it, and centring, the scratch buffer,
-windows and the product stay in it.
+On the vector engine, codes stay float integers from `quantize` or
+`_requantize` to the accumulator, in one float type per MAC layer. Centred
+codes are at most q = 2^bits - 1 in magnitude, so every partial sum of a
+K-long dot product is at most K*q^2 in any summation order. A layer whose
+K*q^2 < 2^24 takes float32, which holds those integers exactly: K <= 258 at
+8 bits, K <= 74,565 at 4 bits, never at 16. Every other layer takes
+float64; building a layer with K*q^2 >= 2^53 raises. `quantized_layer`
+makes that choice once (`_product_dtype`) and centres the weight codes into
+that type; `quantize` casts the activation codes into it and centring
+follows, or `_requantize` writes them into it centred, and the scratch
+buffer, windows and the product stay in it.
 The accumulator is scaled in float64 in every layer, so outputs do not
 depend on the type. int64 appears only in captured accumulators (cast once
 per layer from the vector engine's float product), in the cluster engine's
@@ -166,15 +187,19 @@ class _MacStep:
     keys are the layer's weight and bias entries in a WeightSet, rows the
     (G, O/G, K/G) shape of its float weight rows (K/G as -1), bias_rows the
     (G, O/G, 1) shape _add_bias broadcasts its bias to, and out its
-    (N, *out_shape) output. A conv layer's block partition depends on its
-    input's itemsize, so blocks resolves it once per itemsize and keeps it;
-    two calls that resolve one itemsize at once compute equal values, and
-    setdefault keeps one. No array is kept.
+    (N, *out_shape) output. requantize says whether infer_lut's step
+    requantizes its input, a MAC step's output by way of relu, maxpool2d and
+    flatten alone (_plan), and relu whether a ReLU lies on that way. A conv
+    layer's block partition depends on its input's itemsize, so blocks
+    resolves it once per itemsize and keeps it; two calls that resolve one
+    itemsize at once compute equal values, and setdefault keeps one. No
+    array is kept.
     """
 
-    def __init__(self, layer, n: int, window_bytes: int):
+    def __init__(self, layer, n: int, window_bytes: int, requantize: bool = False, relu: bool = False):
         g, o = groups(layer), layer.out_shape[0]
         self.layer, self.window_bytes = layer, window_bytes
+        self.requantize, self.relu = requantize, relu
         self.keys = f"{layer.name}.w", f"{layer.name}.b"
         self.rows, self.bias_rows, self.out = (g, o // g, -1), (g, o // g, 1), (n, *layer.out_shape)
         self.partitions = {}
@@ -224,17 +249,39 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
     the layer's kind otherwise; save says whether a later residual_add reads
     its output. arg holds what the step needs beyond the arrays: a MAC
     layer's _MacStep, a projected add's shortcut conv's _MacStep (None for
-    a plain shortcut), a pool's padding and taps, a ReLU's whether it may run
-    in place (only on an array of the pass's own, not the input or a saved
-    residual source) and a flatten's output shape. Equal nets share a plan:
-    NetworkSpec caches its hash, and lookups compare nets by value.
+    a plain shortcut), a pool's padding and taps, a ReLU's (in_place, folded):
+    whether it may run in place (only on an array of the pass's own, not the
+    input or a saved residual source) and whether the MAC step after it folds
+    it into its requantization; and a flatten's output shape. Equal nets
+    share a plan: NetworkSpec caches its hash, and lookups compare nets by
+    value.
+
+    A MAC step requantizes its input (_MacStep.requantize) when the input is
+    the output of the MAC step before it through relu, maxpool2d and flatten
+    alone, none of them nor that step a residual source.
     """
     sources = {layer.residual_from for layer in net.layers if layer.kind == "residual_add"}
+    # requant: each requantizing MAC layer, and whether a relu lies before it; after_mac: whether x is still a
+    # MAC layer's output through relu, maxpool2d and flatten alone; relus: the relus since; folded: those folded
+    requant, after_mac, relus, folded = {}, False, [], set()
+    for layer in net.layers:
+        if layer.kind in MAC_KINDS:
+            if after_mac:
+                requant[layer.name] = bool(relus)
+                folded.update(relus)
+            after_mac, relus = True, []
+        elif layer.kind == "relu":
+            relus.append(layer.name)
+        elif layer.kind not in ("maxpool2d", "flatten"):
+            after_mac = False
+        if layer.name in sources:
+            after_mac = False
     steps, owned = [], False  # owned: whether x is a temporary of the pass at this step
     for layer in net.layers:
         kind, arg = layer.kind, None
         if kind in MAC_KINDS:
-            kind, arg = "mac", _MacStep(layer, n, window_bytes)
+            relu = requant.get(layer.name)
+            kind, arg = "mac", _MacStep(layer, n, window_bytes, relu is not None, bool(relu))
         elif kind == "residual_add" and layer.proj:
             arg = _MacStep(layer.shortcut, n, window_bytes)
         elif kind == "maxpool2d":
@@ -242,7 +289,7 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
             taps = [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s)) for i in range(k) for j in range(k)]
             arg = layer.padding, tuple(taps)
         elif kind == "relu":
-            arg = owned
+            arg = owned, layer.name in folded
         elif kind == "flatten":
             arg = (n, *layer.out_shape)
         steps.append((kind, layer, arg, layer.name in sources))
@@ -328,13 +375,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None):
+def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None, fold_relu: bool = False):
     """The one layer walk of both backends over an (N, C, H, W) stack; mac(step, x) runs each MAC layer's _MacStep.
 
     The walk follows the plan of (net, N, WINDOW_BYTES) (_plan). A projected
     shortcut runs as mac(its shortcut conv's step, source). The walk runs every
     other layer itself, keeps only the outputs a later residual_add reads,
-    and captures the logits. Returns x[0] for a single sample.
+    and captures the logits. fold_relu says that mac folds each ReLU before a
+    requantizing step into its clip (infer_lut), so the walk skips those
+    ReLUs. Returns x[0] for a single sample.
     """
     saved = {}
     for kind, layer, arg, save in _plan(net, len(x), WINDOW_BYTES).steps:
@@ -343,7 +392,9 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
         elif kind == "maxpool2d":
             x = _pool2d(x, *arg)
         elif kind == "relu":
-            x = np.maximum(x, 0.0, out=x if arg else None)
+            in_place, folded = arg
+            if not (fold_relu and folded):
+                x = np.maximum(x, 0.0, out=x if in_place else None)
         elif kind == "flatten":
             x = x.reshape(arg)
         elif kind == "residual_add":
@@ -404,6 +455,10 @@ def infer_float(net: NetworkSpec, ws: WeightSet, x: np.ndarray, captures: dict |
 
 class CertificationError(RuntimeError):
     """The MAC microprogram's product of a byte pair differs from a*b."""
+
+
+class BiasError(ValueError):
+    """A MAC layer's bias is not finite, or could carry the layer's scaled output past float64's range."""
 
 
 def _byte_products() -> np.ndarray:
@@ -543,14 +598,34 @@ class QuantizedLayer:
         return np.add(centred, self.wparams.zero_point, dtype=np.float64)
 
 
+def _check_bias(layer, bias, bound: float = 0.0) -> None:
+    """Raise BiasError, naming `layer` and its bias entry, if bias is not finite or bound + max|bias| is not."""
+    peak = float(np.abs(bias).max(initial=0.0))  # NaN propagates
+    if math.isfinite(bound + peak):
+        return
+    where = f"bias {layer.name}.b of layer {layer.name!r}"
+    if not math.isfinite(peak):
+        raise BiasError(f"{where} is not finite")
+    raise BiasError(f"{where}: the output bound K*q^2*sa*sw + max|b| = {bound!r} + {peak!r} is not finite")
+
+
 def quantized_layer(layer, qweight, wparams: QuantParams, bias, act_params: QuantParams) -> QuantizedLayer:
     """A QuantizedLayer for MAC layer `layer` from its unsigned (K/G, O) weight codes.
 
     The codes are centred once into the read-only (G, O/G, K/G) rows the
     layer's product reads, in the float type _product_dtype picks from K/G
     and the wider of the two precisions. The caller's array is left as it was.
+
+    Every accumulator of a K/G-long product of centred codes is at most
+    K/G*q^2 in magnitude, q = 2**bits - 1, so the scaled output acc*(sa*sw) +
+    b is at most K/G*q^2*(sa*sw) + max|b|, in float64's rounding too. A bias
+    that is not finite, or that makes this bound overflow, raises BiasError:
+    every output of a layer that is built is finite, so a layer that
+    requantizes it in infer_lut needs no finiteness scan.
     """
-    dtype = _product_dtype(len(qweight), max(wparams.bits, act_params.bits))
+    bits = max(wparams.bits, act_params.bits)
+    dtype = _product_dtype(len(qweight), bits)
+    _check_bias(layer, bias, len(qweight) * ((1 << bits) - 1) ** 2 * (act_params.scale * wparams.scale))
     lhs = np.subtract(qweight.T, wparams.zero_point, dtype=dtype, order="C")
     lhs = lhs.reshape(groups(layer), -1, len(qweight))
     lhs.flags.writeable = False
@@ -582,8 +657,13 @@ def prepare_quantized(
         extremes[name] = (min(lo, mn), max(hi, mx))
         return _float_mac(ws, step, x)
 
-    for xs in _chunks(net, cal_inputs):
-        _forward(net, xs, False, mac, None)
+    try:
+        for xs in _chunks(net, cal_inputs):
+            _forward(net, xs, False, mac, None)
+    except CalibrationError:
+        for step in _plan(net, 1, WINDOW_BYTES).macs:  # a bias that is not finite poisons the layers after it
+            _check_bias(step.layer, ws[step.keys[1]].data)
+        raise
     qm = QuantizedModel(net=net)
     for step in _plan(net, 1, WINDOW_BYTES).macs:  # the rows do not depend on the stack size
         layer = step.layer
@@ -595,6 +675,36 @@ def prepare_quantized(
         act = calibrate(np.array(extremes.get(layer.name, ())), bits, symmetric=False)
         qm.layers[layer.name] = quantized_layer(layer, codes, wp, b, act)
     return qm
+
+
+def _requantize(a: np.ndarray, p: QuantParams, relu: bool, dtype, centred: bool = False) -> np.ndarray:
+    """quantize(np.maximum(a, 0) if relu else a, p, dtype) of a finite float64 a, byte for byte; a is overwritten.
+
+    The same float64 operations in the same order as quantize, in a's own
+    buffer: divide, rint and the zero point, then one clip straight into a
+    fresh array of dtype. A ReLU becomes the clip's lower bound: for a < 0,
+    rint(a/S) + Z <= Z, which clips to Z, the code of max(a, 0) = 0. quantize's
+    finiteness scan is left out: a built layer's outputs are finite
+    (quantized_layer), and so is what ReLU, max pooling (nets refuses a
+    window of padding alone) and flatten make of them. A finite a whose a/S
+    overflows clips as in quantize.
+
+    centred returns the centred codes instead, which the vector engine's
+    product reads: the zero point is not added and the clip's bounds move
+    down by Z. rint(a/S) is an integer, or past the clip when adding Z would
+    round, so the codes equal quantize(...) - Z, except that a centred code
+    of 0 may be -0.0: it multiplies to a zero of either sign, and no sum of
+    integers or int64 capture reads a zero's sign.
+    """
+    a /= p.scale
+    np.rint(a, out=a)
+    z = p.zero_point
+    if centred:
+        lo, hi = (0 if relu else -z), p.qmax - z
+    else:
+        a += z
+        lo, hi = (z if relu else 0), p.qmax
+    return np.clip(a, lo, hi, out=np.empty(a.shape, dtype), casting="unsafe")
 
 
 @functools.lru_cache(maxsize=64)
@@ -630,13 +740,14 @@ def infer_lut(
     """Quantized forward pass on the LUT backend.
 
     Each MAC layer runs at its own precision (QuantizedLayer.bits), so one
-    model may mix 4-, 8- and 16-bit layers. It quantizes its input once and
-    hands the codes to _mac unpadded, which pads each block of groups with
-    the code of real 0 and takes the block's product. The vector engine
-    centres its float codes in place, pads with 0 and takes _raw_dot_vector;
-    the cluster engine keeps the layer's unsigned codes, uint8 at 4 and 8
-    bits and uint16 at 16, pads with the zero point za and takes
-    _unsigned_dot_cluster's int64 accumulator. The layer's captures and
+    model may mix 4-, 8- and 16-bit layers. It takes its input's codes once,
+    from _requantize where the plan says so (_MacStep.requantize) and from
+    quantize otherwise, and hands them to _mac unpadded, which pads each
+    block of groups with the code of real 0 and takes the block's product.
+    The vector engine takes centred float codes, pads with 0 and takes
+    _raw_dot_vector; the cluster engine keeps the layer's unsigned codes,
+    uint8 at 4 and 8 bits and uint16 at 16, pads with the zero point za and
+    takes _unsigned_dot_cluster's int64 accumulator. The layer's captures and
     scaling run once on the assembled product.
 
     x is one (C, H, W) sample or an (N, C, H, W) stack. Returns (probabilities,
@@ -661,18 +772,23 @@ def infer_lut(
     accs = captures.setdefault("acc", {}) if captures is not None else None
 
     def mac(step, x):
-        """Quantize x once and take one grouped-conv product: sum((qw - zw) * (qa - za))."""
+        """Take x's codes once, then one grouped-conv product: sum((qw - zw) * (qa - za))."""
         layer = step.layer
         ql = qm.layers[layer.name]
         za, zw = ql.act_params.zero_point, ql.wparams.zero_point
+        # the vector engine's codes are centred in place, and _mac pads them with 0, the centred code of 0; the
+        # cluster engine's stay unsigned up to mac8, at the layer's own precision, and _mac pads them with za
+        codes = ql.lhs.dtype if cluster is None else np.uint8 if operand_bytes(ql.bits) == 1 else np.uint16
+        if step.requantize:  # x is a MAC step's finite output, which the pass made and nothing else reads
+            q = _requantize(x, ql.act_params, step.relu, codes, centred=cluster is None)
+        else:
+            q = quantize(x, ql.act_params, codes)
+            if cluster is None:
+                q -= za
         if cluster is None:
-            q = quantize(x, ql.act_params, ql.lhs.dtype)
-            q -= za  # centred in place; _mac pads with 0, the centred code of 0
             acc = _mac(step, q, ql.lhs, lambda lhs, rhs: _raw_dot_vector(lhs, rhs, ql.bits))
         else:
-            # unsigned codes from quantize to mac8, at the layer's own precision; _mac pads with za, the code of 0
-            codes = np.uint8 if operand_bytes(ql.bits) == 1 else np.uint16
-            q, w = quantize(x, ql.act_params, codes), (ql.lhs + zw).astype(codes)
+            w = (ql.lhs + zw).astype(codes)
             acc = _mac(step, q, w, lambda lhs, rhs: _unsigned_dot_cluster(lhs, zw, rhs, za, cluster), za)
         if accs is not None:
             # int64 once per layer (the cluster's product already is), viewed group-major (G, N, P, O/G);
@@ -688,7 +804,7 @@ def infer_lut(
         acc *= ql.act_params.scale * ql.wparams.scale
         return _add_bias(step, acc, ql.bias)
 
-    probs = _forward(qm.net, x, single, mac, captures)
+    probs = _forward(qm.net, x, single, mac, captures, fold_relu=True)
     precisions = tuple((name, ql.bits) for name, ql in qm.layers.items())
     return probs, EnergyLedger(list(_ledger_events(qm.net, cfg, precisions)))
 

@@ -70,6 +70,9 @@ class NetworkSpec:
             if layer.in_shape != shape:
                 raise ShapeError(f"{where}: expected input {shape}, spec says {layer.in_shape}")
             _check_rank(where, layer.kind, shape)
+            if layer.kind == "maxpool2d" and layer.padding >= min(layer.kernel):
+                # a window of padding alone has no maximum: -inf, which no code stands for
+                raise ShapeError(f"{where}: padding {layer.padding} is not below the kernel {layer.kernel}")
             if layer.kind == "residual_add":
                 if layer.residual_from not in out_shapes:
                     raise ShapeError(f"{where}: unknown residual source {layer.residual_from!r}")

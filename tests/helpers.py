@@ -265,3 +265,32 @@ def projected_shortcut_net():
 
 def random_inputs(net: NetworkSpec, rng: np.random.Generator, n: int):
     return [rng.random(net.input_shape) for _ in range(n)]
+
+
+def code_path_network() -> NetworkSpec:
+    """Every edge of infer_lut's requantization between MAC layers.
+
+    conv_a's output reaches conv_b through a padded max pool and a ReLU after
+    it, so conv_b requantizes it with the ReLU folded into the clip at the
+    zero point; conv_b feeds dw with no ReLU between, so dw's clip's lower
+    bound is 0. dw's output reaches conv_c through relu_src, a residual
+    source, so conv_c quantizes its input, as does dense, which reads the
+    add's output.
+    """
+    return build_network(
+        "code_paths",
+        (2, 8, 8),
+        [
+            LayerSpec(name="conv_a", kind="conv2d", kernel=(3, 3), padding=1, out_channels=3),
+            LayerSpec(name="pool_a", kind="maxpool2d", kernel=(3, 3), stride=2, padding=1),
+            LayerSpec(name="relu_a", kind="relu"),
+            LayerSpec(name="conv_b", kind="conv2d", kernel=(3, 3), padding=1, out_channels=4),
+            LayerSpec(name="dw", kind="depthwise_conv2d", kernel=(3, 3), padding=1),
+            LayerSpec(name="relu_src", kind="relu"),
+            LayerSpec(name="conv_c", kind="conv2d", kernel=(1, 1), out_channels=4),
+            LayerSpec(name="add", kind="residual_add", residual_from="relu_src"),
+            LayerSpec(name="flatten", kind="flatten"),
+            LayerSpec(name="dense", kind="dense", out_features=2),
+            LayerSpec(name="softmax", kind="softmax"),
+        ],
+    )

@@ -161,6 +161,34 @@ def test_simulate_refuses_a_malformed_quantized_entry(tmp_path, capsys, entry, m
     assert "backend" not in captured.out
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("layer", ["conv1", "dense"])
+def test_a_container_whose_bias_is_not_finite_exits_3_naming_it(tmp_path, capsys, layer, value):
+    """quantize refuses a float container, and simulate a quantized one, whose first or last layer's bias is not finite."""
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    assert run(["corpus", "--out", str(tmp_path / "corp"), "--benign", "1", "--malware", "1"]) == 0
+    net = tinymalnet()
+    ws, qws = init_random_weights(net, seed=2), _quantized_weights(2, blob)
+    for w in (ws, qws):
+        bias = w[f"{layer}.b"].data.copy()
+        bias[-1] = value
+        w.add(f"{layer}.b", bias)
+    save_weights(ws, tmp_path / "f.pimw")
+    save_weights(qws, tmp_path / "q.pimw")
+    out = tmp_path / "out.pimw"
+    argv = ["--corpus", str(tmp_path / "corp" / "manifest.csv"), "--out", str(out)]
+    for kind, argv in (
+        ("float", ["quantize", "--weights", str(tmp_path / "f.pimw"), *argv]),
+        ("quantized", ["simulate", "--input", str(blob), "--weights", str(tmp_path / "q.pimw")]),
+    ):
+        with np.errstate(invalid="ignore"):  # quantize's calibration pass computes with the bias
+            assert run(argv) == 3, kind
+        captured = capsys.readouterr()
+        assert f"error: {kind} container: bias {layer}.b of layer '{layer}' is not finite" in captured.err
+        assert "backend" not in captured.out and not out.exists()
+
+
 def test_a_layer_with_16_bit_activations_under_8_bit_weights_runs_at_16_bits(tmp_path, capsys):
     # a container of 8-bit layers whose act/conv1 params come from a 16-bit calibration
     net = tinymalnet()

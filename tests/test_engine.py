@@ -323,14 +323,20 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
             # each layer's scale is 1e8 below the last, so any nonzero input lands past either end
             QuantParams(scale=1e-6 * 1e-8**i, zero_point=(qmax, 0, 1 << (bits - 1), qmax)[i], bits=bits),
         )
-    codes = []
-    real_quantize = engine_module.quantize
+    codes, quantized = [], []
+    real_mac, real_quantize = engine_module._mac, engine_module.quantize
+
+    def mac(step, x, lhs, product, pad=0):
+        # the codes each layer's product reads: the vector engine's are centred, the cluster's unsigned
+        za = qm.layers[step.layer.name].act_params.zero_point
+        codes.append(x + za if engine == "vector" else x.copy())
+        return real_mac(step, x, lhs, product, pad)
 
     def quantize(r, p, dtype, **kw):
-        q = real_quantize(r, p, dtype, **kw)
-        codes.append(q.copy())  # the vector engine centres q in place
-        return q
+        quantized.append(np.shape(r))
+        return real_quantize(r, p, dtype, **kw)
 
+    monkeypatch.setattr(engine_module, "_mac", mac)
     monkeypatch.setattr(engine_module, "quantize", quantize)
     x = rng.choice([-1.0, 1.0], size=net.input_shape) * (0.5 + rng.random(net.input_shape))
     captures = {}
@@ -339,10 +345,12 @@ def test_saturated_codes_reach_the_integer_oracle_exactly(bits, engine, monkeypa
         # K = 18, 9, 54 and 325: float32 holds K*255^2 for all but the dense layer at 8 bits
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert [q.dtype for q in codes] == {4: [f32] * 4, 8: [f32, f32, f32, f64], 16: [f64] * 4}[bits]
-    else:  # unsigned integer codes from quantize to mac8
+    else:  # unsigned integer codes from quantize or _requantize to mac8
         assert [q.dtype for q in codes] == [np.dtype(np.uint8 if bits <= 8 else np.uint16)] * 4
     for q in codes:
         assert q.min() == 0 and q.max() == qmax
+    # no relu or residual add between MAC layers: each requantizes the output before it, and only the first quantizes
+    assert quantized == [(1, *net.input_shape)]
     oprobs, oaccs = oracle_quantized_forward(qm, x)
     assert captures["acc"].keys() == oaccs.keys()
     for name, acc in oaccs.items():
@@ -844,26 +852,43 @@ def test_both_engines_take_the_same_product_of_centred_codes(bits):
 
 
 def test_each_mac_layer_quantizes_its_input_once(monkeypatch):
-    net = strided_depthwise_network()
-    rng = np.random.default_rng(13)
-    qm = prepare_quantized(net, init_random_weights(net, seed=13), random_inputs(net, rng, 2), 8)
-    calls, dtypes = [], []
-    real_quantize = engine_module.quantize
+    """Each MAC layer's product reads its input's codes once per batch; quantize runs only where the plan says."""
+    events = []
+    real_mac, real_quantize = engine_module._mac, engine_module.quantize
+
+    def mac(step, x, lhs, product, pad=0):
+        events.append((step.layer.name, x.dtype, x.shape))
+        return real_mac(step, x, lhs, product, pad)
 
     def quantize(r, p, dtype, **kw):
-        calls.append(np.shape(r))
-        q = real_quantize(r, p, dtype, **kw)
-        dtypes.append(q.dtype)
-        return q
+        events.append(("quantize", np.shape(r)))
+        return real_quantize(r, p, dtype, **kw)
 
+    runs = []
+    for net, want in (
+        # every layer but the first requantizes the output of the one before
+        (strided_depthwise_network(), [("quantize", (2, 9, 11)), ("conv", (2, 9, 11)), ("dw", (3, 9, 11)),
+                                       ("conv_pad", (3, 4, 5)), ("dense", (2 * 4 * 5,))]),
+        # conv's output is by way of relu a residual source, and dense reads the add's output: dw and dense
+        # quantize their inputs
+        (depthwise_residual_network(), [("quantize", (2, 6, 6)), ("conv", (2, 6, 6)), ("quantize", (3, 6, 6)),
+                                        ("dw", (3, 6, 6)), ("quantize", (3 * 3 * 3,)), ("dense", (3 * 3 * 3,))]),
+    ):
+        rng = np.random.default_rng(13)
+        qm = prepare_quantized(net, init_random_weights(net, seed=13), random_inputs(net, rng, 2), 8)
+        runs.append((net, want, qm, rng))
+    monkeypatch.setattr(engine_module, "_mac", mac)
     monkeypatch.setattr(engine_module, "quantize", quantize)
-    infer_lut(qm, rng.random(net.input_shape))
-    # the MAC layers' inputs; one sample runs as a stack of one
-    assert calls == [(1, 2, 9, 11), (1, 3, 9, 11), (1, 3, 4, 5), (1, 2 * 4 * 5)]
-    assert dtypes == [np.float32] * 4  # K = 2, 9, 27 and 40, all within float32's exact integers at 8 bits
-    calls.clear()
-    infer_lut(qm, np.stack(random_inputs(net, rng, 3)))
-    assert calls == [(3, 2, 9, 11), (3, 3, 9, 11), (3, 3, 4, 5), (3, 2 * 4 * 5)]  # once per batch
+    for net, want, qm, rng in runs:
+        for n, x in ((1, rng.random(net.input_shape)), (3, np.stack(random_inputs(net, rng, 3)))):
+            # K = 2, 9, 27 and 40 in the first net, 18, 9 and 27 in the second: float32's exact integers at 8 bits
+            for engine, codes in (("vector", np.dtype(np.float32)), ("cluster", np.dtype(np.uint8))):
+                events.clear()
+                infer_lut(qm, x, engine=engine)
+                # the MAC layers' inputs, once per batch; one sample runs as a stack of one
+                assert events == [
+                    (what, (n, *shape)) if what == "quantize" else (what, codes, (n, *shape)) for what, shape in want
+                ], (net.name, n, engine)
 
 
 def _assert_same_outputs(a, b, where):

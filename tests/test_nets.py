@@ -179,6 +179,18 @@ def test_a_hand_built_network_is_checked_when_made(make, culprit):
         make(net)
 
 
+@pytest.mark.parametrize("padding", [2, 3])
+def test_a_pool_padded_as_wide_as_its_kernel_is_refused(padding):
+    """Such a pool has a window of padding alone, whose maximum is -inf; one padded less is built."""
+    layers = [
+        LayerSpec(name="pool", kind="maxpool2d", kernel=(2, 2), stride=2, padding=padding),
+        LayerSpec(name="flatten", kind="flatten"),
+    ]
+    with pytest.raises(ShapeError, match=r"^pp/pool: padding \d is not below the kernel \(2, 2\)$"):
+        build_network("pp", (1, 6, 6), layers)
+    build_network("pp", (1, 6, 6), [dataclasses.replace(layers[0], padding=1), layers[1]])
+
+
 def test_unknown_network():
     # refused with the valid names on every call, and never cached
     valid = ", ".join(sorted(ZOO))
