@@ -228,6 +228,7 @@ def cmd_quantize(args) -> int:
         ws = load_weights(args.weights)
     except (OSError, WeightFormatError) as e:
         raise DataError(str(e)) from e
+    _check_entries(net, ws, quantized=False)  # quantize reads .w, even beside .qw entries
     samples = _load_manifest(args.corpus)[: args.cal_count]
     if not samples:
         raise DataError("corpus is empty")
@@ -252,24 +253,18 @@ def _quantized_container(ws, qm) -> WeightSet:
     return out
 
 
-def _rebuild_qmodel(net, ws):
-    """The QuantizedModel a quantized container holds; None for a float-only container.
+def _check_entries(net, ws, quantized: bool) -> None:
+    """DataError naming the first entry a MAC layer needs that the container lacks, or whose shape or values it refuses.
 
-    DataError names the first entry a MAC layer needs that the container
-    lacks, or whose shape is not the layer's: (O, C/G, kh, kw) or (K, O) for
-    `.w` (nets.weight_shape), (K/G, O) for `.qw` and (O,) for `.b`, a
-    `.qw` or `act/` entry stored unquantized, or a `.b` entry the layer
-    refuses (engine.BiasError). The container states each
-    layer's precision: the layer runs at the wider of its two params' bits
-    (engine.QuantizedLayer.bits), so one container may mix precisions.
+    A layer needs finite `.w` (nets.weight_shape) and `.b` (O,) entries from
+    a float container, and `.qw` (K/G, O), `act/` and `.b` (O,) from a
+    quantized one.
     """
-    quantized = any(name.endswith(".qw") for name in ws.entries)
     kind = "quantized" if quantized else "float"
-    qm = engine.QuantizedModel(net=net) if quantized else None
     for layer in nets.mac_layers(net):
         qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
         w_shape, out = nets.weight_shape(layer), layer.out_shape[0]
-        shapes = (  # each entry the layer needs, and its shape; act entries carry only their params
+        shapes = (  # each entry the layer needs, and its shape
             {qw_name: (math.prod(w_shape) // out, out), act_name: None, b_name: (out,)}
             if quantized
             else {f"{layer.name}.w": w_shape, b_name: (out,)}
@@ -282,8 +277,28 @@ def _rebuild_qmodel(net, ws):
                     f"{kind} container entry {name!r} has shape {ws[name].data.shape}, but {net.name} layer"
                     f" {layer.name!r} needs {shape}"
                 )
-        if qm is None:
-            continue
+            if not quantized and not np.isfinite(ws[name].data).all():
+                what = "bias" if name == b_name else "weight"
+                raise DataError(f"float container: {what} {name} of layer {layer.name!r} is not finite")
+
+
+def _rebuild_qmodel(net, ws):
+    """The QuantizedModel a quantized container holds; None for a float-only container.
+
+    DataError names the first entry a MAC layer needs that the container
+    lacks or holds unusable (_check_entries), a `.qw` or `act/` entry stored
+    unquantized, or a `.b` entry the layer refuses (engine.BiasError). The
+    container states each layer's precision: the layer runs at the wider of
+    its two params' bits (engine.QuantizedLayer.bits), so one container may
+    mix precisions.
+    """
+    quantized = any(name.endswith(".qw") for name in ws.entries)
+    _check_entries(net, ws, quantized)
+    if not quantized:
+        return None
+    qm = engine.QuantizedModel(net=net)
+    for layer in nets.mac_layers(net):
+        qw_name, act_name, b_name = f"{layer.name}.qw", f"act/{layer.name}", f"{layer.name}.b"
         for name in (qw_name, act_name):
             if ws[name].params is None:
                 raise DataError(f"quantized container entry {name!r} is stored unquantized")

@@ -21,34 +21,34 @@ step's rows are a free reshape of the stored weights (`_weight_rows`) and
 its product is a real matmul.
 
 The walk follows a plan (`_plan`), built once per (net, stack size N,
-WINDOW_BYTES) and kept in a bounded cache; equal nets share one, since a
+WINDOW_ELEMENTS) and kept in a bounded cache; equal nets share one, since a
 NetworkSpec caches its hash and the cache compares nets by value. The plan
-resolves what depends only on that key: each step's kind, the outputs a
-residual add reads, where ReLU may run in place, pool taps, flatten and
-output shapes, each MAC layer's weight keys and weight-row and bias
-shapes (`_MacStep`), a projected add's stored shortcut conv included, and
-which MAC steps of the integer backend requantize their input. A
-layer's block partition, scratch and window shapes depend on its input's
-itemsize too, so each is resolved on first use per itemsize and kept in
-the plan. The plan holds no array: no activation, scratch or weight, so a
-call keeps nothing and stays re-entrant. A call only runs each step's
-numpy operations.
+resolves, when it is built, all that depends only on that key: each step's
+kind, the outputs a residual add reads, where ReLU may run in place, pool
+taps, flatten and output shapes, each MAC layer's weight keys, weight-row
+and bias shapes, block partition, scratch and window shapes (`_MacStep`),
+a projected add's stored shortcut conv included, and which MAC steps of
+the integer backend requantize their input. Nothing is filled in later,
+and the plan holds no array: no activation, scratch or weight, so a call
+keeps nothing and stays re-entrant. A call only runs each step's numpy
+operations.
 
 `_mac` receives each layer's input unpadded and walks its groups in the
-plan's blocks of at most WINDOW_BYTES of windows (at least one group, so a
-conv or dense layer is one block): it copies a block's channels into the
-interior of one scratch buffer whose border is filled once per call with
-the code of real 0, windows it and takes that block's product. The blocks
-fill the layer's (N, G, O/G, P) product, which `_mac` returns before bias;
-each backend finishes it and adds the bias with `_add_bias`. Neither a layer's whole
-padded input nor its whole window tensor exists at once (cache blocking;
-Goto and van de Geijn, ACM TOMS 2008). The float pad is 0. The vector
-engine's codes are centred before `_mac`, so its pad is 0, the centred code
-of 0; the cluster engine keeps unsigned codes, so its pad is
-the activation zero point za. Each `QuantizedLayer` holds its centred weight
-codes once, as the rows `_mac` reads (`lhs`). The integer step's captures
-and scaling run once per layer on the assembled product, and a layer's
-captured accumulators are written in one update.
+plan's blocks of at most WINDOW_ELEMENTS window elements (at least one
+group, so a conv or dense layer is one block): it copies a block's
+channels into the interior of one scratch buffer whose border is filled
+once per call with the code of real 0, windows it and takes that block's
+product. The blocks fill the layer's (N, G, O/G, P) product, which `_mac`
+returns before bias; each backend finishes it and adds the bias with
+`_add_bias`. Neither a layer's whole padded input nor its whole window
+tensor exists at once (cache blocking; Goto and van de Geijn, ACM TOMS
+2008). The float pad is 0. The vector engine's codes are centred before
+`_mac`, so its pad is 0, the centred code of 0; the cluster engine keeps
+unsigned codes, so its pad is the activation zero point za. Each
+`QuantizedLayer` holds its centred weight codes once, as the rows `_mac`
+reads (`lhs`). The integer step's captures and scaling run once per layer
+on the assembled product, and a layer's captured accumulators are written
+in one update.
 
 Between MAC layers the integer backend hands each layer the codes of its
 input, as a LUT-based PIM accelerator passes codes, not real numbers. Where
@@ -146,14 +146,15 @@ BATCH_ELEMENTS = 8192
 # that built it.
 CLUSTER_LANES = 65_536
 
-# Window bytes per block of groups in a MAC step (_MacStep.blocks): a
-# depthwise layer pads and windows this many bytes of its groups at a time
-# instead of the whole layer. It is read once per call, as part of the
-# layer plan's key, so a change between calls takes effect. On the 2-core
-# VM above, one mobilenet_v2 infer_float sample took 46-51 ms with 256 KiB
-# to 1 MiB blocks, 49-56 ms with 128 KiB, 51-53 ms with 2 MiB (the L2 size)
-# and 80 ms with one block per layer.
-WINDOW_BYTES = 512 * 1024
+# Window elements per block of groups in a MAC step (_MacStep): a depthwise
+# layer pads and windows this many elements of its groups at a time instead
+# of the whole layer, 512 KiB of float64 windows or 256 KiB of float32. It
+# is read once per call, as part of the layer plan's key, so a change
+# between calls takes effect. On the 2-core VM above, one mobilenet_v2
+# infer_float sample took 46-51 ms with 256 KiB to 1 MiB float64 blocks,
+# 49-56 ms with 128 KiB, 51-53 ms with 2 MiB (the L2 size) and 80 ms with
+# one block per layer.
+WINDOW_ELEMENTS = 64 * 1024
 
 
 def _as_batch(net: NetworkSpec, x) -> tuple[np.ndarray, bool]:
@@ -190,46 +191,34 @@ class _MacStep:
     (N, *out_shape) output. requantize says whether infer_lut's step
     requantizes its input, a MAC step's output by way of relu, maxpool2d and
     flatten alone (_plan), and relu whether a ReLU lies on that way. A conv
-    layer's block partition depends on its input's itemsize, so blocks
-    resolves it once per itemsize and keeps it; two calls that resolve one
-    itemsize at once compute equal values, and setdefault keeps one. No
-    array is kept.
+    layer's blocks each hold as many of its groups as fit `budget` window
+    elements, and at least one, so a conv (G = 1) is one block. A block is
+    (c0, c1, g0, g1, shapes): its channels c0 to c1, its groups g0 to g1,
+    and the (N, c1 - c0, kh, kw, oh, ow) view and (N, g1 - g0, K/G, P)
+    windows _windows gives it. scratch is the shape of a padded layer's
+    scratch buffer, one block of padded channels, and None otherwise. All
+    is resolved here and nothing later; no array is kept.
     """
 
-    def __init__(self, layer, n: int, window_bytes: int, requantize: bool = False, relu: bool = False):
+    def __init__(self, layer, n: int, budget: int, requantize: bool = False, relu: bool = False):
         g, o = groups(layer), layer.out_shape[0]
-        self.layer, self.window_bytes = layer, window_bytes
+        self.layer = layer
         self.requantize, self.relu = requantize, relu
         self.keys = f"{layer.name}.w", f"{layer.name}.b"
         self.rows, self.bias_rows, self.out = (g, o // g, -1), (g, o // g, 1), (n, *layer.out_shape)
-        self.partitions = {}
-
-    def blocks(self, itemsize: int):
-        """(scratch shape, blocks) of a conv layer whose input has this itemsize; scratch shape is None when unpadded.
-
-        A block holds as many groups as fit window_bytes of windows, and at
-        least one, so a conv (G = 1) is one block. Each block is (c0, c1, g0,
-        g1, shapes): its channels c0 to c1, its groups g0 to g1, and the
-        shapes _windows gives its (N, c1 - c0, kh, kw, oh, ow) window view,
-        the (N, c1 - c0, kh*kw, P) windows and their (N, g1 - g0, K/G, P)
-        grouped form.
-        """
-        try:
-            return self.partitions[itemsize]
-        except KeyError:
-            pass
-        layer, n = self.layer, self.out[0]
+        if layer.kind == "dense":  # one window per sample: no blocks and no scratch
+            self.scratch, self.blocks = None, ()
+            return
         (c, h, w), (kh, kw), (oh, ow), p = layer.in_shape, layer.kernel, layer.out_shape[1:], layer.padding
-        per_group = c // groups(layer)
-        block = max(1, self.window_bytes // (n * per_group * kh * kw * oh * ow * itemsize)) * per_group
+        per_group = c // g
+        block = max(1, budget // (n * per_group * kh * kw * oh * ow)) * per_group
         blocks = []
         for c0 in range(0, c, block):
             cb = min(block, c - c0)
-            gb = cb // per_group
-            shapes = (n, cb, kh, kw, oh, ow), (n, cb, kh * kw, oh * ow), (n, gb, per_group * kh * kw, oh * ow)
-            blocks.append((c0, c0 + cb, c0 // per_group, c0 // per_group + gb, shapes))
-        scratch = (n, min(block, c), h + 2 * p, w + 2 * p) if p else None
-        return self.partitions.setdefault(itemsize, (scratch, tuple(blocks)))
+            shapes = (n, cb, kh, kw, oh, ow), (n, cb // per_group, per_group * kh * kw, oh * ow)
+            blocks.append((c0, c0 + cb, c0 // per_group, (c0 + cb) // per_group, shapes))
+        self.blocks = tuple(blocks)
+        self.scratch = (n, min(block, c), h + 2 * p, w + 2 * p) if p else None
 
 
 class _Plan(NamedTuple):
@@ -242,8 +231,8 @@ class _Plan(NamedTuple):
 # Enough for a few nets at a few stack sizes each: one sample, evaluate's full
 # and last chunks, and calibration's.
 @functools.lru_cache(maxsize=32)
-def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
-    """The layer walk of `net` over an (n, C, H, W) stack, resolved once per (net, n, window_bytes).
+def _plan(net: NetworkSpec, n: int, budget: int) -> _Plan:
+    """The layer walk of `net` over an (n, C, H, W) stack, resolved in full once per (net, n, window budget).
 
     Each step is (kind, layer, arg, save). kind is "mac" for a MAC layer and
     the layer's kind otherwise; save says whether a later residual_add reads
@@ -252,9 +241,11 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
     a plain shortcut), a pool's padding and taps, a ReLU's (in_place, folded):
     whether it may run in place (only on an array of the pass's own, not the
     input or a saved residual source) and whether the MAC step after it folds
-    it into its requantization; and a flatten's output shape. Equal nets
-    share a plan: NetworkSpec caches its hash, and lookups compare nets by
-    value.
+    it into its requantization; and a flatten's output shape. budget is the
+    window elements per block of groups (WINDOW_ELEMENTS), from which each
+    _MacStep resolves its blocks as it is built, so a call only reads the
+    plan. Equal nets share a plan: NetworkSpec caches its hash, and lookups
+    compare nets by value.
 
     A MAC step requantizes its input (_MacStep.requantize) when the input is
     the output of the MAC step before it through relu, maxpool2d and flatten
@@ -281,9 +272,9 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
         kind, arg = layer.kind, None
         if kind in MAC_KINDS:
             relu = requant.get(layer.name)
-            kind, arg = "mac", _MacStep(layer, n, window_bytes, relu is not None, bool(relu))
+            kind, arg = "mac", _MacStep(layer, n, budget, relu is not None, bool(relu))
         elif kind == "residual_add" and layer.proj:
-            arg = _MacStep(layer.shortcut, n, window_bytes)
+            arg = _MacStep(layer.shortcut, n, budget)
         elif kind == "maxpool2d":
             k, s, (_, oh, ow) = layer.kernel[0], layer.stride, layer.out_shape
             taps = [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s)) for i in range(k) for j in range(k)]
@@ -300,16 +291,16 @@ def _plan(net: NetworkSpec, n: int, window_bytes: int) -> _Plan:
     return _Plan(tuple(steps), tuple(arg for _, _, arg, _ in steps if isinstance(arg, _MacStep)))
 
 
-def _windows(x: np.ndarray, stride: int, view, shape, grouped) -> np.ndarray:
+def _windows(x: np.ndarray, stride: int, view, grouped) -> np.ndarray:
     """(N, c, H, W) -> (N, c/(C/G), K/G, P) windows, each group's rows ordered (c, ki, kj); x already holds any padding.
 
     One copy through a strided view of x, shaped `view` (numpy checks that
-    the view stays inside x's buffer), reshaped to `shape` and then to
-    `grouped`; a 1x1, stride-1 window needs no copy and stays a view of x.
+    the view stays inside x's buffer), reshaped straight to `grouped`; a
+    1x1, stride-1 window needs no copy and stays a view of x.
     """
     x = np.ascontiguousarray(x)
     sn, sc, sh, sw = x.strides
-    return np.ndarray(view, x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride)).reshape(shape).reshape(grouped)
+    return np.ndarray(view, x.dtype, x, 0, (sn, sc, sh, sw, sh * stride, sw * stride)).reshape(grouped)
 
 
 def _mac(step: _MacStep, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.ndarray:
@@ -320,32 +311,32 @@ def _mac(step: _MacStep, x: np.ndarray, lhs: np.ndarray, product, pad=0) -> np.n
     K/G, P) windows, each group's K/G ordered (c, ki, kj), a free reshape of
     the windows: a conv has G = 1 and a depthwise layer G = C. A dense layer is one
     window per sample, so each sample is its own product and a stack's rows
-    equal single calls. product(lhs, rhs) runs once per block of groups
-    (_MacStep.blocks), and the blocks' (N, gb, O/G, P) results fill one
+    equal single calls. product(lhs, rhs) runs once per block of groups of
+    the plan (step.blocks), and the blocks' (N, gb, O/G, P) results fill one
     (N, G, O/G, P) array; a layer of one block returns that block's
     product. A padded layer copies each block's channels into the interior
-    of one scratch buffer, whose border is filled with `pad` once per call,
-    and windows that: pad is 0 for the float input and the vector engine's
-    centred codes, and the zero-point code za for the cluster engine's
-    unsigned codes, in each case the code of real 0. So neither the whole
-    padded input nor the whole window tensor exists at once.
+    of one scratch buffer of the plan's shape (step.scratch), whose border
+    is filled with `pad` once per call, and windows that: pad is 0 for the
+    float input and the vector engine's centred codes, and the zero-point
+    code za for the cluster engine's unsigned codes, in each case the code
+    of real 0. So neither the whole padded input nor the whole window
+    tensor exists at once.
     """
     layer = step.layer
     if layer.kind == "dense":
         return product(lhs, x[:, None, :, None])
-    shape, blocks = step.blocks(x.itemsize)
     p = layer.padding
     if p:
-        scratch = np.full(shape, pad, x.dtype) if pad else np.zeros(shape, x.dtype)
+        scratch = np.full(step.scratch, pad, x.dtype) if pad else np.zeros(step.scratch, x.dtype)
     out = None
-    for c0, c1, g0, g1, shapes in blocks:
+    for c0, c1, g0, g1, shapes in step.blocks:
         xb = x[:, c0:c1]
         if p:
             padded = scratch[:, : c1 - c0]
             padded[:, :, p:-p, p:-p] = xb
             xb = padded
         acc = product(lhs[g0:g1], _windows(xb, layer.stride, *shapes))
-        if len(blocks) == 1:
+        if len(step.blocks) == 1:
             return acc
         if out is None:
             out = np.empty((len(acc), len(lhs), *acc.shape[2:]), acc.dtype)
@@ -378,7 +369,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict | None, fold_relu: bool = False):
     """The one layer walk of both backends over an (N, C, H, W) stack; mac(step, x) runs each MAC layer's _MacStep.
 
-    The walk follows the plan of (net, N, WINDOW_BYTES) (_plan). A projected
+    The walk follows the plan of (net, N, WINDOW_ELEMENTS) (_plan). A projected
     shortcut runs as mac(its shortcut conv's step, source). The walk runs every
     other layer itself, keeps only the outputs a later residual_add reads,
     and captures the logits. fold_relu says that mac folds each ReLU before a
@@ -386,7 +377,7 @@ def _forward(net: NetworkSpec, x: np.ndarray, single: bool, mac, captures: dict 
     ReLUs. Returns x[0] for a single sample.
     """
     saved = {}
-    for kind, layer, arg, save in _plan(net, len(x), WINDOW_BYTES).steps:
+    for kind, layer, arg, save in _plan(net, len(x), WINDOW_ELEMENTS).steps:
         if kind == "mac":
             x = mac(arg, x)
         elif kind == "maxpool2d":
@@ -661,11 +652,11 @@ def prepare_quantized(
         for xs in _chunks(net, cal_inputs):
             _forward(net, xs, False, mac, None)
     except CalibrationError:
-        for step in _plan(net, 1, WINDOW_BYTES).macs:  # a bias that is not finite poisons the layers after it
+        for step in _plan(net, 1, WINDOW_ELEMENTS).macs:  # a bias that is not finite poisons the layers after it
             _check_bias(step.layer, ws[step.keys[1]].data)
         raise
     qm = QuantizedModel(net=net)
-    for step in _plan(net, 1, WINDOW_BYTES).macs:  # the rows do not depend on the stack size
+    for step in _plan(net, 1, WINDOW_ELEMENTS).macs:  # the rows do not depend on the stack size
         layer = step.layer
         rows, b = _weight_rows(step, ws)
         wmat = rows.reshape(-1, rows.shape[-1]).T  # a (K/G, O) view, the layout a container holds codes in

@@ -5,8 +5,8 @@
 prints each section's hash as JSON; tests/test_digest.py compares them with
 the committed tests/digest.json and names the sections that differ. Both
 engines run tinymalnet and the tests/helpers nets at 4, 8 and 16 bits, on one
-sample and on a stack of 3, at WINDOW_BYTES 1 and at its default. The
-sections:
+sample and on a stack of 3, at WINDOW_ELEMENTS 1 (one group per block) and
+at its default of 64 Ki window elements per block. The sections:
 
 - acc: every captures["acc"] entry, as key, dtype, shape and bytes;
 - ledger: the ledger events of each run;
@@ -28,7 +28,7 @@ the committed file and says which section moved and why.
     PYTHONPATH=src python tests/digest.py --float
 
 prints instead one hash of infer_float's results over the same nets, inputs
-and WINDOW_BYTES: its probabilities, captures["logits"] and each
+and WINDOW_ELEMENTS: its probabilities, captures["logits"] and each
 captures["layer_inputs"] entry. Nothing is committed for it, since floats
 may move with the numpy or BLAS build; a change to the layer walk compares
 it with PYTHONPATH set to the parent's src and to the change's.
@@ -81,15 +81,15 @@ def _array(h, key: str, a: np.ndarray) -> None:
 
 
 @contextlib.contextmanager
-def _engine_settings(window_bytes: int, clusters: list):
-    """engine.WINDOW_BYTES set, and every Cluster that engine builds appended to clusters."""
-    saved = engine.WINDOW_BYTES, engine.Cluster
-    engine.WINDOW_BYTES = window_bytes
+def _engine_settings(window_elements: int, clusters: list):
+    """engine.WINDOW_ELEMENTS set, and every Cluster that engine builds appended to clusters."""
+    saved = engine.WINDOW_ELEMENTS, engine.Cluster
+    engine.WINDOW_ELEMENTS = window_elements
     engine.Cluster = lambda: clusters.append(Cluster()) or clusters[-1]
     try:
         yield
     finally:
-        engine.WINDOW_BYTES, engine.Cluster = saved
+        engine.WINDOW_ELEMENTS, engine.Cluster = saved
 
 
 def _nets():
@@ -116,10 +116,10 @@ def compute() -> dict[str, str]:
         for bits in (4, 8, 16):
             qm = engine.prepare_quantized(net, ws, calibration, bits)
             for inputs in (x[0], x):
-                for window_bytes in (1, engine.WINDOW_BYTES):
+                for window_elements in (1, engine.WINDOW_ELEMENTS):
                     for kind in ("vector", "cluster"):
                         captures, clusters = {}, []
-                        with _engine_settings(window_bytes, clusters):
+                        with _engine_settings(window_elements, clusters):
                             _, ledger = engine.infer_lut(qm, inputs, engine=kind, captures=captures)
                         for key in sorted(captures["acc"]):
                             _array(h["acc"], f"{net.name}/{bits}/{kind}/{key}", captures["acc"][key])
@@ -158,9 +158,9 @@ def compute_float() -> str:
     h = hashlib.sha256()
     for net, ws, _, x in _nets():
         for inputs in (x[0], x):
-            for window_bytes in (1, engine.WINDOW_BYTES):
+            for window_elements in (1, engine.WINDOW_ELEMENTS):
                 captures = {}
-                with _engine_settings(window_bytes, []):
+                with _engine_settings(window_elements, []):
                     probs = engine.infer_float(net, ws, inputs, captures=captures)
                 _array(h, f"{net.name}/probs", probs)
                 _array(h, f"{net.name}/logits", captures["logits"])

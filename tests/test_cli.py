@@ -189,6 +189,67 @@ def test_a_container_whose_bias_is_not_finite_exits_3_naming_it(tmp_path, capsys
         assert "backend" not in captured.out and not out.exists()
 
 
+def _float_container_argv(tmp_path, command, weights):
+    """argv of `command` (simulate or quantize) reading the float container `weights` and a valid input or corpus."""
+    if command == "simulate":
+        blob = tmp_path / "x.bin"
+        blob.write_bytes(bytes(range(256)) * 8)
+        return ["simulate", "--input", str(blob), "--weights", str(weights)]
+    assert main(["corpus", "--out", str(tmp_path / "corp"), "--benign", "1", "--malware", "1"]) == 0
+    manifest = str(tmp_path / "corp" / "manifest.csv")
+    return ["quantize", "--weights", str(weights), "--corpus", manifest, "--out", str(tmp_path / "out.pimw")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "quantize"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry, what", [("w", "weight"), ("b", "bias")])
+@pytest.mark.parametrize("layer", ["conv1", "dense"])
+def test_a_float_container_holding_a_value_that_is_not_finite_exits_3_naming_it(
+    tmp_path, capsys, layer, entry, what, value, command
+):
+    ws = init_random_weights(tinymalnet(), seed=2)
+    data = ws[f"{layer}.{entry}"].data.copy()
+    data.flat[-1] = value
+    ws.add(f"{layer}.{entry}", data)
+    save_weights(ws, tmp_path / "f.pimw")
+    argv = _float_container_argv(tmp_path, command, tmp_path / "f.pimw")
+    capsys.readouterr()
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: float container: {what} {layer}.{entry} of layer '{layer}' is not finite" in captured.err
+    assert not (tmp_path / "out.pimw").exists()
+
+
+@pytest.mark.parametrize(
+    "quantized, change, message",
+    [
+        (False, lambda ws: ws.entries.pop("dense.b"), "float container lacks 'dense.b' for tinymalnet layer 'dense'"),
+        (
+            False,
+            lambda ws: ws.add("conv2.w", np.ascontiguousarray(ws["conv2.w"].data[:, :4])),
+            "float container entry 'conv2.w' has shape (16, 4, 3, 3), but tinymalnet layer 'conv2' needs (16, 8, 3, 3)",
+        ),
+        (True, lambda ws: ws.entries.pop("conv1.w"), "float container lacks 'conv1.w' for tinymalnet layer 'conv1'"),
+    ],
+    ids=["missing-bias", "conv-half-channels", "quantized-without-weights"],
+)
+def test_quantize_checks_its_float_container_as_simulate_does(tmp_path, capsys, quantized, change, message):
+    """quantize exits 3 with simulate's message; it reads `.w` even from a container holding `.qw` entries."""
+    blob = tmp_path / "x.bin"
+    blob.write_bytes(bytes(range(256)) * 8)
+    ws = _quantized_weights(2, blob) if quantized else init_random_weights(tinymalnet(), seed=2)
+    change(ws)
+    save_weights(ws, tmp_path / "f.pimw")
+    for command in ("quantize",) if quantized else ("simulate", "quantize"):  # simulate runs a quantized one's .qw
+        argv = _float_container_argv(tmp_path, command, tmp_path / "f.pimw")
+        capsys.readouterr()
+        assert run(argv) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, command
+        assert not (tmp_path / "out.pimw").exists()
+
+
 def test_a_layer_with_16_bit_activations_under_8_bit_weights_runs_at_16_bits(tmp_path, capsys):
     # a container of 8-bit layers whose act/conv1 params come from a 16-bit calibration
     net = tinymalnet()

@@ -17,7 +17,7 @@ from tests.helpers import code_path_network, oracle_quantized_forward, random_in
 
 def _requantizing(net):
     """(MAC layer, whether a relu lies before it) of each MAC step that requantizes its input."""
-    plan = engine_module._plan(net, 1, engine_module.WINDOW_BYTES)
+    plan = engine_module._plan(net, 1, engine_module.WINDOW_ELEMENTS)
     return [(s.layer.name, s.relu) for s in plan.macs if s.requantize]
 
 
@@ -66,8 +66,8 @@ def test_every_edge_of_the_code_path_matches_the_integer_oracle(bits, monkeypatc
         return real_mac(step, x, lhs, product, pad)
 
     monkeypatch.setattr(engine_module, "_mac", mac)
-    for budget in (1, engine_module.WINDOW_BYTES):
-        monkeypatch.setattr(engine_module, "WINDOW_BYTES", budget)
+    for budget in (1, engine_module.WINDOW_ELEMENTS):
+        monkeypatch.setattr(engine_module, "WINDOW_ELEMENTS", budget)
         for x in (xs[0], xs):
             for engine in ("vector", "cluster"):
                 captures = {}

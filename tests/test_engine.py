@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -619,9 +621,9 @@ def test_cluster_counts_do_not_follow_host_blocking(bits, monkeypatch):
     x = rng.random(net.input_shape)
     clusters, counts = [], []
     monkeypatch.setattr(engine_module, "Cluster", lambda: clusters.append(Cluster()) or clusters[-1])
-    for lanes, window_bytes in itertools.product((65_536, 4_096, 512), (1, engine_module.WINDOW_BYTES)):
+    for lanes, window_elements in itertools.product((65_536, 4_096, 512), (1, engine_module.WINDOW_ELEMENTS)):
         monkeypatch.setattr(engine_module, "CLUSTER_LANES", lanes)
-        monkeypatch.setattr(engine_module, "WINDOW_BYTES", window_bytes)
+        monkeypatch.setattr(engine_module, "WINDOW_ELEMENTS", window_elements)
         _, ledger = infer_lut(qm, x, engine="cluster")
         cl = clusters.pop()
         counts.append((cl.step_counter, [(c.lookup_count, c.table) for c in cl.cores], cl.router.transfer_log))
@@ -911,8 +913,8 @@ def test_window_blocks_change_no_output(bits, monkeypatch):
         qm = prepare_quantized(net, ws, random_inputs(net, rng, 3), bits)
         xs = np.stack(random_inputs(net, rng, 3))
         runs = []
-        for budget in (1, engine_module.WINDOW_BYTES, 1 << 40):
-            monkeypatch.setattr(engine_module, "WINDOW_BYTES", budget)
+        for budget in (1, engine_module.WINDOW_ELEMENTS, 1 << 40):
+            monkeypatch.setattr(engine_module, "WINDOW_ELEMENTS", budget)
             run = {}
             for x in (xs[0], xs):
                 run["float", x.ndim] = caps = {}
@@ -936,7 +938,7 @@ def test_window_blocks_change_no_output(bits, monkeypatch):
 
 
 def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
-    """A wide depthwise layer is windowed in blocks of at most WINDOW_BYTES, on both backends and a stack."""
+    """A wide depthwise layer is windowed in blocks of at most WINDOW_ELEMENTS, on both backends and a stack."""
     net = wide_depthwise_network()
     rng = np.random.default_rng(71)
     ws = init_random_weights(net, seed=71)
@@ -946,7 +948,7 @@ def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
 
     def windows(x, *geometry):
         win = real_windows(x, *geometry)
-        sizes.append((win.nbytes, len(x), x.itemsize))
+        sizes.append((win.size, len(x)))
         return win
 
     monkeypatch.setattr(engine_module, "_windows", windows)
@@ -956,23 +958,22 @@ def test_no_windows_array_exceeds_the_window_budget(monkeypatch):
         for run in (lambda: infer_float(net, ws, x), lambda: infer_lut(qm, x)):
             sizes.clear()
             run()
-            assert len(sizes) > 1  # 2.1 MB of float64 windows per sample would not fit one block
-            for nbytes, n, itemsize in sizes:
-                assert nbytes <= max(engine_module.WINDOW_BYTES, n * per_sample * itemsize)
-            _, n, itemsize = sizes[0]
-            assert sum(nbytes for nbytes, _, _ in sizes) == channels * n * per_sample * itemsize  # every group, once
+            assert len(sizes) > 1  # 259,200 window elements per sample would not fit one block
+            for size, n in sizes:
+                assert size <= max(engine_module.WINDOW_ELEMENTS, n * per_sample)
+            _, n = sizes[0]
+            assert sum(size for size, _ in sizes) == channels * n * per_sample  # every group, once
 
 
 def _record_plan_builds(monkeypatch):
-    """The (stack size, window budget) of each layer plan built from now on; earlier plans are dropped first."""
-    builds, real_plan = [], engine_module._Plan
+    """The (stack size, window budget) each layer plan is built from, from now on; earlier plans are not reused."""
+    builds, build = [], engine_module._plan.__wrapped__
 
-    def plan(steps, macs):
-        builds.append((macs[0].out[0], macs[0].window_bytes))
-        return real_plan(steps, macs)
+    def plan(net, n, budget):
+        builds.append((n, budget))
+        return build(net, n, budget)
 
-    engine_module._plan.cache_clear()
-    monkeypatch.setattr(engine_module, "_Plan", plan)
+    monkeypatch.setattr(engine_module, "_plan", functools.lru_cache(maxsize=32)(plan))
     return builds
 
 
@@ -990,7 +991,7 @@ def test_every_pass_builds_one_plan_per_net_stack_size_and_window_budget(monkeyp
             infer_float(net, ws, inputs)
             for engine in ("vector", "cluster"):
                 infer_lut(qm, inputs, engine=engine)
-    assert Counter(builds) == {(3, engine_module.WINDOW_BYTES): 1, (1, engine_module.WINDOW_BYTES): 1}
+    assert Counter(builds) == {(3, engine_module.WINDOW_ELEMENTS): 1, (1, engine_module.WINDOW_ELEMENTS): 1}
 
 
 def test_a_window_budget_change_between_calls_takes_effect(monkeypatch):
@@ -1000,13 +1001,13 @@ def test_a_window_budget_change_between_calls_takes_effect(monkeypatch):
     calls, real_windows = [], engine_module._windows
     monkeypatch.setattr(engine_module, "_windows", lambda *a: calls.append(1) or real_windows(*a))
     builds = _record_plan_builds(monkeypatch)
-    default, blocks, probs = engine_module.WINDOW_BYTES, [], []
+    default, blocks, probs = engine_module.WINDOW_ELEMENTS, [], []
     for budget in (default, 1, default, 1):
-        monkeypatch.setattr(engine_module, "WINDOW_BYTES", budget)
+        monkeypatch.setattr(engine_module, "WINDOW_ELEMENTS", budget)
         calls.clear()
         probs.append(infer_float(net, ws, x))
         blocks.append(len(calls))
-    # 12 of the 50 groups' float64 windows (41,472 bytes each) fit the default budget, one group fits 1 byte
+    # 12 of the 50 groups' windows (5,184 elements each) fit the default budget, one group fits 1 element
     assert blocks == [5, 50, 5, 50]
     assert builds == [(1, default), (1, 1)]
     assert all(np.array_equal(p, probs[0]) for p in probs)
@@ -1022,7 +1023,7 @@ def test_equal_networks_share_one_plan(monkeypatch):
     builds = _record_plan_builds(monkeypatch)
     want = infer_float(net, ws, x)
     assert np.array_equal(infer_float(twin, ws, x), want)
-    budget = engine_module.WINDOW_BYTES
+    budget = engine_module.WINDOW_ELEMENTS
     assert engine_module._plan(twin, 1, budget) is engine_module._plan(net, 1, budget)
     fitted = fit_last_layer(net, init_random_weights(net, seed=73), cal, [0, 1, 1])
     fitted_twin = fit_last_layer(twin, init_random_weights(twin, seed=73), cal, [0, 1, 1])
@@ -1034,6 +1035,26 @@ def test_equal_networks_share_one_plan(monkeypatch):
         infer_lut(prepare_quantized(twin, ws, cal, 8), x, engine=engine, captures=twin_caps)
         _assert_same_outputs(caps, twin_caps, (engine,))
     assert builds == [(1, budget), (3, budget)]
+
+
+def test_a_plan_is_complete_when_it_is_built():
+    """No pass fills in or changes a MAC step of the plans it runs, on either backend, engine, precision or stack."""
+    rng = np.random.default_rng(74)
+    budget = engine_module.WINDOW_ELEMENTS
+    for net in (wide_depthwise_network(), depthwise_residual_network()):
+        ws = init_random_weights(net, seed=74)
+        xs = np.stack(random_inputs(net, rng, 3))
+        plans = {n: engine_module._plan(net, n, budget) for n in (1, 3)}
+        built = {n: [copy.deepcopy(vars(step)) for step in plan.macs] for n, plan in plans.items()}
+        for bits in (4, 8, 16):
+            qm = prepare_quantized(net, ws, list(xs), bits)
+            for x in (xs[0], xs):
+                infer_float(net, ws, x)
+                for engine in ("vector", "cluster"):
+                    infer_lut(qm, x, engine=engine, captures={})
+        for n, plan in plans.items():
+            assert engine_module._plan(net, n, budget) is plan, (net.name, n)  # the passes ran this plan
+            assert [vars(step) for step in plan.macs] == built[n], (net.name, n)
 
 
 def test_calibration_from_running_extremes_matches_concatenated_inputs():
